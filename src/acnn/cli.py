@@ -357,11 +357,20 @@ def cmd_ab_bench(args) -> int:
                             train_count=args.train_count,
                             dev_count=args.dev_count, train_cfg=tcfg,
                             progress=progress)
-    table = result.format_table()
-    print(table)
+    lines = [result.format_table(), ""]
+    for kind in data.KINDS:
+        lines.append(f"{kind:<12} CNN {100 * result.mean_kind_f1('cnn', kind):6.2f}  "
+                     f"ACNN {100 * result.mean_kind_f1('acnn', kind):6.2f}")
+    # the similarity diagnostic of the last ACNN arm (criterion 10)
+    copy_mean, rand_mean = bench.copy_pair_similarity(
+        result.acnn_model.params["embedding"].value, result.vocab,
+        result.dev_seqs, Rng(99))
+    lines += ["", f"copy-pair embedding cosine {copy_mean:.3f} vs random-pair {rand_mean:.3f}"]
+    report = "\n".join(lines)
+    print(report)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(table + "\n", encoding="utf-8")
+    out.write_text(report + "\n", encoding="utf-8")
     manifest = RunManifest(
         command="ab-bench",
         config={"preset": args.preset, "seeds": seeds,

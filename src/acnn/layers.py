@@ -3,7 +3,8 @@
 One-dimensional convolution over a token sequence, the auto-correlation
 operator (convolution plus a learned contraction over the pairwise Hadamard
 interaction tensor of the window), ReLU, row softmax, inverted dropout, and the
-width-1 (per-position affine) convolution.
+width-1 (per-position affine) convolution. The convolution's A-term is written
+once and shared by both operators; autocorr adds only its B-term.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1 with virtual zero padding, so the output always has n rows. A kernel
@@ -66,46 +67,55 @@ class ConvCache:
     windows: np.ndarray  # (n, w, m)
 
 
-def conv1d_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                   b: np.ndarray) -> tuple[np.ndarray, ConvCache]:
-    """out[t, u] = A[u] . window(x, t) + b[u], for A of shape (c, w, m)."""
+@dataclass
+class AutoCorrCache(ConvCache):
+    pair_windows: np.ndarray  # (n, w, w, m)
+
+
+# The A-term A[u] . window and the bias have one implementation, shared by conv1d
+# and autocorr, so autocorr with B == 0 is conv1d bit for bit by construction.
+
+def _check_a_term(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
+                  b: np.ndarray) -> None:
     n, m = x.shape
     if n == 0:
         raise ValueError("empty input sequence")
     w = spec.width
     if A.ndim != 3 or A.shape[1:] != (w, m):
-        raise ValueError(f"kernel shape {A.shape} incompatible with window ({w}, {m})")
+        raise ValueError(f"A kernel shape {A.shape} incompatible with window ({w}, {m})")
     if b.shape != (A.shape[0],):
         raise ValueError(f"bias shape {b.shape} != ({A.shape[0]},)")
+
+
+def _a_term_forward(x: np.ndarray, spec: ConvKernelSpec,
+                    A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A . window, windows); the bias is added by the caller, last."""
     win = sliding_windows(x, spec.ell, spec.r)
-    out = np.einsum("nwm,cwm->nc", win, A) + b
-    return out, ConvCache(n=n, spec=spec, windows=win)
+    return np.einsum("nwm,cwm->nc", win, A), win
 
 
-def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
-    """Gradients of a conv1d_forward call: returns (dx, dA, db)."""
+def _a_term_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
+    """(dA, db, dwindows) of the A-term and bias."""
     if upstream.shape != (cache.n, A.shape[0]):
         raise ValueError(f"upstream shape {upstream.shape} != ({cache.n}, {A.shape[0]})")
     dA = np.einsum("nc,nwm->cwm", upstream, cache.windows)
     db = upstream.sum(axis=0)
     dwin = np.einsum("nc,cwm->nwm", upstream, A)
-    dx = _scatter_windows(dwin, cache.n, cache.spec.ell)
-    return dx, dA, db
+    return dA, db, dwin
 
 
-def autocorr_tensor(x: np.ndarray) -> np.ndarray:
-    """Full (n, n, m) pairwise interaction tensor: out[i, j] = x[i] * x[j]."""
-    if x.ndim != 2:
-        raise ValueError(f"expected rank-2 input, got shape {x.shape}")
-    return x[:, None, :] * x[None, :, :]
+def conv1d_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, ConvCache]:
+    """out[t, u] = A[u] . window(x, t) + b[u], for A of shape (c, w, m)."""
+    _check_a_term(x, spec, A, b)
+    a_out, win = _a_term_forward(x, spec, A)
+    return a_out + b, ConvCache(n=x.shape[0], spec=spec, windows=win)
 
 
-@dataclass
-class AutoCorrCache:
-    n: int
-    spec: ConvKernelSpec
-    windows: np.ndarray       # (n, w, m)
-    pair_windows: np.ndarray  # (n, w, w, m)
+def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
+    """Gradients of a conv1d_forward call: returns (dx, dA, db)."""
+    dA, db, dwin = _a_term_backward(cache, A, upstream)
+    return _scatter_windows(dwin, cache.n, cache.spec.ell), dA, db
 
 
 def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -116,19 +126,14 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     pairwise interaction tensor restricted to the window at t. With B == 0 this
     is exactly conv1d_forward.
     """
+    _check_a_term(x, spec, A, b)
     n, m = x.shape
-    if n == 0:
-        raise ValueError("empty input sequence")
     w = spec.width
-    if A.ndim != 3 or A.shape[1:] != (w, m):
-        raise ValueError(f"A kernel shape {A.shape} incompatible with window ({w}, {m})")
     if B.shape != (A.shape[0], w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
-    if b.shape != (A.shape[0],):
-        raise ValueError(f"bias shape {b.shape} != ({A.shape[0]},)")
-    win = sliding_windows(x, spec.ell, spec.r)
+    a_out, win = _a_term_forward(x, spec, A)
     pair = win[:, :, None, :] * win[:, None, :, :]
-    out = np.einsum("nwm,cwm->nc", win, A) + np.einsum("nijm,cijm->nc", pair, B) + b
+    out = a_out + np.einsum("nijm,cijm->nc", pair, B) + b
     return out, AutoCorrCache(n=n, spec=spec, windows=win, pair_windows=pair)
 
 
@@ -140,13 +145,9 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, B: np.ndarray,
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
-    if upstream.shape != (cache.n, A.shape[0]):
-        raise ValueError(f"upstream shape {upstream.shape} != ({cache.n}, {A.shape[0]})")
+    dA, db, dwin = _a_term_backward(cache, A, upstream)
     win = cache.windows
-    dA = np.einsum("nc,nwm->cwm", upstream, win)
     dB = np.einsum("nc,nijm->cijm", upstream, cache.pair_windows)
-    db = upstream.sum(axis=0)
-    dwin = np.einsum("nc,cwm->nwm", upstream, A)
     dpair = np.einsum("nc,cijm->nijm", upstream, B)
     # d pair[i, j] / d win[i] = win[j]; rows appear on both sides of the pair.
     dwin += np.einsum("nijm,njm->nim", dpair, win)

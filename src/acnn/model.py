@@ -15,8 +15,9 @@ element-wise.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -184,13 +185,10 @@ def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -
 class _SentenceCache:
     ids: np.ndarray
     dropout_mask: np.ndarray | None
-    x0: np.ndarray                       # post-dropout embeddings
     layer_inputs: list[np.ndarray]       # input to each operator layer
     pre_activations: list[np.ndarray]    # Y_k before ReLU
     group_caches: list[list]             # per layer, per group forward caches
     final_features: np.ndarray           # input to the width-1 layer
-    scores: np.ndarray
-    probs: np.ndarray
 
 
 class Model:
@@ -207,7 +205,6 @@ class Model:
         at 1."""
         if rng is None:
             rng = Rng(config.seed)
-        dt = T.DTYPE
         params = ParamStore()
         params.add("embedding", _uniform_init(
             rng, (config.vocab_size, config.embedding_dim),
@@ -222,10 +219,10 @@ class Model:
                 if lc.kind == "autocorr":
                     params.add(f"{prefix}.B", _uniform_init(
                         rng, (gc, w, w, in_dim), w * w * in_dim, gc))
-                params.add(f"{prefix}.b", np.ones(gc, dtype=dt))
+                params.add(f"{prefix}.b", np.ones(gc))
             in_dim = lc.channels
         params.add("output.W", _uniform_init(rng, (NUM_CLASSES, in_dim), in_dim, NUM_CLASSES))
-        params.add("output.b", np.ones(NUM_CLASSES, dtype=dt))
+        params.add("output.b", np.ones(NUM_CLASSES))
         return Model(config, params)
 
     def forward(self, token_ids, training: bool = False,
@@ -242,8 +239,7 @@ class Model:
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError("token id out of vocabulary range")
         emb = self.params["embedding"].value[ids]
-        x0, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
-        x = x0
+        x, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
         layer_inputs = []
         pre_acts = []
         group_caches = []
@@ -272,9 +268,9 @@ class Model:
         probs = L.softmax_rows(scores)
         T.ensure_finite(probs, "forward output")
         return probs, _SentenceCache(
-            ids=ids, dropout_mask=mask, x0=x0, layer_inputs=layer_inputs,
+            ids=ids, dropout_mask=mask, layer_inputs=layer_inputs,
             pre_activations=pre_acts, group_caches=group_caches,
-            final_features=x, scores=scores, probs=probs)
+            final_features=x)
 
     def backward(self, cache: _SentenceCache, dscores: np.ndarray) -> None:
         """Accumulate parameter gradients for one sentence into the store."""
@@ -424,7 +420,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     magic "ACNNCKPT" | u32 version | u64 metadata length | metadata JSON |
     u32 tensor count | per tensor: u16 name length, name utf-8, u8 dtype code
     (0 = float64, 1 = float32), u8 rank, u32 dims..., raw row-major data.
-    Writing is deterministic, so save -> load -> save is byte-identical."""
+    Writing is deterministic, so save -> load -> save is byte-identical, and
+    atomic: the bytes go to a temporary file that then replaces `path`."""
     meta = json.dumps({
         "config": ckpt.config.to_dict(),
         "vocab": ckpt.vocab_words,
@@ -432,62 +429,81 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "seed": ckpt.seed,
         "step": ckpt.step,
     }, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    buf.write(struct.pack("<Q", len(meta)))
-    buf.write(meta)
-    buf.write(struct.pack("<I", len(ckpt.tensors)))
-    for name, arr in ckpt.tensors.items():
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-        buf.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            buf.write(struct.pack("<I", d))
-        buf.write(np.ascontiguousarray(arr).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", _VERSION))
+        fh.write(struct.pack("<Q", len(meta)))
+        fh.write(meta)
+        fh.write(struct.pack("<I", len(ckpt.tensors)))
+        for name, arr in ckpt.tensors.items():
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
+            fh.write(struct.pack("<B", arr.ndim))
+            for d in arr.shape:
+                fh.write(struct.pack("<I", d))
+            fh.write(np.ascontiguousarray(arr).tobytes())
+    os.replace(tmp, path)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError("corrupt checkpoint: truncated file")
-    return data
+# metadata key -> required JSON type
+_META_TYPES = {"config": dict, "vocab": list, "rng_algorithm": str, "seed": int, "step": int}
 
 
 def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoint:
     with open(path, "rb") as fh:
-        if _read_exact(fh, len(_MAGIC)) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # a length field larger than the rest of the file is never allocated
+            if n > size - fh.tell():
+                raise CheckpointError("corrupt checkpoint: truncated file")
+            return fh.read(n)
+
+        def unpack(fmt: str) -> int:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
+
+        if read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError("corrupt checkpoint: bad magic")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        version = unpack("<I")
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+        meta_len = unpack("<Q")
         try:
-            meta = json.loads(_read_exact(fh, meta_len).decode("utf-8"))
+            meta = json.loads(read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint metadata: {exc}") from exc
-        config = ModelConfig.from_dict(meta["config"])
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        if not isinstance(meta, dict):
+            raise CheckpointError("corrupt checkpoint metadata: not a JSON object")
+        for key, typ in _META_TYPES.items():
+            if not isinstance(meta.get(key), typ):
+                raise CheckpointError(
+                    f"corrupt checkpoint metadata: {key!r} missing or not a {typ.__name__}")
+        if not all(isinstance(word, str) for word in meta["vocab"]):
+            raise CheckpointError("corrupt checkpoint metadata: non-string vocabulary entry")
+        try:
+            config = ModelConfig.from_dict(meta["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (code,) = struct.unpack("<B", _read_exact(fh, 1))
+        for _ in range(unpack("<I")):
+            try:
+                name = read(unpack("<H")).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"corrupt checkpoint tensor name: {exc}") from exc
+            code = unpack("<B")
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"corrupt checkpoint: unknown dtype code {code}")
             dtype = _CODE_DTYPES[code]
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            tensors[name] = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
+            shape = tuple(unpack("<I") for _ in range(unpack("<B")))
+            nbytes = math.prod(shape) * dtype.itemsize
+            tensors[name] = np.frombuffer(read(nbytes), dtype=dtype).reshape(shape).copy()
+        if fh.tell() != size:
             raise CheckpointError("corrupt checkpoint: trailing bytes")
     if expect_config is not None and config != expect_config:
         raise CheckpointError("checkpoint config does not match the expected config")
-    return Checkpoint(config=config, vocab_words=list(meta["vocab"]),
+    return Checkpoint(config=config, vocab_words=meta["vocab"],
                       rng_algorithm=meta["rng_algorithm"], seed=meta["seed"],
                       step=meta["step"], tensors=tensors)

@@ -1,8 +1,8 @@
-"""Dense tensor helpers, seeded RNG, and the finite-difference gradient oracle.
+"""Seeded RNG, the finite-difference gradient oracle, and the numeric checks.
 
-All numeric values are plain numpy arrays, row-major, rank 1-3. Everything here
-is rank/shape-checked at the boundary; NaN/Inf escaping a public operation is a
-bug and raises NumericError.
+All numeric values are plain float64 numpy arrays, row-major, rank 1-3; 64-bit
+keeps gradient checking reliable. NaN/Inf escaping a public operation is a bug
+and raises NumericError.
 """
 
 from __future__ import annotations
@@ -10,17 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# 64-bit is the default everywhere; gradient checking is unreliable at 32-bit.
-# Training may switch to float32 for speed via set_default_dtype.
-DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    global DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    DTYPE = dtype
 
 
 class NumericError(RuntimeError):
@@ -40,7 +29,7 @@ class Rng:
 
     def uniform(self, low: float, high: float, size=None):
         out = self._gen.uniform(low, high, size)
-        return float(out) if size is None else out.astype(DTYPE)
+        return float(out) if size is None else out
 
     def random(self, size=None):
         return self._gen.random(size)
@@ -69,35 +58,6 @@ def ensure_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {context}")
     return x
-
-
-def dot_window(kernel: np.ndarray, window: np.ndarray) -> float:
-    """Sum of elementwise products of two equal-shape (w, m) matrices."""
-    kernel = np.asarray(kernel)
-    window = np.asarray(window)
-    if kernel.ndim != 2 or kernel.shape != window.shape:
-        raise ValueError(f"shape mismatch: kernel {kernel.shape} vs window {window.shape}")
-    return float((kernel * window).sum())
-
-
-def hadamard(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equal-length vectors."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return u * v
-
-
-def slice_rows(x: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Rows i..j inclusive of a (n, m) matrix, as a copy."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"expected rank-2 input, got shape {x.shape}")
-    n = x.shape[0]
-    if not (0 <= i <= j < n):
-        raise ValueError(f"row range [{i}, {j}] out of bounds for {n} rows")
-    return x[i : j + 1].copy()
 
 
 @dataclass(frozen=True)

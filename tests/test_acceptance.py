@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from acnn import bench, cli, data, evaluate, layers as L, model as M
-from acnn.tensor import Rng, hadamard
+from acnn.tensor import Rng
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -85,7 +85,7 @@ def _naive_autocorr(x, spec, A, B, b):
         for u in range(A.shape[0]):
             for i in range(spec.width):
                 for j in range(spec.width):
-                    out[t, u] += float(B[u, i, j] @ hadamard(rows[i], rows[j]))
+                    out[t, u] += float(B[u, i, j] @ (rows[i] * rows[j]))
     return out
 
 

@@ -1,10 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from acnn import cli
+from acnn import cli, data
 from acnn import layers as L
 from acnn.model import load_checkpoint
 from acnn.tensor import NumericError
@@ -147,6 +148,12 @@ class TestTagAndEval:
                    "--input", str(corpus_dir / "test.bt"),
                    "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
 
+    def test_hostile_checkpoint_is_data_error(self, corpus_dir, hostile_checkpoint,
+                                              tmp_path):
+        assert run("tag", "--checkpoint", str(hostile_checkpoint),
+                   "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
+
     def test_data_dir_env_resolution(self, corpus_dir, trained, tmp_path,
                                      monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(corpus_dir))
@@ -194,6 +201,26 @@ class TestUsage:
     def test_ab_bench_too_few_seeds(self, tmp_path):
         assert run("ab-bench", "--seeds", "1,2",
                    "--out", str(tmp_path / "b.tsv")) == cli.EXIT_USAGE
+
+
+class TestAbBench:
+    def test_runs_to_completion(self, tmp_path, capsys):
+        out = tmp_path / "bench.tsv"
+        assert run("ab-bench", "--train-count", "30", "--dev-count", "10",
+                   "--max-epochs", "1", "--patience", "1",
+                   "--out", str(out)) == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        written = out.read_text()
+        for text in (printed, written):
+            assert text.count("\n11\t") == 1 and "mean\t" in text
+            for kind in data.KINDS:
+                assert re.search(rf"^{kind} +CNN +\S+ +ACNN +\S+$", text, re.M), kind
+            assert re.search(r"^copy-pair embedding cosine \S+ vs random-pair \S+$",
+                             text, re.M)
+        manifest = json.loads((tmp_path / "bench.tsv.manifest.json").read_text())
+        assert manifest["command"] == "ab-bench"
+        assert manifest["config"]["seeds"] == [11, 12, 13]
+        assert manifest["outputs"] == {str(out): cli._sha256(out)}
 
 
 class TestManifest:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acnn import layers as L
-from acnn.tensor import Rng, grad_check, hadamard
+from acnn.tensor import Rng, grad_check
 
 
 def padded_row(x, t):
@@ -41,7 +41,7 @@ def naive_autocorr(x, spec, A, B, b):
             acc = 0.0
             for i in range(w):
                 for j in range(w):
-                    acc += float(B[u, i, j] @ hadamard(rows[i], rows[j]))
+                    acc += float(B[u, i, j] @ (rows[i] * rows[j]))
             out[t, u] += acc
     return out
 
@@ -159,10 +159,19 @@ class TestConv1dBackward:
         assert grad_check(lambda v: loss(x, A, v), b, db).ok
 
 
+def pair_tensor(x, spec):
+    """The (n, w, w, m) window interaction tensor an autocorr call contracts."""
+    n, m = x.shape
+    w = spec.width
+    _, cache = L.autocorr_forward(x, spec, np.zeros((1, w, m)),
+                                  np.zeros((1, w, w, m)), np.zeros(1))
+    return cache.pair_windows
+
+
 class TestAutocorrTensor:
     def test_hand_arithmetic(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        xhat = L.autocorr_tensor(x)
+        xhat = pair_tensor(x, L.ConvKernelSpec(0, 1))[0]  # window rows 0, 1
         assert xhat[0, 1].tolist() == [3.0, 8.0]
         assert xhat[0, 0].tolist() == [1.0, 4.0]
         assert xhat[1, 1].tolist() == [9.0, 16.0]
@@ -170,25 +179,25 @@ class TestAutocorrTensor:
     def test_symmetry(self):
         rng = Rng(5)
         x = rng.uniform(-1, 1, (6, 3))
-        xhat = L.autocorr_tensor(x)
-        assert np.array_equal(xhat, np.swapaxes(xhat, 0, 1))
+        xhat = pair_tensor(x, L.ConvKernelSpec(2, 2))
+        assert np.array_equal(xhat, np.swapaxes(xhat, 1, 2))
 
     def test_repeated_rows_give_identical_interactions(self):
         rng = Rng(6)
         x = rng.uniform(-1, 1, (5, 4))
         x[3] = x[1]  # exact copy, the rough-copy signal
-        xhat = L.autocorr_tensor(x)
-        assert np.array_equal(xhat[1, 3], xhat[1, 1])
-        assert np.array_equal(xhat[1, 3], xhat[3, 3])
+        xhat = pair_tensor(x, L.ConvKernelSpec(1, 2))[2]  # window rows 1..4
+        assert np.array_equal(xhat[0, 2], xhat[0, 0])
+        assert np.array_equal(xhat[0, 2], xhat[2, 2])
 
     def test_permuting_identical_rows_invariant(self):
         rng = Rng(7)
         x = rng.uniform(-1, 1, (4, 3))
         x[2] = x[0]
-        xhat = L.autocorr_tensor(x)
+        spec = L.ConvKernelSpec(1, 1)
         y = x.copy()
         y[[0, 2]] = y[[2, 0]]
-        assert np.array_equal(L.autocorr_tensor(y), xhat)
+        assert np.array_equal(pair_tensor(y, spec), pair_tensor(x, spec))
 
 
 class TestAutocorrForward:
@@ -232,10 +241,12 @@ class TestAutocorrBackward:
         x, spec, A, B, b = rand_instance(rng, 6, 4, 1, 2, 3, with_B=True)
         up = rng.uniform(-1, 1, (6, 3))
         _, ccache = L.conv1d_forward(x, spec, A, b)
-        dxc, _, _ = L.conv1d_backward(ccache, A, up)
+        dxc, dAc, dbc = L.conv1d_backward(ccache, A, up)
         _, acache = L.autocorr_forward(x, spec, A, np.zeros_like(B), b)
-        dxa, _, _, _ = L.autocorr_backward(acache, A, np.zeros_like(B), up)
+        dxa, dAa, _, dba = L.autocorr_backward(acache, A, np.zeros_like(B), up)
         assert np.array_equal(dxc, dxa)
+        assert np.array_equal(dAc, dAa)
+        assert np.array_equal(dbc, dba)
 
     def test_single_token_diagonal_doubling(self):
         # n=1, ell=r=1: only the diagonal interaction of the real row remains,
@@ -388,4 +399,3 @@ def test_output_shape_pure_function_of_input_shape(seed):
     ac_out, _ = L.autocorr_forward(x, spec, A, B, b)
     assert conv_out.shape == (n, c)
     assert ac_out.shape == (n, c)
-    assert L.autocorr_tensor(x).shape == (n, n, m)

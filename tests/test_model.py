@@ -246,6 +246,7 @@ class TestCheckpoint:
         path2 = tmp_path / "again.ckpt"
         M.save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))  # saving is tmp + os.replace
 
     def test_rebuilt_model_predicts_identically(self, tmp_path):
         _, model, _, path = self.make(tmp_path)
@@ -279,3 +280,7 @@ class TestCheckpoint:
         other = toy_config(arch="cnn", seed=0)
         with pytest.raises(M.CheckpointError):
             M.load_checkpoint(path, expect_config=other)
+
+    def test_hostile_metadata_is_checkpoint_error(self, hostile_checkpoint):
+        with pytest.raises(M.CheckpointError):
+            M.load_checkpoint(hostile_checkpoint)

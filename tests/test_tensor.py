@@ -1,105 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from acnn.tensor import Rng, dot_window, grad_check, hadamard, slice_rows
-
-
-def naive_dot(kernel, window):
-    total = 0.0
-    for i in range(kernel.shape[0]):
-        for j in range(kernel.shape[1]):
-            total += kernel[i, j] * window[i, j]
-    return total
-
-
-class TestDotWindow:
-    def test_identity_pattern_selects_diagonal(self):
-        kernel = np.array([[1.0, 0.0], [0.0, 1.0]])
-        window = np.array([[5.0, 7.0], [2.0, 3.0]])
-        assert dot_window(kernel, window) == 8.0
-
-    def test_zero_kernel(self):
-        rng = Rng(0)
-        window = rng.uniform(-1, 1, (3, 4))
-        assert dot_window(np.zeros((3, 4)), window) == 0.0
-
-    def test_matches_scalar_loop_oracle(self):
-        rng = Rng(7)
-        kernel = rng.uniform(-2, 2, (4, 3))
-        window = rng.uniform(-2, 2, (4, 3))
-        got = dot_window(kernel, window)
-        want = naive_dot(kernel, window)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_oracle_large(self, seed):
-        rng = Rng(seed)
-        w = int(rng.integers(1, 33))
-        m = int(rng.integers(1, 513))
-        kernel = rng.uniform(-1, 1, (w, m))
-        window = rng.uniform(-1, 1, (w, m))
-        got = dot_window(kernel, window)
-        want = naive_dot(kernel, window)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dot_window(np.zeros((2, 2)), np.zeros((3, 2)))
-
-
-class TestHadamard:
-    def test_hand_arithmetic(self):
-        assert hadamard(np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [3.0, 8.0]
-
-    def test_self_product_squares(self):
-        u = np.array([2.0, -1.0])
-        assert hadamard(u, u).tolist() == [4.0, 1.0]
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_commutative(self, seed):
-        rng = Rng(seed)
-        m = int(rng.integers(1, 20))
-        u = rng.uniform(-5, 5, m)
-        v = rng.uniform(-5, 5, m)
-        assert np.array_equal(hadamard(u, v), hadamard(v, u))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.zeros(2), np.zeros(3))
-
-
-class TestSliceRows:
-    def test_bottom_block(self):
-        x = np.arange(6.0).reshape(3, 2)
-        assert slice_rows(x, 1, 2).tolist() == [[2.0, 3.0], [4.0, 5.0]]
-
-    def test_single_row(self):
-        x = np.arange(6.0).reshape(3, 2)
-        assert slice_rows(x, 1, 1).shape == (1, 2)
-
-    def test_partition_identity(self):
-        rng = Rng(3)
-        x = rng.uniform(-1, 1, (5, 4))
-        parts = [slice_rows(x, i, i) for i in range(5)]
-        assert np.array_equal(np.concatenate(parts, axis=0), x)
-
-    def test_copy_semantics(self):
-        x = np.arange(6.0).reshape(3, 2)
-        sl = slice_rows(x, 0, 1)
-        sl[0, 0] = 99.0
-        assert x[0, 0] == 0.0
-
-    def test_out_of_range(self):
-        x = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            slice_rows(x, 2, 3)
-        with pytest.raises(ValueError):
-            slice_rows(x, -1, 1)
-        with pytest.raises(ValueError):
-            slice_rows(x, 2, 1)
+from acnn.tensor import Rng, grad_check
 
 
 class TestRng:
