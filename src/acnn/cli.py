@@ -2,7 +2,7 @@
 gradient checking, and the CNN-vs-ACNN benchmark.
 
 Every command writes a RunManifest (JSON, atomic) next to its primary output
-so a run can be reproduced bit-for-bit in 64-bit single-threaded mode.
+so a run can be reproduced bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -42,6 +43,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
+
+
+@contextmanager
+def _flag_values():
+    """Configs built from flag values: a value they reject is a usage error."""
+    try:
+        yield
+    except ValueError as exc:  # ConfigError included
+        raise UsageError(str(exc)) from exc
 
 
 @dataclass
@@ -102,20 +112,22 @@ def cmd_synth(args) -> int:
         raise UsageError(f"unknown generator preset {args.preset!r}; "
                          f"choose from {sorted(data.GENERATOR_PRESETS)}")
     cfg = data.GENERATOR_PRESETS[args.preset]
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     counts = dict(zip(("train", "dev", "test"), DEFAULT_SPLITS[args.preset]))
     for split in counts:
         override = getattr(args, f"{split}_count")
         if override is not None:
             counts[split] = override
+    with _flag_values():
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        master = Rng(cfg.seed)
+        split_cfgs = [replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
+                      for i, count in enumerate(counts.values())]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    master = Rng(cfg.seed)
     outputs = {}
-    for i, (split, count) in enumerate(counts.items()):
-        split_cfg = replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
+    for (split, count), split_cfg in zip(counts.items(), split_cfgs):
         seqs = data.generate_corpus(split_cfg)
         path = out_dir / f"{split}.bt"
         data.write_corpus(seqs, path, "bracket-text")
@@ -171,9 +183,11 @@ def cmd_train(args) -> int:
     train_seqs = [s for s in (data.preprocess(q) for q in train_raw) if s.tokens]
     dev_seqs = [s for s in (data.preprocess(q) for q in dev_raw) if s.tokens]
     vocab = data.build_vocab(train_seqs, min_freq=args.min_freq)
-    mcfg = _model_config_from_args(args, len(vocab))
-    tcfg = _train_config_from_args(args)
-    model = Model.build(mcfg, Rng(args.seed))
+    with _flag_values():
+        mcfg = _model_config_from_args(args, len(vocab))
+        tcfg = _train_config_from_args(args)
+        rng = Rng(args.seed)
+    model = Model.build(mcfg, rng)
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
     model.params.load_values(result.best_values)
 
@@ -343,11 +357,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ab_bench(args) -> int:
     t0 = time.time()
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    with _flag_values():
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        tcfg = training.TrainConfig(learning_rate=args.lr, max_epochs=args.max_epochs,
+                                    patience=args.patience)
     if len(seeds) < 3:
         raise UsageError("ab-bench needs at least 3 comma-separated seeds "
                          "(e.g. --seeds 11,12,13)")
-    tcfg = training.TrainConfig(learning_rate=args.lr, max_epochs=args.max_epochs, patience=args.patience)
 
     def progress(arm):
         print(f"seed {arm.seed} {arm.arch}: dev F {100 * arm.dev_f1:.2f} "

@@ -3,8 +3,9 @@
 One-dimensional convolution over a token sequence, the auto-correlation
 operator (convolution plus a learned contraction over the pairwise Hadamard
 interaction tensor of the window), ReLU, row softmax, inverted dropout, and the
-width-1 (per-position affine) convolution. The convolution's A-term is written
-once and shared by both operators; autocorr adds only its B-term.
+width-1 (per-position affine) convolution. Every learned term is one matmul,
+`_contract`, with one adjoint, `_contract_backward`: the A-term contracts the
+windows, autocorr's B-term the pair windows, and width-1 the rows themselves.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1 with virtual zero padding, so the output always has n rows. A kernel
@@ -42,13 +43,14 @@ class ConvKernelSpec:
 
 def sliding_windows(x: np.ndarray, ell: int, r: int) -> np.ndarray:
     """(n, w, m) stack of zero-padded windows: out[t, k] = x[t - ell + k], with
-    rows outside 0..n-1 read as zero vectors."""
+    rows outside 0..n-1 read as zero vectors. C-contiguous, so that the matmuls
+    of _contract and its adjoint read it as one (n, w*m) matrix."""
     n, m = x.shape
     w = ell + r + 1
     padded = np.zeros((n + w - 1, m), dtype=x.dtype)
     padded[ell : ell + n] = x
     view = np.lib.stride_tricks.sliding_window_view(padded, (w, m))
-    return view.reshape(n, w, m)
+    return np.ascontiguousarray(view.reshape(n, w, m))
 
 
 def _scatter_windows(dwin: np.ndarray, n: int, ell: int) -> np.ndarray:
@@ -58,6 +60,22 @@ def _scatter_windows(dwin: np.ndarray, n: int, ell: int) -> np.ndarray:
     for k in range(w):
         dpad[k : k + n] += dwin[:, k, :]
     return dpad[ell : ell + n]
+
+
+def _contract(feats: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """out[t, u] = K[u] . feats[t] for feats (n, ...) and K (c, ...). Every learned
+    term is this matmul, so autocorr with B == 0 is conv1d bit for bit."""
+    return feats.reshape(len(feats), -1) @ K.reshape(len(K), -1).T
+
+
+def _contract_backward(feats: np.ndarray, K: np.ndarray, upstream: np.ndarray):
+    """(dK, dfeats) of a _contract call, given the upstream gradient (n, c)."""
+    n, c = len(feats), len(K)
+    if upstream.shape != (n, c):
+        raise ValueError(f"upstream shape {upstream.shape} != ({n}, {c})")
+    dK = upstream.T @ feats.reshape(n, -1)
+    dfeats = upstream @ K.reshape(c, -1)
+    return dK.reshape(K.shape), dfeats.reshape(feats.shape)
 
 
 @dataclass
@@ -72,11 +90,9 @@ class AutoCorrCache(ConvCache):
     pair_windows: np.ndarray  # (n, w, w, m)
 
 
-# The A-term A[u] . window and the bias have one implementation, shared by conv1d
-# and autocorr, so autocorr with B == 0 is conv1d bit for bit by construction.
-
-def _check_a_term(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                  b: np.ndarray) -> None:
+def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+    """The windows of x, once x, A and b are checked against each other."""
     n, m = x.shape
     if n == 0:
         raise ValueError("empty input sequence")
@@ -85,37 +101,20 @@ def _check_a_term(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
         raise ValueError(f"A kernel shape {A.shape} incompatible with window ({w}, {m})")
     if b.shape != (A.shape[0],):
         raise ValueError(f"bias shape {b.shape} != ({A.shape[0]},)")
-
-
-def _a_term_forward(x: np.ndarray, spec: ConvKernelSpec,
-                    A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A . window, windows); the bias is added by the caller, last."""
-    win = sliding_windows(x, spec.ell, spec.r)
-    return np.einsum("nwm,cwm->nc", win, A), win
-
-
-def _a_term_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
-    """(dA, db, dwindows) of the A-term and bias."""
-    if upstream.shape != (cache.n, A.shape[0]):
-        raise ValueError(f"upstream shape {upstream.shape} != ({cache.n}, {A.shape[0]})")
-    dA = np.einsum("nc,nwm->cwm", upstream, cache.windows)
-    db = upstream.sum(axis=0)
-    dwin = np.einsum("nc,cwm->nwm", upstream, A)
-    return dA, db, dwin
+    return sliding_windows(x, spec.ell, spec.r)
 
 
 def conv1d_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
                    b: np.ndarray) -> tuple[np.ndarray, ConvCache]:
     """out[t, u] = A[u] . window(x, t) + b[u], for A of shape (c, w, m)."""
-    _check_a_term(x, spec, A, b)
-    a_out, win = _a_term_forward(x, spec, A)
-    return a_out + b, ConvCache(n=x.shape[0], spec=spec, windows=win)
+    win = _checked_windows(x, spec, A, b)
+    return _contract(win, A) + b, ConvCache(n=x.shape[0], spec=spec, windows=win)
 
 
 def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
     """Gradients of a conv1d_forward call: returns (dx, dA, db)."""
-    dA, db, dwin = _a_term_backward(cache, A, upstream)
-    return _scatter_windows(dwin, cache.n, cache.spec.ell), dA, db
+    dA, dwin = _contract_backward(cache.windows, A, upstream)
+    return _scatter_windows(dwin, cache.n, cache.spec.ell), dA, upstream.sum(axis=0)
 
 
 def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -126,14 +125,12 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     pairwise interaction tensor restricted to the window at t. With B == 0 this
     is exactly conv1d_forward.
     """
-    _check_a_term(x, spec, A, b)
-    n, m = x.shape
-    w = spec.width
+    win = _checked_windows(x, spec, A, b)
+    n, w, m = win.shape
     if B.shape != (A.shape[0], w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
-    a_out, win = _a_term_forward(x, spec, A)
     pair = win[:, :, None, :] * win[:, None, :, :]
-    out = a_out + np.einsum("nijm,cijm->nc", pair, B) + b
+    out = _contract(win, A) + _contract(pair, B) + b
     return out, AutoCorrCache(n=n, spec=spec, windows=win, pair_windows=pair)
 
 
@@ -145,15 +142,14 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, B: np.ndarray,
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
-    dA, db, dwin = _a_term_backward(cache, A, upstream)
     win = cache.windows
-    dB = np.einsum("nc,nijm->cijm", upstream, cache.pair_windows)
-    dpair = np.einsum("nc,cijm->nijm", upstream, B)
+    dA, dwin = _contract_backward(win, A, upstream)
+    dB, dpair = _contract_backward(cache.pair_windows, B, upstream)
     # d pair[i, j] / d win[i] = win[j]; rows appear on both sides of the pair.
     dwin += np.einsum("nijm,njm->nim", dpair, win)
     dwin += np.einsum("njim,njm->nim", dpair, win)
     dx = _scatter_windows(dwin, cache.n, cache.spec.ell)
-    return dx, dA, dB, db
+    return dx, dA, dB, upstream.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -201,11 +197,9 @@ def width1_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"weight shape {W.shape} incompatible with input {x.shape}")
     if b.shape != (W.shape[0],):
         raise ValueError(f"bias shape {b.shape} != ({W.shape[0]},)")
-    return x @ W.T + b
+    return _contract(x, W) + b
 
 
 def width1_backward(x: np.ndarray, W: np.ndarray, upstream: np.ndarray):
-    dW = upstream.T @ x
-    db = upstream.sum(axis=0)
-    dx = upstream @ W
-    return dx, dW, db
+    dW, dx = _contract_backward(x, W, upstream)
+    return dx, dW, upstream.sum(axis=0)

@@ -36,6 +36,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_type(name: str, value, *kinds: type) -> None:
+    # bool is an int subclass, but never a valid width, count or rate
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerConfig:
     kind: str  # "conv" | "autocorr"
@@ -47,6 +54,7 @@ class LayerConfig:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not self.kernel_groups:
             raise ConfigError("layer needs at least one kernel group")
+        _check_type("channels", self.channels, int)
         if self.channels <= 0:
             raise ConfigError("channels must be positive")
         if self.channels % len(self.kernel_groups) != 0:
@@ -54,6 +62,8 @@ class LayerConfig:
                 f"channels {self.channels} not divisible by "
                 f"{len(self.kernel_groups)} kernel groups")
         for ell, r in self.kernel_groups:
+            _check_type("ell", ell, int)
+            _check_type("r", r, int)
             L.ConvKernelSpec(ell, r)  # validates ell >= 0, r >= 1
 
     @property
@@ -74,8 +84,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ("cnn", "acnn"):
             raise ConfigError(f"unknown arch {self.arch!r}")
+        for name in ("vocab_size", "embedding_dim", "seed"):
+            _check_type(name, getattr(self, name), int)
         if self.vocab_size < 2 or self.embedding_dim < 1:
             raise ConfigError("vocab_size >= 2 and embedding_dim >= 1 required")
+        for name in ("dropout_rate", "l2_weight"):
+            _check_type(name, getattr(self, name), int, float)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not 0.0 <= self.l2_weight < math.inf:
+            raise ConfigError(f"l2_weight must be finite and >= 0, got {self.l2_weight}")
         if not self.layers:
             raise ConfigError("at least one operator layer required")
         if self.arch == "acnn":

@@ -33,6 +33,10 @@ HOSTILE_CHECKPOINTS = {
     "config-is-list": (_changed(_VALID_META, config=[1, 2]), None, ()),
     "config-without-layers": (_config_changed(layers=None), None, ()),
     "vocab-size-is-string": (_config_changed(vocab_size="10"), None, ()),
+    "kernel-width-is-float": (_config_changed(layers=[
+        {"kind": "conv", "kernel_groups": [[0.5, 1]], "channels": 2}]), None, ()),
+    "channels-is-float": (_config_changed(layers=[
+        {"kind": "conv", "kernel_groups": [[0, 1]], "channels": 2.0}]), None, ()),
     "metadata-is-list": ([1, 2], None, ()),
     "metadata-length-2**62": (_VALID_META, 2 ** 62, ()),
     "tensor-dims-beyond-file": (_VALID_META, None, (("embedding", (2 ** 32 - 1, 2 ** 32 - 1)),)),

@@ -202,6 +202,24 @@ class TestUsage:
         assert run("ab-bench", "--seeds", "1,2",
                    "--out", str(tmp_path / "b.tsv")) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--arch", "cnn", "--lr", "-1"),
+        ("train", "--arch", "cnn", "--batch-size", "0"),
+        ("train", "--arch", "cnn", "--preset", "cnn-table1", "--channels", "7"),
+        ("train", "--arch", "cnn", "--seed", "-1"),
+        ("ab-bench", "--seeds", "a,b,c"),
+        ("synth", "--train-count", "0"),
+    ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
+            "seeds-not-integers", "train-count-0"])
+    def test_rejected_flag_value_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
+        if argv[0] == "train":
+            argv += ("--train", str(corpus_dir / "train.bt"),
+                     "--dev", str(corpus_dir / "dev.bt"))
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
+        assert "error:usage" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAbBench:
     def test_runs_to_completion(self, tmp_path, capsys):

@@ -46,6 +46,71 @@ def naive_autocorr(x, spec, A, B, b):
     return out
 
 
+def naive_conv1d_backward(x, spec, A, up):
+    """Loop oracle for conv1d's (dx, dA, db): out[t, u] adds A[u, k] . x[s] for
+    each in-range window row s = t - ell + k, so up[t, u] sends A[u, k] to
+    dx[s] and x[s] to dA[u, k]."""
+    n, _ = x.shape
+    c = A.shape[0]
+    dx, dA, db = np.zeros_like(x), np.zeros_like(A), np.zeros(c)
+    for t in range(n):
+        for u in range(c):
+            db[u] += up[t, u]
+            for k in range(spec.width):
+                s = t - spec.ell + k
+                if 0 <= s < n:
+                    dx[s] += up[t, u] * A[u, k]
+                    dA[u, k] += up[t, u] * x[s]
+    return dx, dA, db
+
+
+def naive_autocorr_backward(x, spec, A, B, up):
+    """Loop oracle for autocorr's (dx, dA, dB, db): the conv gradients plus, for
+    every window pair (i, j), B[u, i, j] * row j onto row i and B[u, i, j] *
+    row i onto row j."""
+    dx, dA, db = naive_conv1d_backward(x, spec, A, up)
+    n, _ = x.shape
+    c, w = A.shape[:2]
+    dB = np.zeros_like(B)
+    for t in range(n):
+        rows = [padded_row(x, t - spec.ell + k) for k in range(w)]
+        for u in range(c):
+            for i in range(w):
+                for j in range(w):
+                    dB[u, i, j] += up[t, u] * (rows[i] * rows[j])
+                    for s, other in ((t - spec.ell + i, rows[j]), (t - spec.ell + j, rows[i])):
+                        if 0 <= s < n:
+                            dx[s] += up[t, u] * B[u, i, j] * other
+    return dx, dA, dB, db
+
+
+def naive_width1_backward(x, W, up):
+    """Loop oracle for width-1's (dx, dW, db)."""
+    n, _ = x.shape
+    c = W.shape[0]
+    dx, dW, db = np.zeros_like(x), np.zeros_like(W), np.zeros(c)
+    for t in range(n):
+        for u in range(c):
+            dx[t] += up[t, u] * W[u]
+            dW[u] += up[t, u] * x[t]
+            db[u] += up[t, u]
+    return dx, dW, db
+
+
+def assert_all_close(got, want):
+    for g, v in zip(got, want, strict=True):
+        assert g.shape == v.shape
+        assert np.allclose(g, v, rtol=1e-12, atol=1e-12)
+
+
+def random_geometry(rng, seed):
+    """(n, m, ell, r, c) drawn at random; seed 0 forces n = 1, seed 1 ell = 0."""
+    n = 1 if seed == 0 else int(rng.integers(1, 11))
+    m = int(rng.integers(1, 6))
+    ell = 0 if seed == 1 else int(rng.integers(0, 3))
+    return n, m, ell, int(rng.integers(1, 4)), int(rng.integers(1, 4))
+
+
 def rand_instance(rng, n, m, ell, r, channels, with_B=False):
     spec = L.ConvKernelSpec(ell, r)
     x = rng.uniform(-1, 1, (n, m))
@@ -124,6 +189,16 @@ class TestConv1d:
 
 
 class TestConv1dBackward:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_oracle_random_shapes(self, seed):
+        rng = Rng(2000 + seed)
+        n, m, ell, r, c = random_geometry(rng, seed)
+        x, spec, A, b = rand_instance(rng, n, m, ell, r, c)
+        up = rng.uniform(-1, 1, (n, c))
+        _, cache = L.conv1d_forward(x, spec, A, b)
+        assert_all_close(L.conv1d_backward(cache, A, up),
+                         naive_conv1d_backward(x, spec, A, up))
+
     def test_zero_upstream(self):
         rng = Rng(1)
         x, spec, A, b = rand_instance(rng, 5, 3, 1, 1, 2)
@@ -236,6 +311,16 @@ class TestAutocorrForward:
 
 
 class TestAutocorrBackward:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_oracle_random_shapes(self, seed):
+        rng = Rng(3000 + seed)
+        n, m, ell, r, c = random_geometry(rng, seed)
+        x, spec, A, B, b = rand_instance(rng, n, m, ell, r, c, with_B=True)
+        up = rng.uniform(-1, 1, (n, c))
+        _, cache = L.autocorr_forward(x, spec, A, B, b)
+        assert_all_close(L.autocorr_backward(cache, A, B, up),
+                         naive_autocorr_backward(x, spec, A, B, up))
+
     def test_zero_B_x_gradient_equals_conv(self):
         rng = Rng(21)
         x, spec, A, B, b = rand_instance(rng, 6, 4, 1, 2, 3, with_B=True)
@@ -383,6 +468,15 @@ class TestWidth1:
         assert grad_check(lambda v: loss(v, W, b), x, dx).ok
         assert grad_check(lambda v: loss(x, v, b), W, dW).ok
         assert grad_check(lambda v: loss(x, W, v), b, db).ok
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_backward_oracle_random_shapes(self, seed):
+        rng = Rng(4000 + seed)
+        n, m, _, _, c = random_geometry(rng, seed)
+        x = rng.uniform(-1, 1, (n, m))
+        W = rng.uniform(-1, 1, (c, m))
+        up = rng.uniform(-1, 1, (n, c))
+        assert_all_close(L.width1_backward(x, W, up), naive_width1_backward(x, W, up))
 
 
 @given(st.integers(0, 2 ** 31 - 1))

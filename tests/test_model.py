@@ -41,6 +41,21 @@ class TestConfig:
         with pytest.raises(M.ConfigError):
             M.LayerConfig("conv", ((0, 1), (1, 1)), 5)
 
+    @pytest.mark.parametrize("kernel_groups,channels", [
+        (((0.5, 1),), 4), (((0, 1.0),), 4), (((True, 1),), 4),
+        (((0, 1),), 4.0), (((0, 1),), True)])
+    def test_layer_integers_are_ints(self, kernel_groups, channels):
+        with pytest.raises(ValueError):
+            M.LayerConfig("conv", kernel_groups, channels)
+
+    @pytest.mark.parametrize("field,value", [
+        ("vocab_size", 12.0), ("embedding_dim", True), ("seed", 1.5),
+        ("dropout_rate", 1.0), ("dropout_rate", -0.1), ("dropout_rate", "0.1"),
+        ("l2_weight", -0.01), ("l2_weight", float("nan"))])
+    def test_model_fields_checked(self, field, value):
+        with pytest.raises(M.ConfigError):
+            M.ModelConfig(**{**vars(toy_config()), field: value})
+
     def test_dict_round_trip(self):
         cfg = M.model_preset("acnn-table1", vocab_size=300, seed=7)
         assert M.ModelConfig.from_dict(cfg.to_dict()) == cfg
