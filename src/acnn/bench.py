@@ -67,7 +67,6 @@ def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
     model = Model.build(config, Rng(seed))
     result = training.train(model, train_seqs, dev_seqs, vocab,
                             replace(train_cfg, seed=seed))
-    model.params.load_values(result.best_values)
     masks = training.predict_masks(model, dev_seqs, vocab)
     report = evaluate.score(dev_seqs, masks)
     by_kind = evaluate.score_by_kind(dev_seqs, masks)

@@ -107,11 +107,15 @@ DEFAULT_SPLITS = {"switchboard-like": (3000, 500, 500),
                   "toy": (200, 50, 50)}
 
 
-def cmd_synth(args) -> int:
-    if args.preset not in data.GENERATOR_PRESETS:
-        raise UsageError(f"unknown generator preset {args.preset!r}; "
+def _generator_preset(name: str) -> data.GeneratorConfig:
+    if name not in data.GENERATOR_PRESETS:
+        raise UsageError(f"unknown generator preset {name!r}; "
                          f"choose from {sorted(data.GENERATOR_PRESETS)}")
-    cfg = data.GENERATOR_PRESETS[args.preset]
+    return data.GENERATOR_PRESETS[name]
+
+
+def cmd_synth(args) -> int:
+    cfg = _generator_preset(args.preset)
     counts = dict(zip(("train", "dev", "test"), DEFAULT_SPLITS[args.preset]))
     for split in counts:
         override = getattr(args, f"{split}_count")
@@ -189,7 +193,6 @@ def cmd_train(args) -> int:
         rng = Rng(args.seed)
     model = Model.build(mcfg, rng)
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
-    model.params.load_values(result.best_values)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -358,7 +361,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_ab_bench(args) -> int:
     t0 = time.time()
     with _flag_values():
+        # built here only so that bench.ab_bench never meets a value they reject
+        gen_cfg = _generator_preset(args.preset)
+        for count in (args.train_count, args.dev_count):
+            replace(gen_cfg, sentence_count=count)
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        for seed in seeds:
+            Rng(seed)
         tcfg = training.TrainConfig(learning_rate=args.lr, max_epochs=args.max_epochs,
                                     patience=args.patience)
     if len(seeds) < 3:
@@ -485,7 +494,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, data.CorpusFormatError, evaluate.AlignmentError,
+    except (OSError, data.CorpusFormatError, evaluate.AlignmentError,
             CheckpointError, ConfigError, ValueError) as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return EXIT_DATA

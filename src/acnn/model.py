@@ -148,10 +148,11 @@ class Param:
 
     @staticmethod
     def of(value: np.ndarray) -> "Param":
+        # np.zeros maps no page before its first write, so tagging never pays for these
         return Param(value=value,
-                     grad=np.zeros_like(value),
-                     adam_m=np.zeros_like(value),
-                     adam_v=np.zeros_like(value))
+                     grad=np.zeros(value.shape),
+                     adam_m=np.zeros(value.shape),
+                     adam_v=np.zeros(value.shape))
 
 
 class ParamStore:
@@ -168,9 +169,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -199,6 +197,25 @@ def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -
     return rng.uniform(-bound, bound, shape)
 
 
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """(name, shape, fan_in, fan_out) per tensor in store order; fan_in 0 marks a bias of ones."""
+    table = [("embedding", (config.vocab_size, config.embedding_dim),
+              config.vocab_size, config.embedding_dim)]
+    in_dim = config.embedding_dim
+    for k, lc in enumerate(config.layers, start=1):
+        gc = lc.group_channels
+        for g, (ell, r) in enumerate(lc.kernel_groups):
+            w = ell + r + 1
+            prefix = f"layer{k}.group{g}"
+            table.append((f"{prefix}.A", (gc, w, in_dim), w * in_dim, gc))
+            if lc.kind == "autocorr":
+                table.append((f"{prefix}.B", (gc, w, w, in_dim), w * w * in_dim, gc))
+            table.append((f"{prefix}.b", (gc,), 0, 0))
+        in_dim = lc.channels
+    return table + [("output.W", (NUM_CLASSES, in_dim), in_dim, NUM_CLASSES),
+                    ("output.b", (NUM_CLASSES,), 0, 0)]
+
+
 @dataclass
 class _SentenceCache:
     ids: np.ndarray
@@ -224,23 +241,9 @@ class Model:
         if rng is None:
             rng = Rng(config.seed)
         params = ParamStore()
-        params.add("embedding", _uniform_init(
-            rng, (config.vocab_size, config.embedding_dim),
-            config.vocab_size, config.embedding_dim))
-        in_dim = config.embedding_dim
-        for k, lc in enumerate(config.layers, start=1):
-            gc = lc.group_channels
-            for g, (ell, r) in enumerate(lc.kernel_groups):
-                w = ell + r + 1
-                prefix = f"layer{k}.group{g}"
-                params.add(f"{prefix}.A", _uniform_init(rng, (gc, w, in_dim), w * in_dim, gc))
-                if lc.kind == "autocorr":
-                    params.add(f"{prefix}.B", _uniform_init(
-                        rng, (gc, w, w, in_dim), w * w * in_dim, gc))
-                params.add(f"{prefix}.b", np.ones(gc))
-            in_dim = lc.channels
-        params.add("output.W", _uniform_init(rng, (NUM_CLASSES, in_dim), in_dim, NUM_CLASSES))
-        params.add("output.b", np.ones(NUM_CLASSES))
+        for name, shape, fan_in, fan_out in _layout(config):
+            params.add(name, _uniform_init(rng, shape, fan_in, fan_out) if fan_in
+                       else np.ones(shape))
         return Model(config, params)
 
     def forward(self, token_ids, training: bool = False,
@@ -411,8 +414,7 @@ class CheckpointError(RuntimeError):
 
 _MAGIC = b"ACNNCKPT"
 _VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_FLOAT64 = 0  # the only tensor dtype code
 
 
 @dataclass
@@ -428,16 +430,19 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def build_model(self) -> Model:
-        model = Model.build(self.config, Rng(self.config.seed))
-        model.params.load_values(self.tensors)
-        return model
+        """The model over this checkpoint's tensors: it takes over the arrays
+        without drawing or copying, so training it changes `tensors` too."""
+        params = ParamStore()
+        for name, value in self.tensors.items():
+            params.add(name, value)
+        return Model(self.config, params)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary layout (all integers little-endian):
     magic "ACNNCKPT" | u32 version | u64 metadata length | metadata JSON |
     u32 tensor count | per tensor: u16 name length, name utf-8, u8 dtype code
-    (0 = float64, 1 = float32), u8 rank, u32 dims..., raw row-major data.
+    (always 0 = float64), u8 rank, u32 dims..., raw row-major data.
     Writing is deterministic, so save -> load -> save is byte-identical, and
     atomic: the bytes go to a temporary file that then replaces `path`."""
     meta = json.dumps({
@@ -458,11 +463,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
-            fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
+            fh.write(struct.pack("<B", _FLOAT64))
             fh.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     os.replace(tmp, path)
 
 
@@ -505,19 +510,26 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             config = ModelConfig.from_dict(meta["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
+        if len(meta["vocab"]) > config.vocab_size:
+            raise CheckpointError(f"vocabulary longer than vocab_size {config.vocab_size}")
+        layout = _layout(config)
+        if unpack("<I") != len(layout):
+            raise CheckpointError(f"checkpoint tensor count is not its config's {len(layout)}")
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(unpack("<I")):
+        for want_name, want_shape, _, _ in layout:
             try:
                 name = read(unpack("<H")).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"corrupt checkpoint tensor name: {exc}") from exc
+            if name != want_name:
+                raise CheckpointError(f"checkpoint tensor {name!r}, its config's {want_name!r}")
             code = unpack("<B")
-            if code not in _CODE_DTYPES:
+            if code != _FLOAT64:
                 raise CheckpointError(f"corrupt checkpoint: unknown dtype code {code}")
-            dtype = _CODE_DTYPES[code]
             shape = tuple(unpack("<I") for _ in range(unpack("<B")))
-            nbytes = math.prod(shape) * dtype.itemsize
-            tensors[name] = np.frombuffer(read(nbytes), dtype=dtype).reshape(shape).copy()
+            if shape != want_shape:
+                raise CheckpointError(f"{name!r} has shape {shape}, its config's {want_shape}")
+            tensors[name] = np.frombuffer(read(8 * math.prod(shape))).reshape(shape).copy()
         if fh.tell() != size:
             raise CheckpointError("corrupt checkpoint: trailing bytes")
     if expect_config is not None and config != expect_config:

@@ -133,7 +133,6 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    best_values: dict[str, np.ndarray]
     best_f1: float
     best_epoch: int
     steps: int
@@ -144,7 +143,8 @@ def train(model: Model, train_seqs: list[TokenSequence],
           dev_seqs: list[TokenSequence], vocab: Vocabulary,
           cfg: TrainConfig) -> TrainResult:
     """Seeded-shuffle minibatch training with Adam and patience-based early
-    stopping on dev F-score. Deterministic for a fixed seed and data."""
+    stopping on dev F-score; returns with the model at its best epoch.
+    Deterministic for a fixed seed and data."""
     if not train_seqs or not dev_seqs:
         raise ValueError("training and dev corpora must be non-empty")
     if not any(DISFLUENT in seq.labels for seq in dev_seqs):
@@ -187,8 +187,8 @@ def train(model: Model, train_seqs: list[TokenSequence],
                             best=improved))
         if without_improvement >= cfg.patience:
             break
-    return TrainResult(best_values=best_values, best_f1=best_f1,
-                       best_epoch=best_epoch, steps=t, log=log)
+    model.params.load_values(best_values)
+    return TrainResult(best_f1=best_f1, best_epoch=best_epoch, steps=t, log=log)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import pytest
@@ -26,7 +27,20 @@ def _config_changed(**changes) -> dict:
     return _changed(_VALID_META, config=_changed(_VALID_META["config"], **changes))
 
 
-# case -> (metadata, declared metadata length or None, tensors as (name, shape))
+
+
+def _tensor(name: str, shape: tuple[int, ...], code: int = 0) -> tuple:
+    """(name, shape, dtype code, data): float64 zeros filling the shape."""
+    return (name, shape, code, bytes(8 * math.prod(shape)))
+
+
+# the tensors of _VALID_META's config, in store order
+_VALID_TENSORS = (_tensor("embedding", (10, 3)), _tensor("layer1.group0.A", (2, 2, 3)),
+                  _tensor("layer1.group0.b", (2,)), _tensor("output.W", (2, 2)),
+                  _tensor("output.b", (2,)))
+
+# case -> (metadata, declared metadata length or None,
+#          tensors as (name, shape, dtype code, data))
 HOSTILE_CHECKPOINTS = {
     "no-config": (_changed(_VALID_META, config=None), None, ()),
     "no-vocab": (_changed(_VALID_META, vocab=None), None, ()),
@@ -39,22 +53,43 @@ HOSTILE_CHECKPOINTS = {
         {"kind": "conv", "kernel_groups": [[0, 1]], "channels": 2.0}]), None, ()),
     "metadata-is-list": ([1, 2], None, ()),
     "metadata-length-2**62": (_VALID_META, 2 ** 62, ()),
-    "tensor-dims-beyond-file": (_VALID_META, None, (("embedding", (2 ** 32 - 1, 2 ** 32 - 1)),)),
+    "tensor-dims-beyond-file": (_VALID_META, None,
+                                (("embedding", (2 ** 32 - 1, 2 ** 32 - 1), 0, b""),)),
+    "tensor-data-beyond-file": (_config_changed(vocab_size=2 ** 32 - 1), None,
+                                (("embedding", (2 ** 32 - 1, 3), 0, b""),) + _VALID_TENSORS[1:]),
+    "no-tensors": (_VALID_META, None, ()),
+    "tensor-missing": (_VALID_META, None, _VALID_TENSORS[:2] + _VALID_TENSORS[3:]),
+    "tensor-extra": (_VALID_META, None, _VALID_TENSORS + (_tensor("extra", (1,)),)),
+    "tensor-wrong-shape": (_VALID_META, None,
+                           _VALID_TENSORS[:3] + (_tensor("output.W", (2, 3)),) + _VALID_TENSORS[4:]),
+    "vocab-beyond-vocab-size": (_changed(_VALID_META, vocab=[f"w{i}" for i in range(11)]), None,
+                                _VALID_TENSORS),
+    # two float32 values, as a reader of a float32 code would take them
+    "dtype-code-1": (_VALID_META, None, _VALID_TENSORS[:4] + (("output.b", (2,), 1, bytes(8)),)),
 }
+
+
+def _write_checkpoint(path, meta, meta_len, tensors):
+    blob = json.dumps(meta).encode("utf-8")
+    parts = [b"ACNNCKPT", struct.pack("<I", 1),
+             struct.pack("<Q", len(blob) if meta_len is None else meta_len), blob,
+             struct.pack("<I", len(tensors))]
+    for name, shape, code, raw in tensors:
+        parts += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                  struct.pack("<BB", code, len(shape))]
+        parts += [struct.pack("<I", d) for d in shape]
+        parts.append(raw)
+    path.write_bytes(b"".join(parts))
+    return path
 
 
 @pytest.fixture(params=sorted(HOSTILE_CHECKPOINTS))
 def hostile_checkpoint(request, tmp_path):
     """A checkpoint file with well-formed framing but hostile content."""
-    meta, meta_len, tensors = HOSTILE_CHECKPOINTS[request.param]
-    blob = json.dumps(meta).encode("utf-8")
-    parts = [b"ACNNCKPT", struct.pack("<I", 1),
-             struct.pack("<Q", len(blob) if meta_len is None else meta_len), blob,
-             struct.pack("<I", len(tensors))]
-    for name, shape in tensors:
-        parts += [struct.pack("<H", len(name)), name.encode("utf-8"),
-                  struct.pack("<BB", 0, len(shape))]
-        parts += [struct.pack("<I", d) for d in shape]
-    path = tmp_path / "hostile.ckpt"
-    path.write_bytes(b"".join(parts))
-    return path
+    return _write_checkpoint(tmp_path / "hostile.ckpt", *HOSTILE_CHECKPOINTS[request.param])
+
+
+@pytest.fixture
+def valid_checkpoint(tmp_path):
+    """The checkpoint that every hostile case departs from."""
+    return _write_checkpoint(tmp_path / "valid.ckpt", _VALID_META, None, _VALID_TENSORS)

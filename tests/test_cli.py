@@ -154,6 +154,14 @@ class TestTagAndEval:
                    "--input", str(corpus_dir / "test.bt"),
                    "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("flag", ["--input", "--out"])
+    def test_directory_path_is_data_error(self, flag, corpus_dir, trained, tmp_path, capsys):
+        paths = {"--input": str(corpus_dir / "test.bt"), "--out": str(tmp_path / "o.tab")}
+        paths[flag] = str(tmp_path)
+        assert run("tag", "--checkpoint", str(trained), "--input", paths["--input"],
+                   "--out", paths["--out"]) == cli.EXIT_DATA
+        assert "error:data" in capsys.readouterr().err
+
     def test_data_dir_env_resolution(self, corpus_dir, trained, tmp_path,
                                      monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(corpus_dir))
@@ -209,8 +217,12 @@ class TestUsage:
         ("train", "--arch", "cnn", "--seed", "-1"),
         ("ab-bench", "--seeds", "a,b,c"),
         ("synth", "--train-count", "0"),
+        ("ab-bench", "--preset", "nope"),
+        ("ab-bench", "--train-count", "0"),
+        ("ab-bench", "--seeds=-1,-2,-3"),
     ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
-            "seeds-not-integers", "train-count-0"])
+            "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
+            "ab-bench-train-count-0", "ab-bench-seeds-negative"])
     def test_rejected_flag_value_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         if argv[0] == "train":
             argv += ("--train", str(corpus_dir / "train.bt"),

@@ -269,6 +269,23 @@ class TestCheckpoint:
         ids = [1, 2, 3, 0, 2]
         assert np.array_equal(model.forward(ids), rebuilt.forward(ids))
 
+    def test_build_model_draws_nothing(self, tmp_path, monkeypatch):
+        _, model, _, path = self.make(tmp_path)
+
+        def no_draw(*args):
+            raise AssertionError("build_model drew a tensor")
+
+        monkeypatch.setattr(M, "_uniform_init", no_draw)
+        ckpt = M.load_checkpoint(path)
+        rebuilt = ckpt.build_model()
+        for name, p in rebuilt.params.items():
+            assert p.value is ckpt.tensors[name], name  # taken over, not copied
+            assert np.array_equal(p.value, model.params[name].value), name
+
+    def test_valid_fixture_loads(self, valid_checkpoint):
+        probs = M.load_checkpoint(valid_checkpoint).build_model().forward([2, 1, 0])
+        assert probs.shape == (3, 2)
+
     def test_bad_magic(self, tmp_path):
         _, _, _, path = self.make(tmp_path)
         raw = bytearray(path.read_bytes())

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acnn import evaluate
 from acnn import training as TR
 from acnn.data import GENERATOR_PRESETS, build_vocab, generate_corpus, parse_annotated
 from acnn.model import LayerConfig, Model, ModelConfig, ParamStore
@@ -207,8 +208,15 @@ class TestTrain:
         m1, r1 = self.run()
         m2, r2 = self.run()
         assert [e.format() for e in r1.log] == [e.format() for e in r2.log]
-        for k, v in r1.best_values.items():
-            assert np.array_equal(v, r2.best_values[k]), k
+        for k, v in m1.params.values_copy().items():
+            assert np.array_equal(v, m2.params[k].value), k
+
+    def test_returns_model_at_best_epoch(self):
+        train, dev, vocab = toy_data()
+        model, result = self.run(max_epochs=6, patience=6)
+        assert result.best_epoch < len(result.log)  # the last epoch is not the best
+        report = evaluate.score(dev, TR.predict_masks(model, dev, vocab))
+        assert (report.f1 or 0.0) == result.best_f1
 
     def test_loss_decreases(self):
         train, dev, vocab = toy_data(n_train=120)
