@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, data, evaluate, training
+from .atomic import atomic_open
 from .model import (Checkpoint, LayerConfig, Model, ModelConfig, CheckpointError,
                     ConfigError, load_checkpoint, model_preset, param_count,
                     save_checkpoint)
@@ -75,11 +77,13 @@ def _sha256(path) -> str:
 
 def write_manifest(manifest: RunManifest, primary_output) -> Path:
     path = Path(str(primary_output) + ".manifest.json")
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
+    _write_text(path, json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _write_text(path, text: str) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _resolve(path: str) -> Path:
@@ -182,6 +186,11 @@ def _train_config_from_args(args) -> training.TrainConfig:
 
 def cmd_train(args) -> int:
     t0 = time.time()
+    out = Path(args.out)
+    log_path = Path(args.log) if args.log else out.with_suffix(".log")
+    for path in (out, log_path):
+        if path.is_dir():  # found before training, not when saving its result
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
     train_raw = _read_corpus_checked(args.train, args.format)
     dev_raw = _read_corpus_checked(args.dev, args.format)
     train_seqs = [s for s in (data.preprocess(q) for q in train_raw) if s.tokens]
@@ -194,15 +203,12 @@ def cmd_train(args) -> int:
     model = Model.build(mcfg, rng)
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(config=mcfg, vocab_words=vocab.words,
                       rng_algorithm=Rng.ALGORITHM, seed=args.seed,
                       step=result.steps, tensors=model.params.values_copy())
     save_checkpoint(ckpt, out)
-    log_path = Path(args.log) if args.log else out.with_suffix(".log")
-    log_path.write_text("\n".join(line.format() for line in result.log) + "\n",
-                        encoding="utf-8")
+    _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
     last = result.log[-1]
     best = next(l for l in result.log if l.epoch == result.best_epoch)
 
@@ -288,7 +294,7 @@ def cmd_eval(args) -> int:
             print(listing)
     if args.out:
         out = Path(args.out)
-        out.write_text(report.as_tsv() + "\n", encoding="utf-8")
+        _write_text(out, report.as_tsv() + "\n")
         manifest = RunManifest(
             command="eval", config={"gold_format": args.gold_format},
             seed=0,
@@ -395,7 +401,7 @@ def cmd_ab_bench(args) -> int:
     print(report)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report + "\n", encoding="utf-8")
+    _write_text(out, report + "\n")
     manifest = RunManifest(
         command="ab-bench",
         config={"preset": args.preset, "seeds": seeds,

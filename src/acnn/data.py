@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import atomic_open
 from .tensor import Rng
 
 FLUENT = "_"
@@ -316,7 +317,7 @@ def read_corpus(path, fmt: str = "bracket-text") -> list[TokenSequence]:
 
 
 def write_corpus(seqs: list[TokenSequence], path, fmt: str = "bracket-text") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         if fmt == "bracket-text":
             for seq in seqs:
                 fh.write(write_bracket(seq) + "\n")

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import TokenSequence, DisfluencySpan, KINDS
 
 
@@ -173,7 +174,7 @@ def write_heatmap_pgm(matrix: np.ndarray, path) -> None:
     """Binary (P5) grayscale image; cosine -1..1 maps linearly to 0..255."""
     scaled = np.clip(np.round((matrix + 1.0) * 127.5), 0, 255).astype(np.uint8)
     h, w = scaled.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(scaled.tobytes())
 

@@ -11,6 +11,11 @@ Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1 with virtual zero padding, so the output always has n rows. A kernel
 group with left width `ell` and right width `r` sees a window of
 w = ell + r + 1 rows covering positions t-ell .. t+r inclusive.
+
+Packed sentences: the windowed operators take optional sentence `lengths`
+when the rows of several sentences are stacked. A window slot that would read
+a row of another sentence reads zero instead, exactly as past a sentence's
+end, so each output row equals that of its sentence run on its own.
 """
 
 from __future__ import annotations
@@ -41,21 +46,43 @@ class ConvKernelSpec:
         return self.ell + self.r + 1
 
 
-def sliding_windows(x: np.ndarray, ell: int, r: int) -> np.ndarray:
+def _window_mask(lengths, ell: int, r: int) -> np.ndarray | None:
+    """(n, w) bool: True where window slot k of row t reads a row of t's own
+    sentence, for sentences of `lengths` stacked in order. None for a single
+    sentence, whose windows need no mask beyond the zero padding."""
+    if lengths is None or len(lengths) <= 1:
+        return None
+    lengths = np.asarray(lengths)
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    src = np.arange(len(ends))[:, None] + np.arange(-ell, r + 1)
+    return (src >= starts[:, None]) & (src < ends[:, None])
+
+
+def sliding_windows(x: np.ndarray, ell: int, r: int,
+                    mask: np.ndarray | None = None) -> np.ndarray:
     """(n, w, m) stack of zero-padded windows: out[t, k] = x[t - ell + k], with
-    rows outside 0..n-1 read as zero vectors. C-contiguous, so that the matmuls
-    of _contract and its adjoint read it as one (n, w*m) matrix."""
+    rows outside 0..n-1, and slots where `mask` (see _window_mask) is False,
+    read as zero vectors. C-contiguous, so that the matmuls of _contract and
+    its adjoint read it as one (n, w*m) matrix."""
     n, m = x.shape
     w = ell + r + 1
     padded = np.zeros((n + w - 1, m), dtype=x.dtype)
     padded[ell : ell + n] = x
     view = np.lib.stride_tricks.sliding_window_view(padded, (w, m))
-    return np.ascontiguousarray(view.reshape(n, w, m))
+    win = np.ascontiguousarray(view.reshape(n, w, m))
+    if mask is not None:
+        win[~mask] = 0.0
+    return win
 
 
-def _scatter_windows(dwin: np.ndarray, n: int, ell: int) -> np.ndarray:
-    """Adjoint of sliding_windows: accumulate window gradients back onto rows."""
+def _scatter_windows(dwin: np.ndarray, n: int, ell: int,
+                     mask: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of sliding_windows: accumulate window gradients back onto rows.
+    Overwrites the masked-out slots of dwin with zeros."""
     _, w, m = dwin.shape
+    if mask is not None:
+        dwin[~mask] = 0.0
     dpad = np.zeros((n + w - 1, m), dtype=dwin.dtype)
     for k in range(w):
         dpad[k : k + n] += dwin[:, k, :]
@@ -83,6 +110,7 @@ class ConvCache:
     n: int
     spec: ConvKernelSpec
     windows: np.ndarray  # (n, w, m)
+    mask: np.ndarray | None  # (n, w) _window_mask of the packed sentences
 
 
 @dataclass
@@ -91,47 +119,56 @@ class AutoCorrCache(ConvCache):
 
 
 def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                     b: np.ndarray) -> np.ndarray:
-    """The windows of x, once x, A and b are checked against each other."""
+                     b: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray | None]:
+    """The windows of x and their _window_mask, once x, A, b and the sentence
+    lengths are checked against each other."""
     n, m = x.shape
     if n == 0:
         raise ValueError("empty input sequence")
+    if lengths is not None and (sum(lengths) != n or min(lengths) < 1):
+        raise ValueError(f"sentence lengths {list(lengths)} do not split {n} rows")
     w = spec.width
     if A.ndim != 3 or A.shape[1:] != (w, m):
         raise ValueError(f"A kernel shape {A.shape} incompatible with window ({w}, {m})")
     if b.shape != (A.shape[0],):
         raise ValueError(f"bias shape {b.shape} != ({A.shape[0]},)")
-    return sliding_windows(x, spec.ell, spec.r)
+    mask = _window_mask(lengths, spec.ell, spec.r)
+    return sliding_windows(x, spec.ell, spec.r, mask), mask
 
 
 def conv1d_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                   b: np.ndarray) -> tuple[np.ndarray, ConvCache]:
-    """out[t, u] = A[u] . window(x, t) + b[u], for A of shape (c, w, m)."""
-    win = _checked_windows(x, spec, A, b)
-    return _contract(win, A) + b, ConvCache(n=x.shape[0], spec=spec, windows=win)
+                   b: np.ndarray, lengths=None) -> tuple[np.ndarray, ConvCache]:
+    """out[t, u] = A[u] . window(x, t) + b[u], for A of shape (c, w, m); the
+    rows of x are sentences of `lengths` (default: one sentence)."""
+    win, mask = _checked_windows(x, spec, A, b, lengths)
+    return _contract(win, A) + b, ConvCache(n=x.shape[0], spec=spec, windows=win, mask=mask)
 
 
 def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
     """Gradients of a conv1d_forward call: returns (dx, dA, db)."""
     dA, dwin = _contract_backward(cache.windows, A, upstream)
-    return _scatter_windows(dwin, cache.n, cache.spec.ell), dA, upstream.sum(axis=0)
+    dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
+    return dx, dA, upstream.sum(axis=0)
 
 
 def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                     B: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, AutoCorrCache]:
+                     B: np.ndarray, b: np.ndarray,
+                     lengths=None) -> tuple[np.ndarray, AutoCorrCache]:
     """out[t, u] = A[u] . window + B[u] . (window x window interactions) + b[u].
 
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
     pairwise interaction tensor restricted to the window at t. With B == 0 this
-    is exactly conv1d_forward.
+    is exactly conv1d_forward. The rows of x are sentences of `lengths`
+    (default: one sentence); a masked-out window row is zero, and so is every
+    interaction entry it takes part in.
     """
-    win = _checked_windows(x, spec, A, b)
+    win, mask = _checked_windows(x, spec, A, b, lengths)
     n, w, m = win.shape
     if B.shape != (A.shape[0], w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
     pair = win[:, :, None, :] * win[:, None, :, :]
     out = _contract(win, A) + _contract(pair, B) + b
-    return out, AutoCorrCache(n=n, spec=spec, windows=win, pair_windows=pair)
+    return out, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask, pair_windows=pair)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, B: np.ndarray,
@@ -148,7 +185,7 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, B: np.ndarray,
     # d pair[i, j] / d win[i] = win[j]; rows appear on both sides of the pair.
     dwin += np.einsum("nijm,njm->nim", dpair, win)
     dwin += np.einsum("njim,njm->nim", dpair, win)
-    dx = _scatter_windows(dwin, cache.n, cache.spec.ell)
+    dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
     return dx, dA, dB, upstream.sum(axis=0)
 
 

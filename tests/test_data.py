@@ -199,6 +199,14 @@ class TestCorpusFiles:
         assert [s.labels for s in loaded] == [s.labels for s in seqs]
         assert all(s.spans == [] for s in loaded)
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c.bt"
+        path.write_text("old content\n")
+        with pytest.raises(ValueError):
+            D.write_corpus([D.parse_annotated("just fine")], path, "no-such-format")
+        assert path.read_text() == "old content\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bt"]
+
     def test_parse_error_includes_line_number(self, tmp_path):
         path = tmp_path / "bad.bt"
         path.write_text("fine line\na [ broken\n")

@@ -493,3 +493,63 @@ def test_output_shape_pure_function_of_input_shape(seed):
     ac_out, _ = L.autocorr_forward(x, spec, A, B, b)
     assert conv_out.shape == (n, c)
     assert ac_out.shape == (n, c)
+
+
+# Packed sentences: rows of several sentences stacked, with their lengths.
+PACKED_LENGTHS = [
+    [1, 1],
+    [1, 4, 1],
+    [3, 1, 7, 2],
+    [5, 5],
+    [1, 9, 1, 1, 6],
+]
+
+
+class TestPacked:
+    def test_one_sentence_needs_no_mask(self):
+        assert L._window_mask(None, 2, 3) is None
+        assert L._window_mask([7], 2, 3) is None
+
+    def test_mask_marks_own_sentence_rows(self):
+        # lengths 2, 1: row 0 sees rows 0-1, row 1 rows 0-1, row 2 row 2 only
+        mask = L._window_mask([2, 1], 1, 1)
+        assert mask.tolist() == [[False, True, True],
+                                 [True, True, False],
+                                 [False, True, False]]
+
+    @pytest.mark.parametrize("case", range(len(PACKED_LENGTHS)))
+    def test_packed_equals_per_sentence(self, case):
+        """conv1d and autocorr forward and backward over stacked sentences
+        equal the per-sentence calls stacked, for every gradient."""
+        lengths = PACKED_LENGTHS[case]
+        rng = Rng(5000 + case)
+        m, c = 3, 2
+        ell, r = (0, 1) if case == 0 else (2, 3)
+        x, spec, A, B, b = rand_instance(rng, sum(lengths), m, ell, r, c, with_B=True)
+        up = rng.uniform(-1, 1, (sum(lengths), c))
+        cut = np.cumsum(lengths)[:-1]
+        xs, ups = np.split(x, cut), np.split(up, cut)
+
+        def stacked(forward, backward, *kernels):
+            outs, grads = [], []
+            for xi, upi in zip(xs, ups):
+                out, cache = forward(xi, spec, *kernels)
+                outs.append(out)
+                grads.append(backward(cache, *kernels[:-1], upi))
+            dxs = np.concatenate([g[0] for g in grads])
+            return (np.concatenate(outs), dxs,
+                    *[sum(g[k] for g in grads) for k in range(1, len(grads[0]))])
+
+        for forward, backward, kernels in ((L.conv1d_forward, L.conv1d_backward, (A, b)),
+                                           (L.autocorr_forward, L.autocorr_backward,
+                                            (A, B, b))):
+            out, cache = forward(x, spec, *kernels, lengths)
+            packed = (out, *backward(cache, *kernels[:-1], up))
+            assert_all_close(packed, stacked(forward, backward, *kernels))
+
+    def test_lengths_must_split_rows(self):
+        rng = Rng(5100)
+        x, spec, A, b = rand_instance(rng, 5, 2, 1, 1, 2)
+        for lengths in ([2, 2], [5, 0], [3, 3]):
+            with pytest.raises(ValueError):
+                L.conv1d_forward(x, spec, A, b, lengths)

@@ -263,6 +263,20 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))  # saving is tmp + os.replace
 
+    def test_failed_save_keeps_old_file_and_no_tmp(self, tmp_path):
+        _, _, ckpt, path = self.make(tmp_path)
+        before = path.read_bytes()
+        broken = M.Checkpoint(config=ckpt.config, vocab_words=ckpt.vocab_words,
+                              rng_algorithm="pcg64", seed=0, step=0,
+                              tensors={"embedding": None})
+        with pytest.raises(AttributeError):
+            M.save_checkpoint(broken, path)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError):
+            M.save_checkpoint(ckpt, tmp_path / "dir")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "m.ckpt"]
+
     def test_rebuilt_model_predicts_identically(self, tmp_path):
         _, model, _, path = self.make(tmp_path)
         rebuilt = M.load_checkpoint(path).build_model()

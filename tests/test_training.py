@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from acnn import evaluate
 from acnn import training as TR
-from acnn.data import GENERATOR_PRESETS, build_vocab, generate_corpus, parse_annotated
-from acnn.model import LayerConfig, Model, ModelConfig, ParamStore
+from acnn.data import (GENERATOR_PRESETS, build_vocab, generate_corpus, parse_annotated,
+                       preprocess)
+from acnn.model import LayerConfig, Model, ModelConfig, ParamStore, model_preset
 from acnn.tensor import Rng
 
 
@@ -142,6 +144,39 @@ def toy_data(n_train=60, n_dev=20, seed=0):
     seqs = generate_corpus(cfg)
     train, dev = seqs[:n_train], seqs[n_train:]
     return train, dev, build_vocab(train)
+
+
+def textbook_adam(value, grads, cfg):
+    """Adam as written in the paper's formula, one fresh array per operation."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    m, v = np.zeros_like(value), np.zeros_like(value)
+    for t, g in enumerate(grads, start=1):
+        m = m * b1 + (1.0 - b1) * g
+        v = v * b2 + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        value = value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return value, m, v
+
+
+class TestAdamInPlace:
+    def test_byte_identical_to_textbook(self):
+        rng = np.random.default_rng(0)
+        shape = (7, 5, 3)
+        cfg = TR.TrainConfig(learning_rate=0.003)
+        grads = [rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 2, shape)
+                 for _ in range(6)]
+        start = rng.standard_normal(shape)
+        store = ParamStore()
+        store.add("p", start.copy())
+        for t, g in enumerate(grads, start=1):
+            store["p"].grad[...] = g
+            TR.adam_step(store, t, cfg)
+        value, m, v = textbook_adam(start, grads, cfg)
+        p = store["p"]
+        assert p.value.tobytes() == value.tobytes()
+        assert p.adam_m.tobytes() == m.tobytes()
+        assert p.adam_v.tobytes() == v.tobytes()
 
 
 class TestBatchLoss:
@@ -288,3 +323,80 @@ class TestRandomSearch:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             TR.random_search(TR.SearchSpace(), 0, lambda m, t: 0.0, 20)
+
+
+def packing_model(dropout):
+    """Windows wider than a 1-token sentence on both sides, in every layer."""
+    cfg = ModelConfig(
+        arch="acnn", vocab_size=12, embedding_dim=3, dropout_rate=dropout,
+        l2_weight=0.0, seed=4,
+        layers=(LayerConfig("autocorr", ((2, 3), (0, 1)), 4),
+                LayerConfig("conv", ((1, 2),), 3),
+                LayerConfig("conv", ((3, 1),), 2)))
+    return Model.build(cfg, Rng(4))
+
+
+def random_batch(lengths, seed=0):
+    rng = Rng(seed)
+    return [(rng.integers(0, 12, size=n), rng.integers(0, 2, size=n)) for n in lengths]
+
+
+# 1-token sentences, sentences that end exactly at a chunk edge (20 + 28 = 48,
+# then 48 alone) and one longer than the chunk budget.
+PACKING_LENGTHS = [1, 20, 28, 48, 1, 1, 60, 5, 1, 30, 17, 1]
+
+
+class TestPacking:
+    def test_chunks_are_whole_sentences_within_budget(self):
+        assert TR.CHUNK_TOKENS == 48
+        batch = random_batch(PACKING_LENGTHS)
+        chunks = [[len(ids) for ids, _ in chunk] for chunk in TR._chunks(batch)]
+        assert chunks == [[1, 20], [28], [48], [1, 1], [60], [5, 1, 30], [17, 1]]
+        assert [n for chunk in chunks for n in chunk] == PACKING_LENGTHS
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_packed_equals_sum_of_single_sentence_batches(self, dropout):
+        """Loss and every gradient of a packed batch equal the token-weighted
+        sum of one-sentence batches run in the same order (with dropout, on
+        one shared stream: a chunk draws its sentences' masks back to back)."""
+        batch = random_batch(PACKING_LENGTHS, seed=1)
+        total = sum(PACKING_LENGTHS)
+        model = packing_model(dropout)
+        loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(9))
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
+        want_loss = 0.0
+        want = {name: np.zeros_like(g) for name, g in grads.items()}
+        rng = Rng(9)
+        for ids, labels in batch:
+            part = TR.batch_loss_and_grads(model, [(ids, labels)], training=True, rng=rng)
+            want_loss += part * len(ids) / total
+            for name, p in model.params.items():
+                want[name] += p.grad * (len(ids) / total)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        for name, g in grads.items():
+            assert np.allclose(g, want[name], rtol=1e-12, atol=1e-12), name
+
+    def test_empty_sentence_rejected(self):
+        batch = random_batch([3, 0, 2])
+        with pytest.raises(ValueError):
+            TR.batch_loss_and_grads(packing_model(0.0), batch)
+
+
+class TestMemory:
+    def test_table1_step_peak_memory_bounded(self):
+        """Traced peak of one acnn-table1 training step on 25 switchboard-like
+        sentences. One sentence at a time peaks near 39 MB; 48-token chunks
+        near 63 MB; 64-token chunks near 81 MB, which raised the process's
+        peak RSS past its budget. A larger CHUNK_TOKENS fails here first."""
+        gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=1, sentence_count=25)
+        corpus = [preprocess(s) for s in generate_corpus(gen)]
+        vocab = build_vocab(corpus)
+        batch = [(vocab.encode(s.tokens), s.labels) for s in corpus if s.tokens]
+        model = Model.build(model_preset("acnn-table1", len(vocab), seed=1))
+        tracemalloc.start()
+        try:
+            TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70e6, f"traced peak {peak / 1e6:.1f} MB"
