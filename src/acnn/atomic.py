@@ -9,9 +9,10 @@ from contextlib import contextmanager, suppress
 
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open `<path>.tmp` for writing; on a clean exit it replaces `path`. If the
-    block or the replace fails, the temporary file is removed and `path` is
-    left as it was."""
+    """Open `<path>.tmp` for writing, creating `path`'s missing parent
+    directories; on a clean exit it replaces `path`. If the block or the
+    replace fails, the temporary file is removed and `path` is left as it was."""
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     fh = open(tmp, mode, **kwargs)
     try:

@@ -132,7 +132,6 @@ def cmd_synth(args) -> int:
         split_cfgs = [replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
                       for i, count in enumerate(counts.values())]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     outputs = {}
     for (split, count), split_cfg in zip(counts.items(), split_cfgs):
@@ -203,7 +202,6 @@ def cmd_train(args) -> int:
     model = Model.build(mcfg, rng)
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
 
-    out.parent.mkdir(parents=True, exist_ok=True)
     ckpt = Checkpoint(config=mcfg, vocab_words=vocab.words,
                       rng_algorithm=Rng.ALGORITHM, seed=args.seed,
                       step=result.steps, tensors=model.params.values_copy())
@@ -249,7 +247,6 @@ def cmd_tag(args) -> int:
             if s.tokens]
     masks = training.predict_masks(model, seqs, vocab)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     tagged = [data.TokenSequence(
         tokens=s.tokens,
         labels=[data.DISFLUENT if m else data.FLUENT for m in mask])
@@ -400,7 +397,6 @@ def cmd_ab_bench(args) -> int:
     report = "\n".join(lines)
     print(report)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_text(out, report + "\n")
     manifest = RunManifest(
         command="ab-bench",

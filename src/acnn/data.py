@@ -247,12 +247,10 @@ def preprocess(seq: TokenSequence) -> TokenSequence:
 @dataclass
 class Vocabulary:
     words: list[str]              # id order; words[0] = <pad>, words[1] = <unk>
-    min_freq: int = 1
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -272,7 +270,7 @@ def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
     counts = Counter(t for seq in corpus for t in seq.tokens)
     ordered = sorted((w for w, c in counts.items() if c >= min_freq),
                      key=lambda w: (-counts[w], w))
-    return Vocabulary(words=[PAD_WORD, UNK_WORD] + ordered, min_freq=min_freq)
+    return Vocabulary(words=[PAD_WORD, UNK_WORD] + ordered)
 
 
 # ---------------------------------------------------------------------------

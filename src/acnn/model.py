@@ -249,9 +249,11 @@ class Model:
         return Model(config, params)
 
     def forward(self, token_ids, training: bool = False,
-                rng: Rng | None = None) -> np.ndarray:
-        """Class probabilities, one row per input token."""
-        probs, _ = self.forward_with_cache(token_ids, training=training, rng=rng)
+                rng: Rng | None = None, lengths=None) -> np.ndarray:
+        """Class probabilities, one row per input token (see forward_with_cache
+        for `lengths`)."""
+        probs, _ = self.forward_with_cache(token_ids, training=training, rng=rng,
+                                           lengths=lengths)
         return probs
 
     def forward_with_cache(self, token_ids, training: bool = False, rng: Rng | None = None,

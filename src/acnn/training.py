@@ -9,19 +9,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate
-from .data import DISFLUENT, FLUENT, TokenSequence, Vocabulary
+from .data import DISFLUENT, TokenSequence, Vocabulary
 from .layers import softmax_xent_backward
 from .model import CLASS_DISFLUENT, LayerConfig, Model, ModelConfig, ParamStore
 from .tensor import NumericError, Rng
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 25
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_epochs: int = 30
     patience: int = 5  # epochs without dev-F improvement before stopping
     seed: int = 0
@@ -31,27 +33,15 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for b in (self.adam_beta1, self.adam_beta2):
-            if not 0.0 <= b < 1.0:
-                raise ValueError("Adam betas must be in [0, 1)")
 
 
-def _label_ids(labels) -> np.ndarray:
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab in (FLUENT, 0):
-            out[i] = 0
-        elif lab in (DISFLUENT, 1):
-            out[i] = 1
-        else:
-            raise ValueError(f"unknown label {lab!r}")
-    return out
-
-
-def cross_entropy(probs: np.ndarray, labels, normalizer: int | None = None):
+def cross_entropy(probs: np.ndarray, label_ids, normalizer: int | None = None):
     """Mean negative log-likelihood over tokens, with the fused gradient
-    w.r.t. pre-softmax scores: (softmax - onehot) / normalizer."""
-    ids = _label_ids(labels)
+    w.r.t. pre-softmax scores: (softmax - onehot) / normalizer. `label_ids`
+    are integer class ids, 0 (fluent) or 1 (disfluent)."""
+    ids = np.asarray(label_ids)
+    if ids.dtype.kind not in "iu" or ((ids < 0) | (ids > 1)).any():
+        raise ValueError("labels must be integer class ids 0 or 1")
     if probs.shape != (len(ids), 2):
         raise ValueError(f"probs shape {probs.shape} vs {len(ids)} labels")
     n = normalizer if normalizer is not None else len(ids)
@@ -78,7 +68,7 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
     value -= (lr * m_hat) / (sqrt(v_hat) + eps)."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for _, p in params.items():
         step = np.multiply(1.0 - b1, p.grad)
         p.adam_m *= b1
@@ -91,7 +81,7 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
         step *= cfg.learning_rate
         denom = np.divide(p.adam_v, 1.0 - b2 ** t)
         np.sqrt(denom, out=denom)
-        denom += cfg.adam_eps
+        denom += ADAM_EPS
         step /= denom
         p.value -= step
 
@@ -103,35 +93,38 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
 CHUNK_TOKENS = 48
 
 
-def _chunks(batch):
-    """The batch in order, cut into runs of whole sentences of at most
-    CHUNK_TOKENS tokens; a longer sentence is a run of its own."""
-    chunk, size = [], 0
-    for ids, labels in batch:
-        if chunk and size + len(ids) > CHUNK_TOKENS:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append((ids, labels))
-        size += len(ids)
-    if chunk:
-        yield chunk
+def _chunks(sentences):
+    """The sentences in order, cut into runs of whole sentences of at most
+    CHUNK_TOKENS tokens; a longer sentence is a run of its own. A sentence is
+    a tuple of per-token arrays, token ids first, such as (ids, label_ids).
+    Each run is yielded as its sentence lengths followed by each of those
+    arrays concatenated over the run: (lengths, ids, label_ids)."""
+    def joined(run):
+        return ([len(s[0]) for s in run],
+                *(np.concatenate(column) for column in zip(*run)))
+    run, size = [], 0
+    for sentence in sentences:
+        if run and size + len(sentence[0]) > CHUNK_TOKENS:
+            yield joined(run)
+            run, size = [], 0
+        run.append(sentence)
+        size += len(sentence[0])
+    if run:
+        yield joined(run)
 
 
 def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
-    """Token-averaged loss over a batch of (ids, labels) pairs plus the L2
+    """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
     penalty; gradients are accumulated into the model's parameter store.
     The sentences run packed, one forward and backward pass per _chunks run."""
     model.params.zero_grads()
     total_tokens = sum(len(ids) for ids, _ in batch)
     loss = 0.0
-    for chunk in _chunks(batch):
-        lengths = [len(ids) for ids, _ in chunk]
-        ids = np.concatenate([ids for ids, _ in chunk])
-        labels = [lab for _, labs in chunk for lab in labs]
+    for lengths, ids, label_ids in _chunks(batch):
         probs, cache = model.forward_with_cache(ids, training=training, rng=rng,
                                                 lengths=lengths)
-        part, dscores = cross_entropy(probs, labels, normalizer=total_tokens)
+        part, dscores = cross_entropy(probs, label_ids, normalizer=total_tokens)
         loss += part
         model.backward(cache, dscores)
     loss += l2_penalty(model.params, model.config.l2_weight)
@@ -143,10 +136,13 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
 
 def predict_masks(model: Model, seqs: list[TokenSequence],
                   vocab: Vocabulary) -> list[np.ndarray]:
+    """Per-sentence disfluency masks (eval mode), packed as in training: one
+    Model.forward per _chunks run."""
     masks = []
-    for seq in seqs:
-        probs = model.forward(vocab.encode(seq.tokens), training=False)
-        masks.append(probs.argmax(axis=1) == CLASS_DISFLUENT)
+    for lengths, ids in _chunks([(vocab.encode(seq.tokens),) for seq in seqs]):
+        probs = model.forward(ids, training=False, lengths=lengths)
+        disfluent = probs.argmax(axis=1) == CLASS_DISFLUENT
+        masks += np.split(disfluent, np.cumsum(lengths[:-1]))
     return masks
 
 
@@ -188,7 +184,7 @@ def train(model: Model, train_seqs: list[TokenSequence],
         raise ValueError(
             "dev set has no disfluent tokens, so F-score is undefined; "
             "add disfluent examples to the dev corpus")
-    data = [(vocab.encode(seq.tokens), _label_ids(seq.labels))
+    data = [(vocab.encode(seq.tokens), seq.disfluent_mask().astype(np.int64))
             for seq in train_seqs if seq.tokens]
     rng = Rng(cfg.seed)
     shuffle_rng = rng.spawn(1)

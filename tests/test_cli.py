@@ -289,6 +289,27 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tab"]
 
 
+class TestOutputDirectories:
+    def test_eval_out_creates_missing_directory(self, corpus_dir, trained, tmp_path):
+        tagged = tmp_path / "test.tab"
+        assert run("tag", "--checkpoint", str(trained), "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(tagged)) == cli.EXIT_OK
+        report = tmp_path / "newdir" / "r.tsv"
+        assert run("eval", "--gold", str(corpus_dir / "test.bt"), "--predicted", str(tagged),
+                   "--preprocess", "--out", str(report)) == cli.EXIT_OK
+        assert report.read_text().startswith("tp\t")
+        assert (tmp_path / "newdir" / "r.tsv.manifest.json").exists()
+
+    def test_train_log_creates_missing_directory(self, corpus_dir, tmp_path):
+        out, log = tmp_path / "m.ckpt", tmp_path / "logs" / "m.log"
+        assert run("train", "--arch", "cnn", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(out),
+                   "--log", str(log), "--max-epochs", "1") == cli.EXIT_OK
+        assert log.read_text().count("epoch") == 1
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert manifest["outputs"][str(log)] == cli._sha256(log)
+
+
 class TestManifest:
     def test_atomic_write_no_tmp_left_behind(self, tmp_path):
         manifest = cli.RunManifest(command="x", config={}, seed=0)

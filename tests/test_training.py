@@ -6,9 +6,11 @@ import pytest
 
 from acnn import evaluate
 from acnn import training as TR
-from acnn.data import (GENERATOR_PRESETS, build_vocab, generate_corpus, parse_annotated,
+from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, TokenSequence,
+                       Vocabulary, build_vocab, generate_corpus, parse_annotated,
                        preprocess)
-from acnn.model import LayerConfig, Model, ModelConfig, ParamStore, model_preset
+from acnn.model import (CLASS_DISFLUENT, LayerConfig, Model, ModelConfig, ParamStore,
+                        model_preset)
 from acnn.tensor import Rng
 
 
@@ -24,12 +26,12 @@ def tiny_model(vocab_size=10, dropout=0.0, l2=0.0, seed=0):
 class TestCrossEntropy:
     def test_perfect_prediction_zero_loss(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _ = TR.cross_entropy(probs, ["_", "E"])
+        loss, _ = TR.cross_entropy(probs, [0, 1])
         assert loss == 0.0
 
     def test_uniform_prediction_is_log_two(self):
         probs = np.full((4, 2), 0.5)
-        loss, _ = TR.cross_entropy(probs, ["_", "E", "_", "E"])
+        loss, _ = TR.cross_entropy(probs, [0, 1, 0, 1])
         assert loss == pytest.approx(np.log(2))
 
     def test_matches_per_token_oracle(self):
@@ -43,21 +45,29 @@ class TestCrossEntropy:
 
     def test_custom_normalizer(self):
         probs = np.full((2, 2), 0.5)
-        loss, grad = TR.cross_entropy(probs, ["_", "_"], normalizer=8)
+        loss, grad = TR.cross_entropy(probs, [0, 0], normalizer=8)
         assert loss == pytest.approx(2 * np.log(2) / 8)
         assert grad.shape == (2, 2)
 
     def test_gradient_signs(self):
         probs = np.array([[0.7, 0.3]])
-        _, grad = TR.cross_entropy(probs, ["E"])
+        _, grad = TR.cross_entropy(probs, [1])
         # pushing toward the disfluent class: its score gradient is negative
         assert grad[0, 1] < 0 < grad[0, 0]
 
-    def test_accepts_string_and_int_labels(self):
-        probs = np.full((2, 2), 0.5)
-        a, _ = TR.cross_entropy(probs, ["_", "E"])
-        b, _ = TR.cross_entropy(probs, [0, 1])
+    def test_accepts_list_and_int_array_ids(self):
+        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+        a, _ = TR.cross_entropy(probs, [0, 1])
+        b, _ = TR.cross_entropy(probs, np.array([0, 1], dtype=np.int64))
         assert a == b
+        with pytest.raises(ValueError):
+            TR.cross_entropy(probs, ["_", "E"])
+
+    @pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [True, False], [0.0, 1.0]],
+                             ids=["two", "negative", "bool", "float"])
+    def test_ids_outside_zero_one_rejected(self, ids):
+        with pytest.raises(ValueError):
+            TR.cross_entropy(np.full((2, 2), 0.5), ids)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +121,7 @@ class TestAdam:
         cfg = TR.TrainConfig(learning_rate=0.01)
         TR.adam_step(store, 1, cfg)
         g = np.array([0.5, -4.0, 1e-3])
-        want = np.array([1.0, -2.0, 3.0]) - 0.01 * g / (np.abs(g) + cfg.adam_eps)
+        want = np.array([1.0, -2.0, 3.0]) - 0.01 * g / (np.abs(g) + TR.ADAM_EPS)
         assert np.allclose(store["p"].value, want, atol=1e-10)
 
     def test_optimizes_quadratic(self):
@@ -134,8 +144,6 @@ class TestAdam:
             TR.TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TR.TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TR.TrainConfig(adam_beta1=1.0)
 
 
 def toy_data(n_train=60, n_dev=20, seed=0):
@@ -148,14 +156,14 @@ def toy_data(n_train=60, n_dev=20, seed=0):
 
 def textbook_adam(value, grads, cfg):
     """Adam as written in the paper's formula, one fresh array per operation."""
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = TR.ADAM_BETA1, TR.ADAM_BETA2
     m, v = np.zeros_like(value), np.zeros_like(value)
     for t, g in enumerate(grads, start=1):
         m = m * b1 + (1.0 - b1) * g
         v = v * b2 + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        value = value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        value = value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + TR.ADAM_EPS)
     return value, m, v
 
 
@@ -186,13 +194,15 @@ class TestBatchLoss:
         train, _, vocab = toy_data()
         model = tiny_model(vocab_size=len(vocab))
         model.params["output.W"].value[...] = 0.0
-        batch = [(vocab.encode(s.tokens), s.labels) for s in train[:5]]
+        batch = [(vocab.encode(s.tokens), s.disfluent_mask().astype(np.int64))
+                 for s in train[:5]]
         loss = TR.batch_loss_and_grads(model, batch)
         assert loss == pytest.approx(np.log(2), rel=1e-12)
 
     def test_l2_included(self):
         train, _, vocab = toy_data()
-        batch = [(vocab.encode(s.tokens), s.labels) for s in train[:3]]
+        batch = [(vocab.encode(s.tokens), s.disfluent_mask().astype(np.int64))
+                 for s in train[:3]]
         plain = TR.batch_loss_and_grads(tiny_model(vocab_size=len(vocab)), batch)
         reg = TR.batch_loss_and_grads(
             tiny_model(vocab_size=len(vocab), l2=0.5), batch)
@@ -350,9 +360,13 @@ class TestPacking:
     def test_chunks_are_whole_sentences_within_budget(self):
         assert TR.CHUNK_TOKENS == 48
         batch = random_batch(PACKING_LENGTHS)
-        chunks = [[len(ids) for ids, _ in chunk] for chunk in TR._chunks(batch)]
+        runs = list(TR._chunks(batch))
+        chunks = [lengths for lengths, _, _ in runs]
         assert chunks == [[1, 20], [28], [48], [1, 1], [60], [5, 1, 30], [17, 1]]
         assert [n for chunk in chunks for n in chunk] == PACKING_LENGTHS
+        for column in (0, 1):  # token ids, label ids: concatenated in order
+            assert np.array_equal(np.concatenate([run[1 + column] for run in runs]),
+                                  np.concatenate([s[column] for s in batch]))
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_packed_equals_sum_of_single_sentence_batches(self, dropout):
@@ -382,6 +396,40 @@ class TestPacking:
             TR.batch_loss_and_grads(packing_model(0.0), batch)
 
 
+def packing_vocab():
+    """Twelve words, so that every id packing_model can embed is reachable."""
+    return Vocabulary(words=[PAD_WORD, UNK_WORD] + [f"w{i}" for i in range(2, 12)])
+
+
+class TestPackedTagging:
+    def test_packed_masks_equal_per_utterance_forward(self):
+        vocab = packing_vocab()
+        rng = Rng(5)
+        seqs = [TokenSequence(tokens=[vocab.words[int(i)] for i in rng.integers(0, 12, size=n)],
+                              labels=[FLUENT] * n)
+                for n in PACKING_LENGTHS]
+        model = packing_model(0.0)
+        alone = [model.forward(vocab.encode(s.tokens), training=False) for s in seqs]
+        packed = []  # the probabilities of predict_masks' own forward passes
+
+        def forward(ids, **kwargs):
+            probs = Model.forward(model, ids, **kwargs)
+            lengths = kwargs.get("lengths") or [len(ids)]
+            packed.extend(np.split(probs, np.cumsum(lengths[:-1])))
+            return probs
+
+        model.forward = forward
+        masks = TR.predict_masks(model, seqs, vocab)
+        assert len(masks) == len(seqs)
+        for mask, probs in zip(masks, alone):
+            assert np.array_equal(mask, probs.argmax(axis=1) == CLASS_DISFLUENT)
+        for got, want in zip(packed, alone, strict=True):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_no_utterances_no_masks(self):
+        assert TR.predict_masks(packing_model(0.0), [], packing_vocab()) == []
+
+
 class TestMemory:
     def test_table1_step_peak_memory_bounded(self):
         """Traced peak of one acnn-table1 training step on 25 switchboard-like
@@ -391,7 +439,8 @@ class TestMemory:
         gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=1, sentence_count=25)
         corpus = [preprocess(s) for s in generate_corpus(gen)]
         vocab = build_vocab(corpus)
-        batch = [(vocab.encode(s.tokens), s.labels) for s in corpus if s.tokens]
+        batch = [(vocab.encode(s.tokens), s.disfluent_mask().astype(np.int64))
+                 for s in corpus if s.tokens]
         model = Model.build(model_preset("acnn-table1", len(vocab), seed=1))
         tracemalloc.start()
         try:
@@ -400,3 +449,33 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 70e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("preset", ["cnn-table1", "acnn-table1"])
+    def test_packed_tagging_peak_memory_bounded(self, preset):
+        """Traced peak of one predict_masks call over 12 utterances of 3-6
+        joined switchboard-like sentences stays at that of the longest
+        utterance alone: a chunk never holds more tokens than the budget, so
+        tagging a file costs no more memory than tagging its longest line.
+        Budgets that pack hundreds of tokens per pass fail here."""
+        gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=3, sentence_count=60)
+        sentences = [preprocess(s).tokens for s in generate_corpus(gen)]
+        utterances, start = [], 0
+        for size in [3, 6, 4, 6, 5, 6] * 2:
+            tokens = [t for s in sentences[start:start + size] for t in s]
+            utterances.append(TokenSequence(tokens=tokens, labels=[FLUENT] * len(tokens)))
+            start += size
+        vocab = build_vocab(utterances)
+        model = Model.build(model_preset(preset, len(vocab), seed=1))
+        longest = max(utterances, key=lambda u: len(u.tokens))
+
+        def traced_peak(seqs):
+            tracemalloc.start()
+            try:
+                TR.predict_masks(model, seqs, vocab)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone, together = traced_peak([longest]), traced_peak(utterances)
+        assert together <= 1.1 * alone, (
+            f"traced peak {together / 1e6:.1f} MB vs {alone / 1e6:.1f} MB alone")
