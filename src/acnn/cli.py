@@ -4,7 +4,10 @@ gradient checking, and the CNN-vs-ACNN benchmark.
 Every command writes a RunManifest (JSON, atomic) next to its primary output
 so a run can be reproduced bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
+error is one of the exceptions raised where inputs are read and checked
+(CorpusFormatError, AlignmentError, CheckpointError, ConfigError, OSError);
+any other exception is a program error and propagates.
 """
 
 from __future__ import annotations
@@ -307,6 +310,17 @@ def cmd_eval(args) -> int:
 # gradcheck
 # ---------------------------------------------------------------------------
 
+def _gradcheck_config(arch: str, seed: int, vocab_size: int, embedding_dim: int,
+                      channels: int) -> ModelConfig:
+    first = "autocorr" if arch == "acnn" else "conv"
+    return ModelConfig(
+        arch=arch, vocab_size=vocab_size, embedding_dim=embedding_dim,
+        dropout_rate=0.0, l2_weight=0.05, seed=seed,
+        layers=(LayerConfig(first, ((1, 2), (2, 1)), channels),
+                LayerConfig("conv", ((1, 1),), channels),
+                LayerConfig("conv", ((0, 1),), channels)))
+
+
 def gradcheck_model(arch: str, seed: int = 0, vocab_size: int = 16,
                     embedding_dim: int = 5, channels: int = 4,
                     eps: float = 1e-5, tol: float = 1e-4,
@@ -314,13 +328,7 @@ def gradcheck_model(arch: str, seed: int = 0, vocab_size: int = 16,
     """Finite-difference check of every parameter tensor of a small 3-layer
     model, on a batch containing both a 6-token and a 1-token sentence. The
     layer geometry includes an ell=0 group."""
-    first = "autocorr" if arch == "acnn" else "conv"
-    cfg = ModelConfig(
-        arch=arch, vocab_size=vocab_size, embedding_dim=embedding_dim,
-        dropout_rate=0.0, l2_weight=0.05, seed=seed,
-        layers=(LayerConfig(first, ((1, 2), (2, 1)), channels),
-                LayerConfig("conv", ((1, 1),), channels),
-                LayerConfig("conv", ((0, 1),), channels)))
+    cfg = _gradcheck_config(arch, seed, vocab_size, embedding_dim, channels)
     model = Model.build(cfg, Rng(seed))
     rng = Rng(seed + 1)
     batch = []
@@ -342,6 +350,10 @@ def gradcheck_model(arch: str, seed: int = 0, vocab_size: int = 16,
 
 
 def cmd_gradcheck(args) -> int:
+    with _flag_values():  # built here only so that gradcheck_model never meets a value they reject
+        _gradcheck_config(args.arch, args.seed, args.vocab_size, args.embedding_dim,
+                          args.channels)
+        Rng(args.seed)
     results = gradcheck_model(args.arch, seed=args.seed,
                               vocab_size=args.vocab_size,
                               embedding_dim=args.embedding_dim,
@@ -497,7 +509,7 @@ def main(argv=None) -> int:
         print(f"error:usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, data.CorpusFormatError, evaluate.AlignmentError,
-            CheckpointError, ConfigError, ValueError) as exc:
+            CheckpointError, ConfigError) as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

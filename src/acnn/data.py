@@ -64,7 +64,7 @@ class TokenSequence:
 
     def __post_init__(self):
         if len(self.tokens) != len(self.labels):
-            raise ValueError("tokens and labels must have equal length")
+            raise CorpusFormatError("tokens and labels must have equal length")
 
     def disfluent_mask(self) -> np.ndarray:
         return np.array([lab == DISFLUENT for lab in self.labels], dtype=bool)
@@ -266,7 +266,7 @@ def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
     """Frequency-ordered vocabulary with lexicographic tie-break; words below
     min_freq are left out and map to <unk> at encode time."""
     if not corpus:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
+        raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
     counts = Counter(t for seq in corpus for t in seq.tokens)
     ordered = sorted((w for w, c in counts.items() if c >= min_freq),
                      key=lambda w: (-counts[w], w))
@@ -277,37 +277,44 @@ def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
 # Corpus files
 # ---------------------------------------------------------------------------
 
+def _numbered_lines(path):
+    """(line number, line) of a UTF-8 text file; other bytes are a CorpusFormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_corpus(path, fmt: str = "bracket-text") -> list[TokenSequence]:
     if fmt == "bracket-text":
         seqs = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    seqs.append(parse_annotated(line))
-                except CorpusFormatError as exc:
-                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+        for lineno, line in _numbered_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                seqs.append(parse_annotated(line))
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
         return seqs
     if fmt == "tabular":
         seqs = []
         tokens: list[str] = []
         labels: list[str] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    if tokens:
-                        seqs.append(TokenSequence(tokens=tokens, labels=labels))
-                        tokens, labels = [], []
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or parts[1] not in (FLUENT, DISFLUENT):
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: expected 'token<TAB>{FLUENT}|{DISFLUENT}', got {line!r}")
-                tokens.append(parts[0])
-                labels.append(parts[1])
+        for lineno, line in _numbered_lines(path):
+            line = line.rstrip("\n")
+            if not line.strip():
+                if tokens:
+                    seqs.append(TokenSequence(tokens=tokens, labels=labels))
+                    tokens, labels = [], []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or parts[1] not in (FLUENT, DISFLUENT):
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected 'token<TAB>{FLUENT}|{DISFLUENT}', got {line!r}")
+            tokens.append(parts[0])
+            labels.append(parts[1])
         if tokens:
             seqs.append(TokenSequence(tokens=tokens, labels=labels))
         return seqs

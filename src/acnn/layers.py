@@ -7,6 +7,12 @@ width-1 (per-position affine) convolution. Every learned term is one matmul,
 `_contract`, with one adjoint, `_contract_backward`: the A-term contracts the
 windows, autocorr's B-term the pair windows, and width-1 the rows themselves.
 
+The interaction tensor is symmetric, x_i * x_j == x_j * x_i, so autocorr keeps
+only the w(w+1)/2 window pairs with i <= j, row by row: pair i*w - i(i-1)/2 +
+(j - i) is (i, j). Its B-term contracts them with the folded kernel
+Bs[i, j] = B[i, j] + B[j, i] (i < j), Bs[i, i] = B[i, i], which equals the
+full w*w contraction with B. B itself keeps its (c, w, w, m) shape.
+
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1 with virtual zero padding, so the output always has n rows. A kernel
 group with left width `ell` and right width `r` sees a window of
@@ -115,7 +121,36 @@ class ConvCache:
 
 @dataclass
 class AutoCorrCache(ConvCache):
-    pair_windows: np.ndarray  # (n, w, w, m)
+    pair_windows: np.ndarray  # (n, w(w+1)/2, m): pairs i <= j, row by row
+    folded: np.ndarray  # (c, w(w+1)/2, m): B folded onto the same pairs
+
+
+def _row_starts(w: int) -> list[int]:
+    """Index of pair (i, i) in the i <= j layout, for i = 0 .. w; the last
+    entry is the pair count w(w+1)/2."""
+    return [i * w - i * (i - 1) // 2 for i in range(w + 1)]
+
+
+def _fold(B: np.ndarray) -> np.ndarray:
+    """(c, w(w+1)/2, m) kernel over pairs i <= j whose contraction equals B's
+    over all w*w pairs of a symmetric interaction tensor."""
+    c, w, _, m = B.shape
+    starts = _row_starts(w)
+    Bs = np.empty((c, starts[-1], m), dtype=B.dtype)
+    for i in range(w):
+        Bs[:, starts[i]] = B[:, i, i]
+        np.add(B[:, i, i + 1 :], B[:, i + 1 :, i], out=Bs[:, starts[i] + 1 : starts[i + 1]])
+    return Bs
+
+
+def _unfold_add(dBs: np.ndarray, dB: np.ndarray) -> None:
+    """Adjoint of _fold, added into dB: pair (i, j) sends its gradient to both
+    B[i, j] and B[j, i]."""
+    starts = _row_starts(dB.shape[1])
+    for i in range(dB.shape[1]):
+        row = dBs[:, starts[i] : starts[i + 1]]
+        dB[:, i, i:] += row
+        dB[:, i + 1 :, i] += row[:, 1:]
 
 
 def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -157,7 +192,8 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     """out[t, u] = A[u] . window + B[u] . (window x window interactions) + b[u].
 
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
-    pairwise interaction tensor restricted to the window at t. With B == 0 this
+    pairwise interaction tensor restricted to the window at t, computed over
+    the pairs i <= j with B folded (see the module docstring). With B == 0 this
     is exactly conv1d_forward. The rows of x are sentences of `lengths`
     (default: one sentence); a masked-out window row is zero, and so is every
     interaction entry it takes part in.
@@ -166,25 +202,39 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     n, w, m = win.shape
     if B.shape != (A.shape[0], w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
-    pair = win[:, :, None, :] * win[:, None, :, :]
-    out = _contract(win, A) + _contract(pair, B) + b
-    return out, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask, pair_windows=pair)
+    starts = _row_starts(w)
+    pair = np.empty((n, starts[-1], m), dtype=win.dtype)
+    for i in range(w):
+        np.multiply(win[:, i : i + 1], win[:, i:], out=pair[:, starts[i] : starts[i + 1]])
+    Bs = _fold(B)
+    out = _contract(win, A) + _contract(pair, Bs) + b
+    return out, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask,
+                              pair_windows=pair, folded=Bs)
 
 
-def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, B: np.ndarray,
-                      upstream: np.ndarray):
-    """Gradients of an autocorr_forward call: returns (dx, dA, dB, db).
+def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
+                      dB: np.ndarray):
+    """Gradients of an autocorr_forward call: returns (dx, dA, dB, db), where
+    the kernel gradient is added into the caller's (c, w, w, m) `dB` in place.
 
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
     win = cache.windows
+    w = cache.spec.width
+    if dB.shape != (len(A), w, w, win.shape[2]):
+        raise ValueError(f"dB shape {dB.shape} != ({len(A)}, {w}, {w}, {win.shape[2]})")
     dA, dwin = _contract_backward(win, A, upstream)
-    dB, dpair = _contract_backward(cache.pair_windows, B, upstream)
-    # d pair[i, j] / d win[i] = win[j]; rows appear on both sides of the pair.
-    dwin += np.einsum("nijm,njm->nim", dpair, win)
-    dwin += np.einsum("njim,njm->nim", dpair, win)
+    dBs, dpair = _contract_backward(cache.pair_windows, cache.folded, upstream)
+    # pair (i, j) = win[i] * win[j] sends dpair * win[j] to row i and
+    # dpair * win[i] to row j; for i == j both land on row i.
+    starts = _row_starts(w)
+    for i in range(w):
+        drow = dpair[:, starts[i] : starts[i + 1]]
+        dwin[:, i] += np.einsum("njm,njm->nm", drow, win[:, i:])
+        dwin[:, i:] += drow * win[:, i : i + 1]
+    _unfold_add(dBs, dB)
     dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
     return dx, dA, dB, upstream.sum(axis=0)
 

@@ -318,9 +318,8 @@ class Model:
                 A = self.params[f"{prefix}.A"].value
                 gcache = cache.group_caches[k - 1][g]
                 if lc.kind == "autocorr":
-                    B = self.params[f"{prefix}.B"].value
-                    dxg, dA, dB, dbg = L.autocorr_backward(gcache, A, B, upstream)
-                    self.params[f"{prefix}.B"].grad += dB
+                    dxg, dA, _, dbg = L.autocorr_backward(
+                        gcache, A, upstream, self.params[f"{prefix}.B"].grad)
                 else:
                     dxg, dA, dbg = L.conv1d_backward(gcache, A, upstream)
                 self.params[f"{prefix}.A"].grad += dA

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate
-from .data import DISFLUENT, TokenSequence, Vocabulary
+from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
 from .layers import softmax_xent_backward
 from .model import CLASS_DISFLUENT, LayerConfig, Model, ModelConfig, ParamStore
 from .tensor import NumericError, Rng
@@ -179,9 +179,9 @@ def train(model: Model, train_seqs: list[TokenSequence],
     stopping on dev F-score; returns with the model at its best epoch.
     Deterministic for a fixed seed and data."""
     if not train_seqs or not dev_seqs:
-        raise ValueError("training and dev corpora must be non-empty")
+        raise CorpusFormatError("training and dev corpora must be non-empty")
     if not any(DISFLUENT in seq.labels for seq in dev_seqs):
-        raise ValueError(
+        raise CorpusFormatError(
             "dev set has no disfluent tokens, so F-score is undefined; "
             "add disfluent examples to the dev corpus")
     data = [(vocab.encode(seq.tokens), seq.disfluent_mask().astype(np.int64))

@@ -162,6 +162,27 @@ class TestTagAndEval:
                    "--out", paths["--out"]) == cli.EXIT_DATA
         assert "error:data" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_is_data_error(self, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.bt"
+        bad.write_bytes(b"a b \xff\xfe c\n")
+        assert run("tag", "--checkpoint", str(trained), "--input", str(bad),
+                   "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_program_error_is_not_data_error(self, corpus_dir, trained, tmp_path,
+                                             monkeypatch):
+        """A ValueError from the program itself, not from its inputs, leaves
+        cli.main as a traceback rather than an exit 2."""
+        def broken(*_, **__):
+            raise ValueError("shape bug")
+
+        monkeypatch.setattr(L, "autocorr_forward", broken)
+        with pytest.raises(ValueError, match="shape bug"):
+            run("tag", "--checkpoint", str(trained),
+                "--input", str(corpus_dir / "test.bt"),
+                "--out", str(tmp_path / "o.tab"))
+        assert not (tmp_path / "o.tab").exists()
+
     def test_data_dir_env_resolution(self, corpus_dir, trained, tmp_path,
                                      monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(corpus_dir))
@@ -188,6 +209,12 @@ class TestGradcheck:
 
         monkeypatch.setattr(L, "conv1d_backward", broken)
         assert run("gradcheck", "--arch", "cnn") == cli.EXIT_NUMERIC
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--vocab-size", "1"),
+                                            ("--channels", "0")])
+    def test_rejected_flag_value_is_usage_error(self, flag, value, capsys):
+        assert run("gradcheck", flag, value) == cli.EXIT_USAGE
+        assert "error:usage" in capsys.readouterr().err
 
     def test_all_tensors_reported(self):
         results = cli.gradcheck_model("acnn")

@@ -234,36 +234,80 @@ class TestConv1dBackward:
         assert grad_check(lambda v: loss(x, A, v), b, db).ok
 
 
+def pair_index(i, j, w):
+    """Index of window pair (i, j), i <= j, in an autocorr cache's pair windows:
+    the pairs of row 0 (j = 0 .. w-1) first, then those of row 1, and so on."""
+    assert 0 <= i <= j < w
+    return sum(w - k for k in range(i)) + (j - i)
+
+
 def pair_tensor(x, spec):
-    """The (n, w, w, m) window interaction tensor an autocorr call contracts."""
+    """The (n, w(w+1)/2, m) pair windows, i <= j, that an autocorr call contracts."""
     n, m = x.shape
     w = spec.width
     _, cache = L.autocorr_forward(x, spec, np.zeros((1, w, m)),
                                   np.zeros((1, w, w, m)), np.zeros(1))
+    assert cache.pair_windows.shape == (n, w * (w + 1) // 2, m)
     return cache.pair_windows
+
+
+def full_pair_forward(x, spec, A, B, b, lengths=None):
+    """Reference autocorr over all w*w window pairs: the full interaction
+    tensor win[:, :, None] * win[:, None], contracted with the unfolded B."""
+    n, m = x.shape
+    mask = L._window_mask(lengths, spec.ell, spec.r)
+    win = L.sliding_windows(x, spec.ell, spec.r, mask)
+    pair = win[:, :, None] * win[:, None]
+    out = win.reshape(n, -1) @ A.reshape(len(A), -1).T + pair.reshape(n, -1) @ B.reshape(len(B), -1).T + b
+    return out, (win, pair, mask)
+
+
+def full_pair_backward(x, spec, A, B, saved, up):
+    """(dx, dA, dB, db) of full_pair_forward, with the two-einsum fold of the
+    pair gradient back onto both window sides."""
+    win, pair, mask = saved
+    n = len(x)
+    dA = (up.T @ win.reshape(n, -1)).reshape(A.shape)
+    dB = (up.T @ pair.reshape(n, -1)).reshape(B.shape)
+    dwin = (up @ A.reshape(len(A), -1)).reshape(win.shape)
+    dpair = (up @ B.reshape(len(B), -1)).reshape(pair.shape)
+    dwin += np.einsum("nijm,njm->nim", dpair, win)
+    dwin += np.einsum("njim,njm->nim", dpair, win)
+    dx = L._scatter_windows(dwin, n, spec.ell, mask)
+    return dx, dA, dB, up.sum(axis=0)
 
 
 class TestAutocorrTensor:
     def test_hand_arithmetic(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         xhat = pair_tensor(x, L.ConvKernelSpec(0, 1))[0]  # window rows 0, 1
-        assert xhat[0, 1].tolist() == [3.0, 8.0]
-        assert xhat[0, 0].tolist() == [1.0, 4.0]
-        assert xhat[1, 1].tolist() == [9.0, 16.0]
+        assert xhat[pair_index(0, 1, 2)].tolist() == [3.0, 8.0]
+        assert xhat[pair_index(0, 0, 2)].tolist() == [1.0, 4.0]
+        assert xhat[pair_index(1, 1, 2)].tolist() == [9.0, 16.0]
 
-    def test_symmetry(self):
+    def test_folded_contraction_equals_full(self):
+        """The i <= j pairs contracted with the folded kernel give the w*w
+        contraction with B, for a B with B[i, j] != B[j, i]."""
         rng = Rng(5)
-        x = rng.uniform(-1, 1, (6, 3))
-        xhat = pair_tensor(x, L.ConvKernelSpec(2, 2))
-        assert np.array_equal(xhat, np.swapaxes(xhat, 1, 2))
+        x, spec, A, B, b = rand_instance(rng, 6, 3, 2, 2, 4, with_B=True)
+        assert not np.allclose(B, np.swapaxes(B, 1, 2))
+        out, cache = L.autocorr_forward(x, spec, np.zeros_like(A), B, np.zeros_like(b))
+        want, _ = full_pair_forward(x, spec, np.zeros_like(A), B, np.zeros_like(b))
+        assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+        w = spec.width
+        for i in range(w):
+            for j in range(i, w):
+                fold = B[:, i, j] + B[:, j, i] if i < j else B[:, i, i]
+                assert np.array_equal(cache.folded[:, pair_index(i, j, w)], fold)
 
     def test_repeated_rows_give_identical_interactions(self):
         rng = Rng(6)
         x = rng.uniform(-1, 1, (5, 4))
         x[3] = x[1]  # exact copy, the rough-copy signal
         xhat = pair_tensor(x, L.ConvKernelSpec(1, 2))[2]  # window rows 1..4
-        assert np.array_equal(xhat[0, 2], xhat[0, 0])
-        assert np.array_equal(xhat[0, 2], xhat[2, 2])
+        w = 4
+        assert np.array_equal(xhat[pair_index(0, 2, w)], xhat[pair_index(0, 0, w)])
+        assert np.array_equal(xhat[pair_index(0, 2, w)], xhat[pair_index(2, 2, w)])
 
     def test_permuting_identical_rows_invariant(self):
         rng = Rng(7)
@@ -318,7 +362,7 @@ class TestAutocorrBackward:
         x, spec, A, B, b = rand_instance(rng, n, m, ell, r, c, with_B=True)
         up = rng.uniform(-1, 1, (n, c))
         _, cache = L.autocorr_forward(x, spec, A, B, b)
-        assert_all_close(L.autocorr_backward(cache, A, B, up),
+        assert_all_close(L.autocorr_backward(cache, A, up, np.zeros_like(B)),
                          naive_autocorr_backward(x, spec, A, B, up))
 
     def test_zero_B_x_gradient_equals_conv(self):
@@ -328,7 +372,7 @@ class TestAutocorrBackward:
         _, ccache = L.conv1d_forward(x, spec, A, b)
         dxc, dAc, dbc = L.conv1d_backward(ccache, A, up)
         _, acache = L.autocorr_forward(x, spec, A, np.zeros_like(B), b)
-        dxa, dAa, _, dba = L.autocorr_backward(acache, A, np.zeros_like(B), up)
+        dxa, dAa, _, dba = L.autocorr_backward(acache, A, up, np.zeros_like(B))
         assert np.array_equal(dxc, dxa)
         assert np.array_equal(dAc, dAa)
         assert np.array_equal(dbc, dba)
@@ -345,7 +389,7 @@ class TestAutocorrBackward:
         b = np.zeros(1)
         _, cache = L.autocorr_forward(x, spec, A, B, b)
         up = np.ones((1, 1))
-        dx, _, _, _ = L.autocorr_backward(cache, A, B, up)
+        dx, _, _, _ = L.autocorr_backward(cache, A, up, np.zeros_like(B))
         # the real row sits at window offset 1
         assert np.allclose(dx[0], 2.0 * B[0, 1, 1] * x[0])
 
@@ -361,11 +405,55 @@ class TestAutocorrBackward:
             return float(((out - target) ** 2).sum())
 
         out, cache = L.autocorr_forward(x, spec, A, B, b)
-        dx, dA, dB, db = L.autocorr_backward(cache, A, B, 2.0 * (out - target))
+        dx, dA, dB, db = L.autocorr_backward(cache, A, 2.0 * (out - target),
+                                             np.zeros_like(B))
         assert grad_check(lambda v: loss(v, A, B, b), x, dx).ok
         assert grad_check(lambda v: loss(x, v, B, b), A, dA).ok
         assert grad_check(lambda v: loss(x, A, v, b), B, dB).ok
         assert grad_check(lambda v: loss(x, A, B, v), b, db).ok
+
+
+# acnn-table1's layer-1 groups at its embedding width, packed and unpacked,
+# with an ell = 0 group and one-token inputs.
+FOLD_CASES = [
+    ((5, 6), 48, None),
+    ((5, 6), 48, [1, 20, 27]),
+    ((3, 3), 48, None),
+    ((3, 3), 48, [1, 20, 27]),
+    ((0, 6), 13, [1, 12]),
+    ((5, 6), 1, None),
+    ((3, 3), 1, None),
+]
+
+
+class TestFoldedPairs:
+    @pytest.mark.parametrize("case", range(len(FOLD_CASES)))
+    def test_equals_full_pair_path(self, case):
+        """The i <= j pairs with the folded kernel give the output and every
+        gradient of the full w*w pair path, for an asymmetric B; the kernel
+        gradient is added into the buffer the caller passes."""
+        (ell, r), n, lengths = FOLD_CASES[case]
+        rng = Rng(6000 + case)
+        x, spec, A, B, b = rand_instance(rng, n, 290, ell, r, 60, with_B=True)
+        up = rng.uniform(-1, 1, (n, 60))
+        out, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
+        prior = rng.uniform(-1, 1, B.shape)
+        dB = prior.copy()
+        dx, dA, dB_out, db = L.autocorr_backward(cache, A, up, dB)
+        assert dB_out is dB
+        want_out, saved = full_pair_forward(x, spec, A, B, b, lengths)
+        got = (out, dx, dA, dB - prior, db)
+        want = (want_out, *full_pair_backward(x, spec, A, B, saved, up))
+        for g, v in zip(got, want, strict=True):
+            assert g.shape == v.shape
+            assert np.abs(g - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
+
+    def test_zero_B_reduces_to_conv_bitwise(self):
+        rng = Rng(6100)
+        x, spec, A, B, b = rand_instance(rng, 48, 290, 5, 6, 60, with_B=True)
+        conv_out, _ = L.conv1d_forward(x, spec, A, b, [1, 47])
+        ac_out, _ = L.autocorr_forward(x, spec, A, np.zeros_like(B), b, [1, 47])
+        assert np.array_equal(conv_out, ac_out)
 
 
 class TestElementwise:
@@ -535,16 +623,22 @@ class TestPacked:
             for xi, upi in zip(xs, ups):
                 out, cache = forward(xi, spec, *kernels)
                 outs.append(out)
-                grads.append(backward(cache, *kernels[:-1], upi))
+                grads.append(backward(cache, upi))
             dxs = np.concatenate([g[0] for g in grads])
             return (np.concatenate(outs), dxs,
                     *[sum(g[k] for g in grads) for k in range(1, len(grads[0]))])
 
-        for forward, backward, kernels in ((L.conv1d_forward, L.conv1d_backward, (A, b)),
-                                           (L.autocorr_forward, L.autocorr_backward,
+        def conv_backward(cache, upi):
+            return L.conv1d_backward(cache, A, upi)
+
+        def autocorr_backward(cache, upi):
+            return L.autocorr_backward(cache, A, upi, np.zeros_like(B))
+
+        for forward, backward, kernels in ((L.conv1d_forward, conv_backward, (A, b)),
+                                           (L.autocorr_forward, autocorr_backward,
                                             (A, B, b))):
             out, cache = forward(x, spec, *kernels, lengths)
-            packed = (out, *backward(cache, *kernels[:-1], up))
+            packed = (out, *backward(cache, up))
             assert_all_close(packed, stacked(forward, backward, *kernels))
 
     def test_lengths_must_split_rows(self):

@@ -433,9 +433,10 @@ class TestPackedTagging:
 class TestMemory:
     def test_table1_step_peak_memory_bounded(self):
         """Traced peak of one acnn-table1 training step on 25 switchboard-like
-        sentences. One sentence at a time peaks near 39 MB; 48-token chunks
-        near 63 MB; 64-token chunks near 81 MB, which raised the process's
-        peak RSS past its budget. A larger CHUNK_TOKENS fails here first."""
+        sentences. One sentence at a time peaks near 37 MB; 48-token chunks
+        near 60 MB; 64-token chunks just over 70 MB (81 MB when all w*w window
+        pairs were kept, which raised the process's peak RSS past its
+        budget). A larger CHUNK_TOKENS fails here first."""
         gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=1, sentence_count=25)
         corpus = [preprocess(s) for s in generate_corpus(gen)]
         vocab = build_vocab(corpus)
