@@ -223,8 +223,6 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     """
     win = cache.windows
     w = cache.spec.width
-    if dB.shape != (len(A), w, w, win.shape[2]):
-        raise ValueError(f"dB shape {dB.shape} != ({len(A)}, {w}, {w}, {win.shape[2]})")
     dA, dwin = _contract_backward(win, A, upstream)
     dBs, dpair = _contract_backward(cache.pair_windows, cache.folded, upstream)
     # pair (i, j) = win[i] * win[j] sends dpair * win[j] to row i and
