@@ -8,7 +8,6 @@ from dataclasses import replace
 from acnn import training
 from acnn.data import GENERATOR_PRESETS, build_vocab, generate_corpus
 from acnn.model import Model
-from acnn.tensor import Rng
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
     vocab = build_vocab(train_seqs)
 
     def runner(mcfg, tcfg) -> float:
-        model = Model.build(mcfg, Rng(mcfg.seed))
+        model = Model.build(mcfg)
         tcfg = replace(tcfg, max_epochs=args.max_epochs)
         result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
         print(f"trial seed {mcfg.seed}: dev F {100 * result.best_f1:.2f}")

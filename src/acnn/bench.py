@@ -64,7 +64,7 @@ class BenchResult:
 def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
                train_cfg: training.TrainConfig) -> tuple[ArmResult, Model]:
     config = replace(model_preset(f"{arch}-toy", vocab_size=len(vocab)), seed=seed)
-    model = Model.build(config, Rng(seed))
+    model = Model.build(config)
     result = training.train(model, train_seqs, dev_seqs, vocab,
                             replace(train_cfg, seed=seed))
     masks = training.predict_masks(model, dev_seqs, vocab)

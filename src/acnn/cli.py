@@ -201,8 +201,7 @@ def cmd_train(args) -> int:
     with _flag_values():
         mcfg = _model_config_from_args(args, len(vocab))
         tcfg = _train_config_from_args(args)
-        rng = Rng(args.seed)
-    model = Model.build(mcfg, rng)
+    model = Model.build(mcfg)
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
 
     ckpt = Checkpoint(config=mcfg, vocab_words=vocab.words,
@@ -329,7 +328,7 @@ def gradcheck_model(arch: str, seed: int = 0, vocab_size: int = 16,
     model, on a batch containing both a 6-token and a 1-token sentence. The
     layer geometry includes an ell=0 group."""
     cfg = _gradcheck_config(arch, seed, vocab_size, embedding_dim, channels)
-    model = Model.build(cfg, Rng(seed))
+    model = Model.build(cfg)
     rng = Rng(seed + 1)
     batch = []
     for n in (6, 1):
@@ -353,7 +352,6 @@ def cmd_gradcheck(args) -> int:
     with _flag_values():  # built here only so that gradcheck_model never meets a value they reject
         _gradcheck_config(args.arch, args.seed, args.vocab_size, args.embedding_dim,
                           args.channels)
-        Rng(args.seed)
     results = gradcheck_model(args.arch, seed=args.seed,
                               vocab_size=args.vocab_size,
                               embedding_dim=args.embedding_dim,

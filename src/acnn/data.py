@@ -35,6 +35,10 @@ KINDS = (KIND_REPETITION, KIND_CORRECTION, KIND_RESTART)
 
 RESERVED = ("[", "]", "{", "}", "+")
 
+# Deepest disfluency nesting a bracket-text line may have: far beyond any
+# transcript, and it bounds the recursion of parse_annotated and write_bracket.
+MAX_NESTING = 100
+
 PAD_ID = 0
 UNK_ID = 1
 PAD_WORD = "<pad>"
@@ -87,7 +91,8 @@ def parse_annotated(text: str) -> TokenSequence:
     labels: list[str] = []
     spans: list[DisfluencySpan] = []
     pos = 0
-    edit_depth = 0
+    edit_depth = 0  # open reparanda around the current token
+    nesting = 0  # open disfluencies around the current token
 
     def emit(word: str) -> None:
         tokens.append(word)
@@ -109,7 +114,11 @@ def parse_annotated(text: str) -> TokenSequence:
                 pos += 1
 
     def parse_disfluency() -> None:
-        nonlocal pos, edit_depth
+        nonlocal pos, edit_depth, nesting
+        if nesting == MAX_NESTING:
+            raise CorpusFormatError(
+                f"disfluencies nested deeper than {MAX_NESTING} at token {pos}")
+        nesting += 1
         pos += 1  # consume '['
         rep_start = len(tokens)
         edit_depth += 1
@@ -140,6 +149,7 @@ def parse_annotated(text: str) -> TokenSequence:
         if pos >= len(raw):
             raise CorpusFormatError("'[' without matching ']'")
         pos += 1  # consume ']'
+        nesting -= 1
         repair = (fix_start, len(tokens)) if len(tokens) > fix_start else None
         span = DisfluencySpan(reparandum=(rep_start, rep_end),
                               interregnum=interregnum, repair=repair, kind="")

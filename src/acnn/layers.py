@@ -14,14 +14,16 @@ Bs[i, j] = B[i, j] + B[j, i] (i < j), Bs[i, i] = B[i, i], which equals the
 full w*w contraction with B. B itself keeps its (c, w, w, m) shape.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
-stride 1 with virtual zero padding, so the output always has n rows. A kernel
-group with left width `ell` and right width `r` sees a window of
-w = ell + r + 1 rows covering positions t-ell .. t+r inclusive.
+stride 1, so the output always has n rows. A kernel group with left width
+`ell` and right width `r` sees a window of w = ell + r + 1 rows covering
+positions t-ell .. t+r inclusive.
 
-Packed sentences: the windowed operators take optional sentence `lengths`
-when the rows of several sentences are stacked. A window slot that would read
-a row of another sentence reads zero instead, exactly as past a sentence's
-end, so each output row equals that of its sentence run on its own.
+One window rule: the windowed operators take the sentence `lengths` of the
+rows, which may be several sentences stacked in order (default: one sentence
+of n rows). A window slot reads a row only if that row lies in the window row's
+own sentence; any other slot, past a sentence's end or in a neighbouring
+sentence, reads zero (_window_mask). Zero padding is the one-sentence case, and
+each output row equals that of its sentence run on its own.
 """
 
 from __future__ import annotations
@@ -52,12 +54,10 @@ class ConvKernelSpec:
         return self.ell + self.r + 1
 
 
-def _window_mask(lengths, ell: int, r: int) -> np.ndarray | None:
+def _window_mask(lengths, ell: int, r: int) -> np.ndarray:
     """(n, w) bool: True where window slot k of row t reads a row of t's own
-    sentence, for sentences of `lengths` stacked in order. None for a single
-    sentence, whose windows need no mask beyond the zero padding."""
-    if lengths is None or len(lengths) <= 1:
-        return None
+    sentence, for sentences of `lengths` stacked in order (n = sum(lengths)).
+    Every other slot reads zero."""
     lengths = np.asarray(lengths)
     ends = np.repeat(np.cumsum(lengths), lengths)
     starts = ends - np.repeat(lengths, lengths)
@@ -65,30 +65,23 @@ def _window_mask(lengths, ell: int, r: int) -> np.ndarray | None:
     return (src >= starts[:, None]) & (src < ends[:, None])
 
 
-def sliding_windows(x: np.ndarray, ell: int, r: int,
-                    mask: np.ndarray | None = None) -> np.ndarray:
-    """(n, w, m) stack of zero-padded windows: out[t, k] = x[t - ell + k], with
-    rows outside 0..n-1, and slots where `mask` (see _window_mask) is False,
-    read as zero vectors. C-contiguous, so that the matmuls of _contract and
-    its adjoint read it as one (n, w*m) matrix."""
-    n, m = x.shape
-    w = ell + r + 1
-    padded = np.zeros((n + w - 1, m), dtype=x.dtype)
-    padded[ell : ell + n] = x
-    view = np.lib.stride_tricks.sliding_window_view(padded, (w, m))
-    win = np.ascontiguousarray(view.reshape(n, w, m))
-    if mask is not None:
-        win[~mask] = 0.0
+def sliding_windows(x: np.ndarray, ell: int, r: int, mask: np.ndarray) -> np.ndarray:
+    """(n, w, m) windows: out[t, k] = x[t - ell + k] where `mask` (see
+    _window_mask) is True, a zero vector where it is False. C-contiguous, so
+    that the matmuls of _contract and its adjoint read it as one (n, w*m)
+    matrix."""
+    n = len(x)
+    src = np.arange(n)[:, None] + np.arange(-ell, r + 1)
+    win = x[np.clip(src, 0, n - 1)]
+    win[~mask] = 0.0
     return win
 
 
-def _scatter_windows(dwin: np.ndarray, n: int, ell: int,
-                     mask: np.ndarray | None = None) -> np.ndarray:
+def _scatter_windows(dwin: np.ndarray, n: int, ell: int, mask: np.ndarray) -> np.ndarray:
     """Adjoint of sliding_windows: accumulate window gradients back onto rows.
     Overwrites the masked-out slots of dwin with zeros."""
     _, w, m = dwin.shape
-    if mask is not None:
-        dwin[~mask] = 0.0
+    dwin[~mask] = 0.0
     dpad = np.zeros((n + w - 1, m), dtype=dwin.dtype)
     for k in range(w):
         dpad[k : k + n] += dwin[:, k, :]
@@ -116,7 +109,7 @@ class ConvCache:
     n: int
     spec: ConvKernelSpec
     windows: np.ndarray  # (n, w, m)
-    mask: np.ndarray | None  # (n, w) _window_mask of the packed sentences
+    mask: np.ndarray  # (n, w) bool _window_mask of the sentences
 
 
 @dataclass
@@ -154,13 +147,15 @@ def _unfold_add(dBs: np.ndarray, dB: np.ndarray) -> None:
 
 
 def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                     b: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray | None]:
+                     b: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     """The windows of x and their _window_mask, once x, A, b and the sentence
-    lengths are checked against each other."""
+    lengths (None: one sentence of all rows) are checked against each other."""
     n, m = x.shape
     if n == 0:
         raise ValueError("empty input sequence")
-    if lengths is not None and (sum(lengths) != n or min(lengths) < 1):
+    if lengths is None:
+        lengths = [n]
+    elif sum(lengths) != n or min(lengths) < 1:
         raise ValueError(f"sentence lengths {list(lengths)} do not split {n} rows")
     w = spec.width
     if A.ndim != 3 or A.shape[1:] != (w, m):

@@ -16,6 +16,7 @@ element-wise.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -90,6 +91,8 @@ class ModelConfig:
             _check_type(name, getattr(self, name), int)
         if self.vocab_size < 2 or self.embedding_dim < 1:
             raise ConfigError("vocab_size >= 2 and embedding_dim >= 1 required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("dropout_rate", "l2_weight"):
             _check_type(name, getattr(self, name), int, float)
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -108,20 +111,7 @@ class ModelConfig:
             raise ConfigError("autocorr is only supported at layer 1")
 
     def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "vocab_size": self.vocab_size,
-            "embedding_dim": self.embedding_dim,
-            "dropout_rate": self.dropout_rate,
-            "l2_weight": self.l2_weight,
-            "layers": [
-                {"kind": lc.kind,
-                 "kernel_groups": [list(g) for g in lc.kernel_groups],
-                 "channels": lc.channels}
-                for lc in self.layers
-            ],
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -222,7 +212,6 @@ def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
 class _ForwardCache:
     ids: np.ndarray
     dropout_mask: np.ndarray | None
-    layer_inputs: list[np.ndarray]       # input to each operator layer
     pre_activations: list[np.ndarray]    # Y_k before ReLU
     group_caches: list[list]             # per layer, per group forward caches
     final_features: np.ndarray           # input to the width-1 layer
@@ -236,12 +225,12 @@ class Model:
         self.params = params
 
     @staticmethod
-    def build(config: ModelConfig, rng: Rng | None = None) -> "Model":
-        """Allocate and initialize all parameters. Weights are drawn from
+    def build(config: ModelConfig) -> "Model":
+        """Allocate and initialize all parameters from Rng(config.seed), so a
+        checkpoint's seed rebuilds its initial model. Weights are drawn from
         U(-b, b) with b = sqrt(6 / (fan_in + fan_out)) per tensor; biases start
         at 1."""
-        if rng is None:
-            rng = Rng(config.seed)
+        rng = Rng(config.seed)
         params = ParamStore()
         for name, shape, fan_in, fan_out in _layout(config):
             params.add(name, _uniform_init(rng, shape, fan_in, fan_out) if fan_in
@@ -268,11 +257,9 @@ class Model:
             raise ValueError("token id out of vocabulary range")
         emb = self.params["embedding"].value[ids]
         x, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
-        layer_inputs = []
         pre_acts = []
         group_caches = []
         for k, lc in enumerate(self.config.layers, start=1):
-            layer_inputs.append(x)
             cols = []
             caches = []
             for g, (ell, r) in enumerate(lc.kernel_groups):
@@ -296,9 +283,8 @@ class Model:
         probs = L.softmax_rows(scores)
         T.ensure_finite(probs, "forward output")
         return probs, _ForwardCache(
-            ids=ids, dropout_mask=mask, layer_inputs=layer_inputs,
-            pre_activations=pre_acts, group_caches=group_caches,
-            final_features=x)
+            ids=ids, dropout_mask=mask, pre_activations=pre_acts,
+            group_caches=group_caches, final_features=x)
 
     def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
         """Accumulate the parameter gradients of one forward_with_cache call
@@ -311,7 +297,7 @@ class Model:
             lc = self.config.layers[k - 1]
             dy = L.relu_backward(cache.pre_activations[k - 1], dx)
             gc = lc.group_channels
-            dx_next = np.zeros_like(cache.layer_inputs[k - 1])
+            dx_next = 0.0  # the layer's input gradient, summed over its groups
             for g in range(len(lc.kernel_groups)):
                 upstream = dy[:, g * gc : (g + 1) * gc]
                 prefix = f"layer{k}.group{g}"

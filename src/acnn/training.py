@@ -31,8 +31,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 def cross_entropy(probs: np.ndarray, label_ids, normalizer: int | None = None):

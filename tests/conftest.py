@@ -66,6 +66,8 @@ HOSTILE_CHECKPOINTS = {
                                 _VALID_TENSORS),
     # two float32 values, as a reader of a float32 code would take them
     "dtype-code-1": (_VALID_META, None, _VALID_TENSORS[:4] + (("output.b", (2,), 1, bytes(8)),)),
+    # a seed that no Rng takes, so the checkpoint could not have been built from it
+    "seed-negative": (_config_changed(seed=-1), None, _VALID_TENSORS),
 }
 
 

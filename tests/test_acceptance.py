@@ -29,8 +29,8 @@ def ab_result():
 
 def test_criterion_01_reduction_invariant():
     vocab_size, seed = 60, 4
-    acnn = M.Model.build(M.model_preset("acnn-toy", vocab_size, seed), Rng(seed))
-    cnn = M.Model.build(M.model_preset("cnn-toy", vocab_size, seed), Rng(seed))
+    acnn = M.Model.build(M.model_preset("acnn-toy", vocab_size, seed))
+    cnn = M.Model.build(M.model_preset("cnn-toy", vocab_size, seed))
     shared = {k: v for k, v in acnn.params.values_copy().items()
               if not k.endswith(".B")}
     cnn.params.load_values(shared)
@@ -198,7 +198,7 @@ def test_criterion_09_parameter_count_report():
     reports = {}
     for name in ("cnn-table1", "acnn-table1"):
         cfg = M.model_preset(name, vocab_size=3000)
-        reports[name] = M.param_count(M.Model.build(cfg, Rng(0)).params)
+        reports[name] = M.param_count(M.Model.build(cfg).params)
     cnn_n = reports["cnn-table1"].network
     acnn_n = reports["acnn-table1"].network
     rel = abs(cnn_n - acnn_n) / max(cnn_n, acnn_n)

@@ -169,6 +169,22 @@ class TestTagAndEval:
                    "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_deep_nesting_is_data_error(self, command, trained, tmp_path, capsys):
+        """A line nested past data.MAX_NESTING is a format error naming the
+        line, not a RecursionError."""
+        deep = tmp_path / "deep.bt"
+        deep.write_text("a b\n" + "[ a + " * 600 + "b" + " ]" * 600 + "\n")
+        predicted = tmp_path / "p.tab"
+        predicted.write_text("a\t_\nb\t_\n\n")
+        argv = {"tag": ("--checkpoint", str(trained), "--input", str(deep),
+                        "--out", str(tmp_path / "o.tab")),
+                "eval": ("--gold", str(deep), "--predicted", str(predicted))}[command]
+        assert run(command, *argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{deep}:2: disfluencies nested deeper than {data.MAX_NESTING}" in err
+        assert not (tmp_path / "o.tab").exists()
+
     def test_program_error_is_not_data_error(self, corpus_dir, trained, tmp_path,
                                              monkeypatch):
         """A ValueError from the program itself, not from its inputs, leaves
@@ -247,9 +263,17 @@ class TestUsage:
         ("ab-bench", "--preset", "nope"),
         ("ab-bench", "--train-count", "0"),
         ("ab-bench", "--seeds=-1,-2,-3"),
+        ("train", "--arch", "cnn", "--max-epochs", "0"),
+        ("train", "--arch", "cnn", "--max-epochs", "-3"),
+        ("train", "--arch", "cnn", "--lr", "nan"),
+        ("train", "--arch", "cnn", "--lr", "inf"),
+        ("ab-bench", "--max-epochs", "0"),
+        ("ab-bench", "--lr", "nan"),
     ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
             "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
-            "ab-bench-train-count-0", "ab-bench-seeds-negative"])
+            "ab-bench-train-count-0", "ab-bench-seeds-negative", "max-epochs-0",
+            "max-epochs-negative", "lr-nan", "lr-inf", "ab-bench-max-epochs-0",
+            "ab-bench-lr-nan"])
     def test_rejected_flag_value_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         if argv[0] == "train":
             argv += ("--train", str(corpus_dir / "train.bt"),
@@ -258,6 +282,7 @@ class TestUsage:
         assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
         assert "error:usage" in capsys.readouterr().err
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAbBench:

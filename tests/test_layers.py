@@ -255,7 +255,7 @@ def full_pair_forward(x, spec, A, B, b, lengths=None):
     """Reference autocorr over all w*w window pairs: the full interaction
     tensor win[:, :, None] * win[:, None], contracted with the unfolded B."""
     n, m = x.shape
-    mask = L._window_mask(lengths, spec.ell, spec.r)
+    mask = L._window_mask([n] if lengths is None else lengths, spec.ell, spec.r)
     win = L.sliding_windows(x, spec.ell, spec.r, mask)
     pair = win[:, :, None] * win[:, None]
     out = (win.reshape(n, -1) @ A.reshape(len(A), -1).T
@@ -588,9 +588,17 @@ PACKED_LENGTHS = [
 
 
 class TestPacked:
-    def test_one_sentence_needs_no_mask(self):
-        assert L._window_mask(None, 2, 3) is None
-        assert L._window_mask([7], 2, 3) is None
+    def test_lone_sentence_mask_marks_only_padding(self):
+        """One sentence is the zero-padding case of the rule: slot k of row t
+        is masked out exactly where t - ell + k falls outside 0 .. n-1, and a
+        call without lengths takes that mask."""
+        src = np.arange(7)[:, None] + np.arange(-2, 4)
+        mask = L._window_mask([7], 2, 3)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, (src >= 0) & (src < 7))
+        x, spec, A, b = rand_instance(Rng(1), 7, 3, 2, 3, 2)
+        _, cache = L.conv1d_forward(x, spec, A, b)
+        assert np.array_equal(cache.mask, mask)
 
     def test_mask_marks_own_sentence_rows(self):
         # lengths 2, 1: row 0 sees rows 0-1, row 1 rows 0-1, row 2 row 2 only

@@ -63,32 +63,31 @@ class TestConfig:
     def test_presets_all_build(self):
         for name in M.MODEL_PRESETS:
             cfg = M.model_preset(name, vocab_size=50)
-            assert M.Model.build(cfg, Rng(0)) is not None
+            assert M.Model.build(cfg) is not None
 
 
 class TestBuild:
     def test_deterministic(self):
-        cfg = toy_config()
-        a = M.Model.build(cfg, Rng(3)).params.values_copy()
-        b = M.Model.build(cfg, Rng(3)).params.values_copy()
+        cfg = toy_config(seed=3)
+        a = M.Model.build(cfg).params.values_copy()
+        b = M.Model.build(cfg).params.values_copy()
         assert set(a) == set(b)
         for k in a:
             assert np.array_equal(a[k], b[k]), k
 
     def test_seed_changes_weights(self):
-        cfg = toy_config()
-        a = M.Model.build(cfg, Rng(1)).params["embedding"].value
-        b = M.Model.build(cfg, Rng(2)).params["embedding"].value
+        a = M.Model.build(toy_config(seed=1)).params["embedding"].value
+        b = M.Model.build(toy_config(seed=2)).params["embedding"].value
         assert not np.array_equal(a, b)
 
     def test_biases_start_at_one(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         for name, p in model.params.items():
             if name.endswith(".b"):
                 assert np.all(p.value == 1.0), name
 
     def test_expected_tensor_names(self):
-        model = M.Model.build(toy_config("acnn"), Rng(0))
+        model = M.Model.build(toy_config("acnn"))
         names = model.params.names()
         assert names[0] == "embedding"
         assert "layer1.group0.B" in names
@@ -100,7 +99,7 @@ class TestBuild:
         cfg = M.ModelConfig(arch="acnn", vocab_size=10, embedding_dim=3,
                             dropout_rate=0.0, l2_weight=0.0,
                             layers=(M.LayerConfig("autocorr", ((1, 1),), 2),))
-        model = M.Model.build(cfg, Rng(0))
+        model = M.Model.build(cfg)
         report = M.param_count(model.params)
         w, m, c = 3, 3, 2
         expect_layer = c * (w * m + w * w * m + 1)
@@ -110,7 +109,7 @@ class TestBuild:
         assert report.total == report.embedding + report.network
 
     def test_count_table_mentions_every_tensor(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         text = M.param_count(model.params).format()
         for name in model.params.names():
             assert name in text
@@ -118,32 +117,32 @@ class TestBuild:
 
 class TestForward:
     def test_rows_are_distributions(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         probs = model.forward(np.arange(8) % model.config.vocab_size)
         assert probs.shape == (8, 2)
         assert np.all(probs > 0)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_single_token_sentence(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         probs = model.forward([3])
         assert probs.shape == (1, 2)
         assert np.isclose(probs.sum(), 1.0)
 
     def test_eval_mode_bitwise_deterministic(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         ids = [1, 4, 2, 7, 7, 2]
         assert np.array_equal(model.forward(ids), model.forward(ids))
 
     def test_out_of_vocab_id_rejected(self):
-        model = M.Model.build(toy_config(vocab_size=8), Rng(0))
+        model = M.Model.build(toy_config(vocab_size=8))
         with pytest.raises(ValueError):
             model.forward([8])
         with pytest.raises(ValueError):
             model.forward([-1])
 
     def test_empty_sentence_rejected(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         with pytest.raises(ValueError):
             model.forward([])
 
@@ -151,7 +150,7 @@ class TestForward:
         # with symmetric initialization the class scores share the same bias,
         # so early predictions should sit near the 2-class entropy ceiling
         model = M.Model.build(toy_config(vocab_size=40, embedding_dim=8,
-                                         channels=8), Rng(5))
+                                         channels=8, seed=5))
         rng = Rng(0)
         ids = rng.integers(0, 40, 200)
         probs = model.forward(ids)
@@ -161,8 +160,8 @@ class TestForward:
     def test_acnn_with_zero_B_matches_cnn_bitwise(self):
         acfg = toy_config("acnn", seed=9)
         ccfg = toy_config("cnn", seed=9)
-        amodel = M.Model.build(acfg, Rng(9))
-        cmodel = M.Model.build(ccfg, Rng(9))
+        amodel = M.Model.build(acfg)
+        cmodel = M.Model.build(ccfg)
         # share all non-B tensors and zero the interaction kernels
         vals = {k: v for k, v in amodel.params.values_copy().items()
                 if not k.endswith(".B")}
@@ -176,7 +175,7 @@ class TestBackward:
     @pytest.mark.parametrize("arch", ["cnn", "acnn"])
     def test_whole_model_grad_check(self, arch):
         model = M.Model.build(toy_config(arch, vocab_size=9, embedding_dim=4,
-                                         channels=4, seed=2), Rng(2))
+                                         channels=4, seed=2))
         ids = np.array([1, 3, 3, 7, 0])
         labels = np.array([0, 1, 1, 0, 0])
 
@@ -193,7 +192,7 @@ class TestBackward:
             assert report.ok, f"{name}: max rel err {report.max_rel_error:.2e}"
 
     def test_repeated_ids_accumulate_embedding_grad(self):
-        model = M.Model.build(toy_config(vocab_size=6), Rng(1))
+        model = M.Model.build(toy_config(vocab_size=6, seed=1))
         ids = np.array([2, 2, 2])
         labels = np.array([1, 1, 1])
         probs, cache = model.forward_with_cache(ids)
@@ -214,21 +213,21 @@ class TestParamStore:
             store.add("w", np.zeros(2))
 
     def test_load_values_name_mismatch(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         vals = model.params.values_copy()
         vals.pop("output.b")
         with pytest.raises(M.ConfigError):
             model.params.load_values(vals)
 
     def test_load_values_shape_mismatch(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         vals = model.params.values_copy()
         vals["output.b"] = np.zeros(3)
         with pytest.raises(M.ConfigError):
             model.params.load_values(vals)
 
     def test_zero_grads(self):
-        model = M.Model.build(toy_config(), Rng(0))
+        model = M.Model.build(toy_config())
         model.params["output.W"].grad += 1.0
         model.params.zero_grads()
         assert not model.params["output.W"].grad.any()
@@ -237,7 +236,7 @@ class TestParamStore:
 class TestCheckpoint:
     def make(self, tmp_path, seed=0):
         cfg = toy_config(seed=seed)
-        model = M.Model.build(cfg, Rng(seed))
+        model = M.Model.build(cfg)
         ckpt = M.Checkpoint(config=cfg, vocab_words=["<pad>", "<unk>", "a", "b"],
                             rng_algorithm="pcg64", seed=seed, step=17,
                             tensors=model.params.values_copy())

@@ -20,7 +20,7 @@ def tiny_model(vocab_size=10, dropout=0.0, l2=0.0, seed=0):
         dropout_rate=dropout, l2_weight=l2, seed=seed,
         layers=(LayerConfig("autocorr", ((1, 2),), 4),
                 LayerConfig("conv", ((0, 1),), 4)))
-    return Model.build(cfg, Rng(seed))
+    return Model.build(cfg)
 
 
 class TestCrossEntropy:
@@ -343,7 +343,7 @@ def packing_model(dropout):
         layers=(LayerConfig("autocorr", ((2, 3), (0, 1)), 4),
                 LayerConfig("conv", ((1, 2),), 3),
                 LayerConfig("conv", ((3, 1),), 2)))
-    return Model.build(cfg, Rng(4))
+    return Model.build(cfg)
 
 
 def random_batch(lengths, seed=0):
