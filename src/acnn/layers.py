@@ -70,8 +70,9 @@ def sliding_windows(x: np.ndarray, ell: int, r: int, mask: np.ndarray) -> np.nda
     _window_mask) is True, a zero vector where it is False. C-contiguous, so
     that the matmuls of _contract and its adjoint read it as one (n, w*m)
     matrix."""
-    src = np.arange(len(x))[:, None] + np.arange(-ell, r + 1)
-    win = np.take(x, src, axis=0, mode="clip")  # a clipped row stands in for a masked slot
+    n = len(x)
+    src = np.clip(np.arange(n)[:, None] + np.arange(-ell, r + 1), 0, n - 1)
+    win = np.take(x, src, axis=0)
     win[~mask] = 0.0
     return win
 
