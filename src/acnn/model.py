@@ -16,12 +16,11 @@ element-wise.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,7 +110,7 @@ class ModelConfig:
             raise ConfigError("autocorr is only supported at layer 1")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
