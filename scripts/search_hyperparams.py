@@ -35,7 +35,7 @@ def main() -> None:
         return result.best_f1
 
     trials = training.random_search(
-        training.SearchSpace(arch=args.arch), args.budget, runner,
+        args.arch, args.budget, runner,
         vocab_size=len(vocab), master_seed=args.master_seed)
     print()
     print(training.trial_table(trials))

@@ -18,8 +18,6 @@ class ArmResult:
     arch: str
     seed: int
     dev_f1: float
-    dev_precision: float | None
-    dev_recall: float | None
     per_kind_f1: dict[str, float | None]
     best_epoch: int
 
@@ -63,17 +61,14 @@ class BenchResult:
 
 def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
                train_cfg: training.TrainConfig) -> tuple[ArmResult, Model]:
-    config = replace(model_preset(f"{arch}-toy", vocab_size=len(vocab)), seed=seed)
-    model = Model.build(config)
-    result = training.train(model, train_seqs, dev_seqs, vocab,
-                            replace(train_cfg, seed=seed))
+    model = Model.build(model_preset(f"{arch}-toy", vocab_size=len(vocab), seed=seed))
+    result = training.train(model, train_seqs, dev_seqs, vocab, train_cfg)
     masks = training.predict_masks(model, dev_seqs, vocab)
     report = evaluate.score(dev_seqs, masks)
     by_kind = evaluate.score_by_kind(dev_seqs, masks)
     return ArmResult(
         arch=arch, seed=seed,
         dev_f1=report.f1 if report.f1 is not None else 0.0,
-        dev_precision=report.precision, dev_recall=report.recall,
         per_kind_f1={k: r.f1 for k, r in by_kind.items()},
         best_epoch=result.best_epoch), model
 
@@ -113,11 +108,13 @@ def ab_bench(preset: str = "rough-copy-hard", seeds=(11, 12, 13),
     return result
 
 
+RANDOM_PAIRS = 2000
+
+
 def copy_pair_similarity(embeddings: np.ndarray, vocab: Vocabulary,
-                         seqs: list[TokenSequence], rng: Rng,
-                         random_pairs: int = 2000) -> tuple[float, float]:
+                         seqs: list[TokenSequence], rng: Rng) -> tuple[float, float]:
     """Mean embedding cosine between aligned reparandum/repair token pairs vs
-    between random token pairs from the same corpus."""
+    between RANDOM_PAIRS random token pairs from the same corpus."""
     norms = np.linalg.norm(embeddings, axis=1)
     unit = embeddings / np.where(norms == 0, 1.0, norms)[:, None]
 
@@ -137,7 +134,7 @@ def copy_pair_similarity(embeddings: np.ndarray, vocab: Vocabulary,
             for a, b in zip(rep, fix):
                 copy_vals.append(cos(int(a), int(b)))
     rand_vals = []
-    for _ in range(random_pairs):
+    for _ in range(RANDOM_PAIRS):
         a = rng.choice(all_ids)
         b = rng.choice(all_ids)
         rand_vals.append(cos(a, b))

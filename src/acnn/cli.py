@@ -1,8 +1,9 @@
 """Command-line entry point: corpus synthesis, training, tagging, evaluation,
 gradient checking, and the CNN-vs-ACNN benchmark.
 
-Every command writes a RunManifest (JSON, atomic) next to its primary output
-so a run can be reproduced bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS).
+synth, train, tag and ab-bench write a RunManifest (JSON, atomic) next to
+their primary output, and eval does with --out, so a run can be reproduced
+bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS); gradcheck writes nothing.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
@@ -17,6 +18,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -98,13 +100,6 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _read_corpus_checked(path, fmt: str) -> list[data.TokenSequence]:
-    p = _resolve(path)
-    if not p.exists():
-        raise FileNotFoundError(f"corpus file not found: {p}")
-    return data.read_corpus(p, fmt)
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -114,15 +109,8 @@ DEFAULT_SPLITS = {"switchboard-like": (3000, 500, 500),
                   "toy": (200, 50, 50)}
 
 
-def _generator_preset(name: str) -> data.GeneratorConfig:
-    if name not in data.GENERATOR_PRESETS:
-        raise UsageError(f"unknown generator preset {name!r}; "
-                         f"choose from {sorted(data.GENERATOR_PRESETS)}")
-    return data.GENERATOR_PRESETS[name]
-
-
 def cmd_synth(args) -> int:
-    cfg = _generator_preset(args.preset)
+    cfg = data.GENERATOR_PRESETS[args.preset]
     counts = dict(zip(("train", "dev", "test"), DEFAULT_SPLITS[args.preset]))
     for split in counts:
         override = getattr(args, f"{split}_count")
@@ -177,7 +165,7 @@ def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
 
 
 def _train_config_from_args(args) -> training.TrainConfig:
-    cfg = training.TrainConfig(seed=args.seed)
+    cfg = training.TrainConfig()
     for attr, flag in (("batch_size", "batch_size"), ("learning_rate", "lr"),
                        ("max_epochs", "max_epochs"), ("patience", "patience")):
         v = getattr(args, flag)
@@ -193,8 +181,9 @@ def cmd_train(args) -> int:
     for path in (out, log_path):
         if path.is_dir():  # found before training, not when saving its result
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
-    train_raw = _read_corpus_checked(args.train, args.format)
-    dev_raw = _read_corpus_checked(args.dev, args.format)
+    train_path, dev_path = _resolve(args.train), _resolve(args.dev)
+    train_raw = data.read_corpus(train_path, args.format)
+    dev_raw = data.read_corpus(dev_path, args.format)
     train_seqs = [s for s in (data.preprocess(q) for q in train_raw) if s.tokens]
     dev_seqs = [s for s in (data.preprocess(q) for q in dev_raw) if s.tokens]
     vocab = data.build_vocab(train_seqs, min_freq=args.min_freq)
@@ -223,8 +212,8 @@ def cmd_train(args) -> int:
                 "preset": args.preset or f"{args.arch}-toy",
                 "min_freq": args.min_freq, "format": args.format},
         seed=args.seed,
-        inputs={str(_resolve(args.train)): _sha256(_resolve(args.train)),
-                str(_resolve(args.dev)): _sha256(_resolve(args.dev))},
+        inputs={str(train_path): _sha256(train_path),
+                str(dev_path): _sha256(dev_path)},
         outputs={str(out): _sha256(out), str(log_path): _sha256(log_path)},
         timings={"total_sec": time.time() - t0,
                  "epochs": float(last.epoch)})
@@ -238,14 +227,12 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     t0 = time.time()
-    ckpt_path = _resolve(args.checkpoint)
-    if not ckpt_path.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
+    ckpt_path, input_path = _resolve(args.checkpoint), _resolve(args.input)
     ckpt = load_checkpoint(ckpt_path)
     model = ckpt.build_model()
     vocab = data.Vocabulary(words=ckpt.vocab_words)
     seqs = [s for s in (data.preprocess(q)
-                        for q in _read_corpus_checked(args.input, args.format))
+                        for q in data.read_corpus(input_path, args.format))
             if s.tokens]
     masks = training.predict_masks(model, seqs, vocab)
     out = Path(args.out)
@@ -257,7 +244,7 @@ def cmd_tag(args) -> int:
     manifest = RunManifest(
         command="tag", config={"format": args.format}, seed=ckpt.seed,
         inputs={str(ckpt_path): _sha256(ckpt_path),
-                str(_resolve(args.input)): _sha256(_resolve(args.input))},
+                str(input_path): _sha256(input_path)},
         outputs={str(out): _sha256(out)},
         timings={"total_sec": time.time() - t0})
     write_manifest(manifest, out)
@@ -270,8 +257,11 @@ def cmd_tag(args) -> int:
 
 def cmd_eval(args) -> int:
     t0 = time.time()
-    gold = _read_corpus_checked(args.gold, args.gold_format)
-    predicted = _read_corpus_checked(args.predicted, "tabular")
+    if args.errors < 0:
+        raise UsageError(f"--errors must be >= 0, got {args.errors}")
+    gold_path, predicted_path = _resolve(args.gold), _resolve(args.predicted)
+    gold = data.read_corpus(gold_path, args.gold_format)
+    predicted = data.read_corpus(predicted_path, "tabular")
     if args.preprocess:
         gold = [s for s in (data.preprocess(q) for q in gold) if s.tokens]
     masks = [seq.disfluent_mask() for seq in predicted]
@@ -297,8 +287,8 @@ def cmd_eval(args) -> int:
         manifest = RunManifest(
             command="eval", config={"gold_format": args.gold_format},
             seed=0,
-            inputs={str(_resolve(args.gold)): _sha256(_resolve(args.gold)),
-                    str(_resolve(args.predicted)): _sha256(_resolve(args.predicted))},
+            inputs={str(gold_path): _sha256(gold_path),
+                    str(predicted_path): _sha256(predicted_path)},
             outputs={str(out): _sha256(out)},
             timings={"total_sec": time.time() - t0})
         write_manifest(manifest, out)
@@ -309,30 +299,28 @@ def cmd_eval(args) -> int:
 # gradcheck
 # ---------------------------------------------------------------------------
 
-def _gradcheck_config(arch: str, seed: int, vocab_size: int, embedding_dim: int,
-                      channels: int) -> ModelConfig:
+def _gradcheck_config(arch: str, seed: int) -> ModelConfig:
     first = "autocorr" if arch == "acnn" else "conv"
     return ModelConfig(
-        arch=arch, vocab_size=vocab_size, embedding_dim=embedding_dim,
+        arch=arch, vocab_size=16, embedding_dim=5,
         dropout_rate=0.0, l2_weight=0.05, seed=seed,
-        layers=(LayerConfig(first, ((1, 2), (2, 1)), channels),
-                LayerConfig("conv", ((1, 1),), channels),
-                LayerConfig("conv", ((0, 1),), channels)))
+        layers=(LayerConfig(first, ((1, 2), (2, 1)), 4),
+                LayerConfig("conv", ((1, 1),), 4),
+                LayerConfig("conv", ((0, 1),), 4)))
 
 
-def gradcheck_model(arch: str, seed: int = 0, vocab_size: int = 16,
-                    embedding_dim: int = 5, channels: int = 4,
-                    eps: float = 1e-5, tol: float = 1e-4,
+def gradcheck_model(arch: str, seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
                     ) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference check of every parameter tensor of a small 3-layer
-    model, on a batch containing both a 6-token and a 1-token sentence. The
-    layer geometry includes an ell=0 group."""
-    cfg = _gradcheck_config(arch, seed, vocab_size, embedding_dim, channels)
+    model (vocabulary 16, embedding 5, 4 channels), on a batch containing both
+    a 6-token and a 1-token sentence. The layer geometry includes an ell=0
+    group."""
+    cfg = _gradcheck_config(arch, seed)
     model = Model.build(cfg)
     rng = Rng(seed + 1)
     batch = []
     for n in (6, 1):
-        ids = rng.integers(2, vocab_size, size=n)
+        ids = rng.integers(2, cfg.vocab_size, size=n)
         labels = rng.integers(0, 2, size=n)
         batch.append((np.asarray(ids), np.asarray(labels)))
 
@@ -349,13 +337,11 @@ def gradcheck_model(arch: str, seed: int = 0, vocab_size: int = 16,
 
 
 def cmd_gradcheck(args) -> int:
-    with _flag_values():  # built here only so that gradcheck_model never meets a value they reject
-        _gradcheck_config(args.arch, args.seed, args.vocab_size, args.embedding_dim,
-                          args.channels)
-    results = gradcheck_model(args.arch, seed=args.seed,
-                              vocab_size=args.vocab_size,
-                              embedding_dim=args.embedding_dim,
-                              channels=args.channels, tol=args.tol)
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+    with _flag_values():  # built here only so that gradcheck_model never meets a seed it rejects
+        _gradcheck_config(args.arch, args.seed)
+    results = gradcheck_model(args.arch, seed=args.seed, tol=args.tol)
     print(f"{'tensor':<24}{'coords':>8}  {'max_rel_err':>12}  status")
     ok = True
     for name, report in results:
@@ -375,7 +361,7 @@ def cmd_ab_bench(args) -> int:
     t0 = time.time()
     with _flag_values():
         # built here only so that bench.ab_bench never meets a value they reject
-        gen_cfg = _generator_preset(args.preset)
+        gen_cfg = data.GENERATOR_PRESETS[args.preset]
         for count in (args.train_count, args.dev_count):
             replace(gen_cfg, sentence_count=count)
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -428,7 +414,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--preset", default="switchboard-like")
+    p.add_argument("--preset", choices=sorted(data.GENERATOR_PRESETS),
+                   default="switchboard-like")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--train-count", type=int, default=None)
@@ -479,14 +466,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference check of a toy model")
     p.add_argument("--arch", choices=("cnn", "acnn"), default="acnn")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=16)
-    p.add_argument("--embedding-dim", type=int, default=5)
-    p.add_argument("--channels", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ab-bench", help="CNN vs ACNN benchmark on synthetic data")
-    p.add_argument("--preset", default="rough-copy-hard")
+    p.add_argument("--preset", choices=sorted(data.GENERATOR_PRESETS),
+                   default="rough-copy-hard")
     p.add_argument("--seeds", default="11,12,13")
     p.add_argument("--train-count", type=int, default=2000)
     p.add_argument("--dev-count", type=int, default=500)

@@ -186,27 +186,12 @@ def write_heatmap_pgm(matrix: np.ndarray, path) -> None:
 def render_marked(tokens, gold, predicted) -> str:
     """Plain-text rendering of gold vs predicted marks. Each token carries a
     suffix: /g gold-only, /p predicted-only, /gp both, none when fluent in
-    both. Round-trips via parse_marked."""
+    both."""
     parts = []
     for tok, g, p in zip(tokens, gold, predicted):
         tag = ("g" if g else "") + ("p" if p else "")
         parts.append(f"{tok}/{tag}" if tag else tok)
     return " ".join(parts)
-
-
-def parse_marked(text: str):
-    tokens, gold, predicted = [], [], []
-    for part in text.split():
-        tok, sep, tag = part.rpartition("/")
-        if sep and tag in ("g", "p", "gp"):
-            tokens.append(tok)
-            gold.append("g" in tag)
-            predicted.append("p" in tag)
-        else:
-            tokens.append(part)
-            gold.append(False)
-            predicted.append(False)
-    return tokens, gold, predicted
 
 
 def error_listing(report: EvalReport, limit: int | None = None) -> str:

@@ -26,7 +26,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     max_epochs: int = 30
     patience: int = 5  # epochs without dev-F improvement before stopping
-    seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -35,6 +34,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 def cross_entropy(probs: np.ndarray, label_ids, normalizer: int | None = None):
@@ -179,7 +180,8 @@ def train(model: Model, train_seqs: list[TokenSequence],
           cfg: TrainConfig) -> TrainResult:
     """Seeded-shuffle minibatch training with Adam and patience-based early
     stopping on dev F-score; returns with the model at its best epoch.
-    Deterministic for a fixed seed and data."""
+    Shuffling and dropout draw from the model config's seed, so that seed and
+    the data fix the whole run."""
     if not train_seqs or not dev_seqs:
         raise CorpusFormatError("training and dev corpora must be non-empty")
     if not any(DISFLUENT in seq.labels for seq in dev_seqs):
@@ -188,7 +190,7 @@ def train(model: Model, train_seqs: list[TokenSequence],
             "add disfluent examples to the dev corpus")
     data = [(vocab.encode(seq.tokens), seq.disfluent_mask().astype(np.int64))
             for seq in train_seqs if seq.tokens]
-    rng = Rng(cfg.seed)
+    rng = Rng(model.config.seed)
     shuffle_rng = rng.spawn(1)
     dropout_rng = rng.spawn(2)
     best_values = model.params.values_copy()
@@ -230,37 +232,36 @@ def train(model: Model, train_seqs: list[TokenSequence],
 # Randomized hyperparameter search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchSpace:
-    arch: str = "acnn"
-    embedding_dims: tuple[int, ...] = (16, 32)
-    channel_choices: tuple[int, ...] = (8, 16)
-    dropout_range: tuple[float, float] = (0.1, 0.6)
-    l2_range: tuple[float, float] = (0.0, 0.2)
-    ell_range: tuple[int, int] = (0, 3)
-    r_range: tuple[int, int] = (1, 6)
-    learning_rates: tuple[float, ...] = (0.001, 0.003)
+# The ranges every trial draws from; only the architecture varies per search.
+SEARCH_EMBEDDING_DIMS = (16, 32)
+SEARCH_CHANNELS = (8, 16)
+SEARCH_DROPOUT = (0.1, 0.6)
+SEARCH_L2 = (0.0, 0.2)
+SEARCH_ELL = (0, 3)
+SEARCH_R = (1, 6)
+SEARCH_LEARNING_RATES = (0.001, 0.003)
 
-    def sample(self, rng: Rng, vocab_size: int, seed: int) -> tuple[ModelConfig, TrainConfig]:
-        first = "autocorr" if self.arch == "acnn" else "conv"
 
-        def group() -> tuple[int, int]:
-            ell = int(rng.integers(self.ell_range[0], self.ell_range[1] + 1))
-            r = int(rng.integers(self.r_range[0], self.r_range[1] + 1))
-            return (ell, r)
+def _sample_trial(arch: str, rng: Rng, vocab_size: int,
+                  seed: int) -> tuple[ModelConfig, TrainConfig]:
+    first = "autocorr" if arch == "acnn" else "conv"
 
-        channels = rng.choice(self.channel_choices)
-        mcfg = ModelConfig(
-            arch=self.arch, vocab_size=vocab_size,
-            embedding_dim=rng.choice(self.embedding_dims),
-            dropout_rate=float(rng.uniform(*self.dropout_range)),
-            l2_weight=float(rng.uniform(*self.l2_range)),
-            layers=(LayerConfig(first, (group(),), channels),
-                    LayerConfig("conv", (group(),), channels),
-                    LayerConfig("conv", (group(),), channels)),
-            seed=seed)
-        tcfg = TrainConfig(learning_rate=rng.choice(self.learning_rates), seed=seed)
-        return mcfg, tcfg
+    def group() -> tuple[int, int]:
+        ell = int(rng.integers(SEARCH_ELL[0], SEARCH_ELL[1] + 1))
+        r = int(rng.integers(SEARCH_R[0], SEARCH_R[1] + 1))
+        return (ell, r)
+
+    channels = rng.choice(SEARCH_CHANNELS)
+    mcfg = ModelConfig(
+        arch=arch, vocab_size=vocab_size,
+        embedding_dim=rng.choice(SEARCH_EMBEDDING_DIMS),
+        dropout_rate=float(rng.uniform(*SEARCH_DROPOUT)),
+        l2_weight=float(rng.uniform(*SEARCH_L2)),
+        layers=(LayerConfig(first, (group(),), channels),
+                LayerConfig("conv", (group(),), channels),
+                LayerConfig("conv", (group(),), channels)),
+        seed=seed)
+    return mcfg, TrainConfig(learning_rate=rng.choice(SEARCH_LEARNING_RATES))
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ class Trial:
     dev_f1: float
 
 
-def random_search(space: SearchSpace, budget: int, runner, vocab_size: int,
+def random_search(arch: str, budget: int, runner, vocab_size: int,
                   master_seed: int = 0) -> list[Trial]:
     """Sample `budget` configurations, train each via `runner(model_cfg,
     train_cfg) -> dev_f1`, and rank by dev F (descending). Reproducible from
@@ -283,7 +284,7 @@ def random_search(space: SearchSpace, budget: int, runner, vocab_size: int,
     trials = []
     for i in range(budget):
         trial_seed = int(rng.integers(0, 2 ** 31))
-        mcfg, tcfg = space.sample(rng, vocab_size, trial_seed)
+        mcfg, tcfg = _sample_trial(arch, rng, vocab_size, trial_seed)
         dev_f1 = runner(mcfg, tcfg)
         trials.append(Trial(index=i, seed=trial_seed, model_config=mcfg,
                             train_config=tcfg, dev_f1=dev_f1))

@@ -199,6 +199,18 @@ class TestTagAndEval:
                 "--out", str(tmp_path / "o.tab"))
         assert not (tmp_path / "o.tab").exists()
 
+    @pytest.mark.parametrize("value", ["-3", "-1"])
+    def test_negative_errors_is_usage_error(self, value, corpus_dir, monkeypatch,
+                                            capsys):
+        def never(*_, **__):
+            raise AssertionError("read a corpus after a rejected flag value")
+
+        monkeypatch.setattr(cli.data, "read_corpus", never)
+        assert run("eval", "--gold", str(corpus_dir / "test.bt"),
+                   "--predicted", str(corpus_dir / "test.bt"),
+                   "--errors", value) == cli.EXIT_USAGE
+        assert "error:usage" in capsys.readouterr().err
+
     def test_data_dir_env_resolution(self, corpus_dir, trained, tmp_path,
                                      monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(corpus_dir))
@@ -226,9 +238,14 @@ class TestGradcheck:
         monkeypatch.setattr(L, "conv1d_backward", broken)
         assert run("gradcheck", "--arch", "cnn") == cli.EXIT_NUMERIC
 
-    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--vocab-size", "1"),
-                                            ("--channels", "0")])
-    def test_rejected_flag_value_is_usage_error(self, flag, value, capsys):
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--tol", "-1"),
+                                            ("--tol", "0"), ("--tol", "nan"),
+                                            ("--tol", "inf")])
+    def test_rejected_flag_value_is_usage_error(self, flag, value, monkeypatch, capsys):
+        def never(*_, **__):
+            raise AssertionError("checked gradients after a rejected flag value")
+
+        monkeypatch.setattr(cli, "gradcheck_model", never)
         assert run("gradcheck", flag, value) == cli.EXIT_USAGE
         assert "error:usage" in capsys.readouterr().err
 
@@ -269,11 +286,15 @@ class TestUsage:
         ("train", "--arch", "cnn", "--lr", "inf"),
         ("ab-bench", "--max-epochs", "0"),
         ("ab-bench", "--lr", "nan"),
+        ("train", "--arch", "cnn", "--patience", "0"),
+        ("train", "--arch", "cnn", "--patience", "-4"),
+        ("ab-bench", "--patience", "0"),
     ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
             "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
             "ab-bench-train-count-0", "ab-bench-seeds-negative", "max-epochs-0",
             "max-epochs-negative", "lr-nan", "lr-inf", "ab-bench-max-epochs-0",
-            "ab-bench-lr-nan"])
+            "ab-bench-lr-nan", "patience-0", "patience-negative",
+            "ab-bench-patience-0"])
     def test_rejected_flag_value_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         if argv[0] == "train":
             argv += ("--train", str(corpus_dir / "train.bt"),

@@ -165,18 +165,6 @@ class TestMarkedText:
                                [True, False, True, False])
         assert text == "a/gp b/g c/p d"
 
-    def test_round_trip(self):
-        tokens = ["x", "y", "z", "w"]
-        gold = [False, True, False, True]
-        pred = [True, True, False, False]
-        text = E.render_marked(tokens, gold, pred)
-        assert E.parse_marked(text) == (tokens, gold, pred)
-
-    def test_plain_tokens_unmarked(self):
-        tokens, gold, pred = E.parse_marked("just some words")
-        assert tokens == ["just", "some", "words"]
-        assert not any(gold) and not any(pred)
-
     def test_error_listing(self):
         gold, masks = seqs_and_masks()
         report = E.score(gold, masks)

@@ -228,7 +228,7 @@ class TestTrain:
         model = tiny_model(vocab_size=len(vocab), dropout=kw.pop("dropout", 0.1))
         cfg = TR.TrainConfig(max_epochs=kw.pop("max_epochs", 3),
                              patience=kw.pop("patience", 5),
-                             learning_rate=kw.pop("lr", 0.005), seed=7)
+                             learning_rate=kw.pop("lr", 0.005))
         return model, TR.train(model, train, dev, vocab, cfg)
 
     def test_runs_and_logs(self):
@@ -245,9 +245,10 @@ class TestTrain:
         assert result.best_f1 == pytest.approx(max(f1s))
         assert result.log[result.best_epoch - 1].dev_f1 == pytest.approx(result.best_f1)
 
-    def test_patience_zero_runs_one_epoch(self):
-        _, result = self.run(patience=0, max_epochs=10)
-        assert len(result.log) == 1
+    @pytest.mark.parametrize("patience", [0, -4])
+    def test_patience_below_one_rejected(self, patience):
+        with pytest.raises(ValueError, match="patience"):
+            TR.TrainConfig(patience=patience)
 
     def test_seed_determinism(self):
         m1, r1 = self.run()
@@ -255,6 +256,17 @@ class TestTrain:
         assert [e.format() for e in r1.log] == [e.format() for e in r2.log]
         for k, v in m1.params.values_copy().items():
             assert np.array_equal(v, m2.params[k].value), k
+
+    def test_model_seed_drives_shuffle_and_dropout(self):
+        # same initial values, same TrainConfig: only the config seed differs
+        train, dev, vocab = toy_data()
+        a = tiny_model(vocab_size=len(vocab), dropout=0.1, seed=0)
+        b = tiny_model(vocab_size=len(vocab), dropout=0.1, seed=1)
+        b.params.load_values(a.params.values_copy())
+        cfg = TR.TrainConfig(max_epochs=2, patience=5, learning_rate=0.005)
+        logs = [[e.format() for e in TR.train(m, train, dev, vocab, cfg).log]
+                for m in (a, b)]
+        assert logs[0] != logs[1]
 
     def test_returns_model_at_best_epoch(self):
         train, dev, vocab = toy_data()
@@ -268,7 +280,7 @@ class TestTrain:
         model = tiny_model(vocab_size=len(vocab))
         result = TR.train(model, train, dev, vocab,
                           TR.TrainConfig(max_epochs=6, patience=10,
-                                         learning_rate=0.005, seed=1))
+                                         learning_rate=0.005))
         losses = [e.train_loss for e in result.log]
         assert losses[-1] < losses[0]
 
@@ -291,48 +303,47 @@ class TestTrain:
 
 class TestRandomSearch:
     def test_budget_one(self):
-        space = TR.SearchSpace()
-        trials = TR.random_search(space, 1, lambda m, t: 0.5, vocab_size=20)
+        trials = TR.random_search("acnn", 1, lambda m, t: 0.5, vocab_size=20)
         assert len(trials) == 1
         assert trials[0].dev_f1 == 0.5
 
     def test_reproducible_sampling(self):
-        space = TR.SearchSpace()
-        a = TR.random_search(space, 4, lambda m, t: 0.0, 20, master_seed=3)
-        b = TR.random_search(space, 4, lambda m, t: 0.0, 20, master_seed=3)
+        a = TR.random_search("acnn", 4, lambda m, t: 0.0, 20, master_seed=3)
+        b = TR.random_search("acnn", 4, lambda m, t: 0.0, 20, master_seed=3)
         assert [tr.model_config for tr in a] == [tr.model_config for tr in b]
         assert [tr.seed for tr in a] == [tr.seed for tr in b]
 
     def test_ranked_by_dev_f1(self):
         scores = iter([0.2, 0.9, 0.5])
-        trials = TR.random_search(TR.SearchSpace(), 3,
-                                  lambda m, t: next(scores), 20)
+        trials = TR.random_search("acnn", 3, lambda m, t: next(scores), 20)
         assert [tr.dev_f1 for tr in trials] == [0.9, 0.5, 0.2]
         assert trials[0].index == 1
 
     def test_samples_within_space(self):
-        space = TR.SearchSpace(arch="cnn", embedding_dims=(8,),
-                               channel_choices=(4,), learning_rates=(0.01,))
-        trials = TR.random_search(space, 8, lambda m, t: 0.0, 20, master_seed=1)
+        trials = TR.random_search("cnn", 8, lambda m, t: 0.0, 20, master_seed=1)
         for tr in trials:
             m = tr.model_config
             assert m.arch == "cnn"
-            assert m.embedding_dim == 8
-            assert all(lc.channels == 4 for lc in m.layers)
+            assert m.seed == tr.seed
+            assert m.embedding_dim in TR.SEARCH_EMBEDDING_DIMS
+            assert m.layers[0].channels in TR.SEARCH_CHANNELS
+            assert all(lc.channels == m.layers[0].channels for lc in m.layers)
+            assert TR.SEARCH_DROPOUT[0] <= m.dropout_rate <= TR.SEARCH_DROPOUT[1]
+            assert TR.SEARCH_L2[0] <= m.l2_weight <= TR.SEARCH_L2[1]
             for lc in m.layers:
                 for ell, r in lc.kernel_groups:
-                    assert space.ell_range[0] <= ell <= space.ell_range[1]
-                    assert space.r_range[0] <= r <= space.r_range[1]
-            assert tr.train_config.learning_rate == 0.01
+                    assert TR.SEARCH_ELL[0] <= ell <= TR.SEARCH_ELL[1]
+                    assert TR.SEARCH_R[0] <= r <= TR.SEARCH_R[1]
+            assert tr.train_config.learning_rate in TR.SEARCH_LEARNING_RATES
 
     def test_trial_table_lists_all(self):
-        trials = TR.random_search(TR.SearchSpace(), 3, lambda m, t: 0.1, 20)
+        trials = TR.random_search("acnn", 3, lambda m, t: 0.1, 20)
         table = TR.trial_table(trials)
         assert len(table.splitlines()) == 4
 
     def test_budget_validated(self):
         with pytest.raises(ValueError):
-            TR.random_search(TR.SearchSpace(), 0, lambda m, t: 0.0, 20)
+            TR.random_search("acnn", 0, lambda m, t: 0.0, 20)
 
 
 def packing_model(dropout):
