@@ -181,15 +181,16 @@ def cmd_train(args) -> int:
     for path in (out, log_path):
         if path.is_dir():  # found before training, not when saving its result
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
+    with _flag_values():  # before any corpus is read; the vocabulary size comes after
+        mcfg = _model_config_from_args(args, vocab_size=2)
+        tcfg = _train_config_from_args(args)
     train_path, dev_path = _resolve(args.train), _resolve(args.dev)
     train_raw = data.read_corpus(train_path, args.format)
     dev_raw = data.read_corpus(dev_path, args.format)
     train_seqs = [s for s in (data.preprocess(q) for q in train_raw) if s.tokens]
     dev_seqs = [s for s in (data.preprocess(q) for q in dev_raw) if s.tokens]
     vocab = data.build_vocab(train_seqs, min_freq=args.min_freq)
-    with _flag_values():
-        mcfg = _model_config_from_args(args, len(vocab))
-        tcfg = _train_config_from_args(args)
+    mcfg = replace(mcfg, vocab_size=len(vocab))
     model = Model.build(mcfg)
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
 

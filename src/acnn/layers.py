@@ -136,14 +136,12 @@ def _fold(B: np.ndarray) -> np.ndarray:
     return Bs
 
 
-def _unfold_add(dBs: np.ndarray, dB: np.ndarray) -> None:
-    """Adjoint of _fold, added into dB: pair (i, j) sends its gradient to both
-    B[i, j] and B[j, i]."""
-    starts = _row_starts(dB.shape[1])
+def _mirror(dB: np.ndarray) -> None:
+    """Copy the i < j half of a (c, w, w, m) kernel gradient onto its i > j
+    half: the adjoint of _fold sends pair (i, j)'s gradient to both entries, so
+    a gradient summed on the i <= j half is completed by one copy."""
     for i in range(dB.shape[1]):
-        row = dBs[:, starts[i] : starts[i + 1]]
-        dB[:, i, i:] += row
-        dB[:, i + 1 :, i] += row[:, 1:]
+        dB[:, i + 1 :, i] = dB[:, i, i + 1 :]
 
 
 def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -182,16 +180,17 @@ def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
 
 
 def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                     B: np.ndarray, b: np.ndarray,
-                     lengths=None) -> tuple[np.ndarray, AutoCorrCache]:
+                     B: np.ndarray, b: np.ndarray, lengths=None, *,
+                     folded: np.ndarray | None = None) -> tuple[np.ndarray, AutoCorrCache]:
     """out[t, u] = A[u] . window + B[u] . (window x window interactions) + b[u].
 
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
     pairwise interaction tensor restricted to the window at t, computed over
-    the pairs i <= j with B folded (see the module docstring). With B == 0 this
-    is exactly conv1d_forward. The rows of x are sentences of `lengths`
-    (default: one sentence); a masked-out window row is zero, and so is every
-    interaction entry it takes part in.
+    the pairs i <= j with B folded (see the module docstring). `folded` is
+    _fold(B) when the caller has it already, so that several calls over one B
+    fold it once. With B == 0 this is exactly conv1d_forward. The rows of x are
+    sentences of `lengths` (default: one sentence); a masked-out window row is
+    zero, and so is every interaction entry it takes part in.
     """
     win, mask = _checked_windows(x, spec, A, b, lengths)
     n, w, m = win.shape
@@ -201,16 +200,18 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     pair = np.empty((n, starts[-1], m), dtype=win.dtype)
     for i in range(w):
         np.multiply(win[:, i : i + 1], win[:, i:], out=pair[:, starts[i] : starts[i + 1]])
-    Bs = _fold(B)
+    Bs = _fold(B) if folded is None else folded
     out = _contract(win, A) + _contract(pair, Bs) + b
     return out, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask,
                               pair_windows=pair, folded=Bs)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
-                      dB: np.ndarray):
+                      dB: np.ndarray, *, mirror: bool = True):
     """Gradients of an autocorr_forward call: returns (dx, dA, dB, db), where
     the kernel gradient is added into the caller's (c, w, w, m) `dB` in place.
+    With mirror=False only its i <= j half is added to; a caller summing
+    several calls into a symmetric `dB` completes it once with _mirror.
 
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
@@ -227,7 +228,12 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
         drow = dpair[:, starts[i] : starts[i + 1]]
         dwin[:, i] += np.einsum("njm,njm->nm", drow, win[:, i:])
         dwin[:, i:] += drow * win[:, i : i + 1]
-    _unfold_add(dBs, dB)
+    # adjoint of _fold: pair (i, j) sends its gradient to B[i, j] and B[j, i]
+    for i in range(w):
+        row = dBs[:, starts[i] : starts[i + 1]]
+        dB[:, i, i:] += row
+        if mirror:
+            dB[:, i + 1 :, i] += row[:, 1:]
     dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
     return dx, dA, dB, upstream.sum(axis=0)
 

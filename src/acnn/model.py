@@ -139,6 +139,9 @@ class Param:
 
     @staticmethod
     def of(value: np.ndarray) -> "Param":
+        """Every array C-contiguous, so that flat views of it are views; a
+        C-contiguous value is taken over as it is, not copied."""
+        value = np.ascontiguousarray(value)
         # np.zeros maps no page before its first write, so tagging never pays for these
         return Param(value=value,
                      grad=np.zeros(value.shape),
@@ -236,19 +239,34 @@ class Model:
                        else np.ones(shape))
         return Model(config, params)
 
+    def _folded_kernels(self) -> dict[str, np.ndarray]:
+        """Each autocorr B folded (layers._fold), by parameter name, for the
+        `folds` of several forward calls over unchanged values."""
+        return {name: L._fold(p.value) for name, p in self.params.items()
+                if name.endswith(".B")}
+
+    def _mirror_kernel_grads(self) -> None:
+        """Complete the B gradients that backward calls with mirror_B=False
+        summed on their i <= j half (layers._mirror)."""
+        for name, p in self.params.items():
+            if name.endswith(".B"):
+                L._mirror(p.grad)
+
     def forward(self, token_ids, training: bool = False,
-                rng: Rng | None = None, lengths=None) -> np.ndarray:
+                rng: Rng | None = None, lengths=None, *, folds=None) -> np.ndarray:
         """Class probabilities, one row per input token (see forward_with_cache
-        for `lengths`)."""
+        for `lengths` and `folds`)."""
         probs, _ = self.forward_with_cache(token_ids, training=training, rng=rng,
-                                           lengths=lengths)
+                                           lengths=lengths, folds=folds)
         return probs
 
     def forward_with_cache(self, token_ids, training: bool = False, rng: Rng | None = None,
-                           lengths=None) -> tuple[np.ndarray, _ForwardCache]:
+                           lengths=None, *, folds=None) -> tuple[np.ndarray, _ForwardCache]:
         """Probabilities and the cache for `backward`. `token_ids` may be several
         sentences stacked in order, of `lengths` tokens each (default: one
-        sentence); each row then equals that of its sentence run on its own."""
+        sentence); each row then equals that of its sentence run on its own.
+        `folds` is _folded_kernels() of the current values, or None to fold
+        each B in this call."""
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or len(ids) == 0:
             raise ValueError("token_ids must be a non-empty 1-d sequence")
@@ -268,7 +286,9 @@ class Model:
                 b = self.params[f"{prefix}.b"].value
                 if lc.kind == "autocorr":
                     B = self.params[f"{prefix}.B"].value
-                    out, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
+                    folded = None if folds is None else folds[f"{prefix}.B"]
+                    out, cache = L.autocorr_forward(x, spec, A, B, b, lengths,
+                                                    folded=folded)
                 else:
                     out, cache = L.conv1d_forward(x, spec, A, b, lengths)
                 cols.append(out)
@@ -285,9 +305,12 @@ class Model:
             ids=ids, dropout_mask=mask, pre_activations=pre_acts,
             group_caches=group_caches, final_features=x)
 
-    def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
+    def backward(self, cache: _ForwardCache, dscores: np.ndarray, *,
+                 mirror_B: bool = True) -> None:
         """Accumulate the parameter gradients of one forward_with_cache call
-        into the store."""
+        into the store. With mirror_B=False each B gradient gets only its
+        i <= j half (see layers.autocorr_backward), and the caller completes it
+        with _mirror_kernel_grads after its last call."""
         dx, dW, db = L.width1_backward(cache.final_features,
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad += dW
@@ -304,7 +327,8 @@ class Model:
                 gcache = cache.group_caches[k - 1][g]
                 if lc.kind == "autocorr":
                     dxg, dA, _, dbg = L.autocorr_backward(
-                        gcache, A, upstream, self.params[f"{prefix}.B"].grad)
+                        gcache, A, upstream, self.params[f"{prefix}.B"].grad,
+                        mirror=mirror_B)
                 else:
                     dxg, dA, dbg = L.conv1d_backward(gcache, A, upstream)
                 self.params[f"{prefix}.A"].grad += dA

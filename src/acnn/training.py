@@ -63,30 +63,41 @@ def add_l2_grad(params: ParamStore, weight: float) -> None:
     params["output.W"].grad += 2.0 * weight * params["output.W"].value
 
 
+# Elements per Adam block: its two float64 scratch blocks (256 KiB each) and
+# the block's value, gradient and moments stay in cache between its passes.
+ADAM_BLOCK = 1 << 15
+
+
 def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
     """Standard Adam with bias-corrected moments; t is 1-based.
 
-    Works in place with two weight-sized scratch arrays per tensor, doing the
-    textbook float operations in the textbook order:
-    value -= (lr * m_hat) / (sqrt(v_hat) + eps)."""
+    Works in place over blocks of ADAM_BLOCK elements, with two block-sized
+    scratch arrays shared by every tensor, doing the textbook float operations
+    in the textbook order: value -= (lr * m_hat) / (sqrt(v_hat) + eps)."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    scratch = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for _, p in params.items():
-        step = np.multiply(1.0 - b1, p.grad)
-        p.adam_m *= b1
-        p.adam_m += step
-        np.multiply(1.0 - b2, p.grad, out=step)
-        step *= p.grad
-        p.adam_v *= b2
-        p.adam_v += step
-        np.divide(p.adam_m, 1.0 - b1 ** t, out=step)
-        step *= cfg.learning_rate
-        denom = np.divide(p.adam_v, 1.0 - b2 ** t)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        p.value -= step
+        # views, since Param keeps every array C-contiguous
+        flat = [a.reshape(-1) for a in (p.value, p.grad, p.adam_m, p.adam_v)]
+        for lo in range(0, p.value.size, ADAM_BLOCK):
+            value, grad, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            step, denom = (a[:len(value)] for a in scratch)
+            np.multiply(1.0 - b1, grad, out=step)
+            m *= b1
+            m += step
+            np.multiply(1.0 - b2, grad, out=step)
+            step *= grad
+            v *= b2
+            v += step
+            np.divide(m, 1.0 - b1 ** t, out=step)
+            step *= cfg.learning_rate
+            np.divide(v, 1.0 - b2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            value -= step
 
 
 # Token budget of one packed forward/backward pass. Larger chunks run fewer,
@@ -120,16 +131,20 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
     """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
     penalty; gradients are accumulated into the model's parameter store.
-    The sentences run packed, one forward and backward pass per _chunks run."""
+    The sentences run packed, one forward and backward pass per _chunks run;
+    each B is folded once for all of them, and its gradient, summed on the
+    i <= j half, is mirrored once after the last."""
     model.params.zero_grads()
     total_tokens = sum(len(ids) for ids, _ in batch)
+    folds = model._folded_kernels()
     loss = 0.0
     for lengths, ids, label_ids in _chunks(batch):
         probs, cache = model.forward_with_cache(ids, training=training, rng=rng,
-                                                lengths=lengths)
+                                                lengths=lengths, folds=folds)
         part, dscores = cross_entropy(probs, label_ids, normalizer=total_tokens)
         loss += part
-        model.backward(cache, dscores)
+        model.backward(cache, dscores, mirror_B=False)
+    model._mirror_kernel_grads()
     loss += l2_penalty(model.params, model.config.l2_weight)
     add_l2_grad(model.params, model.config.l2_weight)
     if not math.isfinite(loss):
@@ -140,10 +155,11 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
 def predict_masks(model: Model, seqs: list[TokenSequence],
                   vocab: Vocabulary) -> list[np.ndarray]:
     """Per-sentence disfluency masks (eval mode), packed as in training: one
-    Model.forward per _chunks run."""
+    Model.forward per _chunks run, with each B folded once per call."""
+    folds = model._folded_kernels()
     masks = []
     for lengths, ids in _chunks([(vocab.encode(seq.tokens),) for seq in seqs]):
-        probs = model.forward(ids, training=False, lengths=lengths)
+        probs = model.forward(ids, training=False, lengths=lengths, folds=folds)
         disfluent = probs.argmax(axis=1) == CLASS_DISFLUENT
         masks += np.split(disfluent, np.cumsum(lengths[:-1]))
     return masks

@@ -305,6 +305,28 @@ class TestUsage:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--arch", "cnn", "--patience", "0"),
+        ("--arch", "cnn", "--seed", "-1"),
+        ("--arch", "cnn", "--preset", "acnn-toy"),
+        ("--arch", "acnn", "--dropout", "1.5"),
+        ("--arch", "acnn", "--l2", "-1"),
+        ("--arch", "cnn", "--channels", "0"),
+        ("--arch", "cnn", "--embedding-dim", "0"),
+    ], ids=["patience-0", "seed-negative", "preset-arch-mismatch", "dropout-1.5",
+            "l2-negative", "channels-0", "embedding-dim-0"])
+    def test_train_flags_checked_before_corpora(self, flags, tmp_path, monkeypatch,
+                                                capsys):
+        def never(*_, **__):
+            raise AssertionError("read a corpus before checking the flag values")
+
+        monkeypatch.setattr(cli.data, "read_corpus", never)
+        missing = str(tmp_path / "missing.bt")
+        assert run("train", *flags, "--train", missing, "--dev", missing,
+                   "--out", str(tmp_path / "out")) == cli.EXIT_USAGE
+        assert "error:usage" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAbBench:
     def test_runs_to_completion(self, tmp_path, capsys):

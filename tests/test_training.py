@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from acnn import evaluate
+from acnn import layers as L
 from acnn import training as TR
 from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, TokenSequence,
                        Vocabulary, build_vocab, generate_corpus, parse_annotated,
@@ -168,9 +169,11 @@ def textbook_adam(value, grads, cfg):
 
 
 class TestAdamInPlace:
-    def test_byte_identical_to_textbook(self):
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (3, 40000), (2, 4, 2 ** 14)],
+                             ids=["one-block", "partial-last-block", "whole-blocks"])
+    def test_byte_identical_to_textbook(self, shape):
+        assert TR.ADAM_BLOCK == 2 ** 15
         rng = np.random.default_rng(0)
-        shape = (7, 5, 3)
         cfg = TR.TrainConfig(learning_rate=0.003)
         grads = [rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 2, shape)
                  for _ in range(6)]
@@ -405,6 +408,72 @@ class TestPacking:
         batch = random_batch([3, 0, 2])
         with pytest.raises(ValueError):
             TR.batch_loss_and_grads(packing_model(0.0), batch)
+
+
+def step_fold_model():
+    """A (5, 6) and an ell = 0 autocorr group, dropout and L2 on."""
+    cfg = ModelConfig(
+        arch="acnn", vocab_size=12, embedding_dim=3, dropout_rate=0.3,
+        l2_weight=0.1, seed=6,
+        layers=(LayerConfig("autocorr", ((5, 6), (0, 2)), 4),
+                LayerConfig("conv", ((1, 1),), 3),
+                LayerConfig("conv", ((0, 1),), 2)))
+    return Model.build(cfg)
+
+
+# a 1-token sentence and one longer than the chunk budget, in three chunks
+STEP_LENGTHS = [20, 1, 25, 60, 30, 10]
+STEP_KERNELS = ("layer1.group0.B", "layer1.group1.B")
+
+
+class TestStepFold:
+    def test_equals_full_backward_per_chunk(self):
+        """Folding each B once per step and mirroring its gradient once after
+        the last chunk gives the loss and every gradient, byte for byte, of
+        per-chunk Model.backward calls that each add a full gradient."""
+        batch = random_batch(STEP_LENGTHS, seed=2)
+        model = step_fold_model()
+        loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(3))
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
+        chunks = list(TR._chunks(batch))
+        assert [lengths for lengths, _, _ in chunks] == [[20, 1, 25], [60], [30, 10]]
+        model.params.zero_grads()
+        rng, want_loss = Rng(3), 0.0
+        for lengths, ids, labels in chunks:
+            probs, cache = model.forward_with_cache(ids, training=True, rng=rng,
+                                                    lengths=lengths)
+            part, dscores = TR.cross_entropy(probs, labels, normalizer=sum(STEP_LENGTHS))
+            want_loss += part
+            model.backward(cache, dscores)
+        want_loss += TR.l2_penalty(model.params, model.config.l2_weight)
+        TR.add_l2_grad(model.params, model.config.l2_weight)
+        assert loss == want_loss
+        for name, p in model.params.items():
+            assert grads[name].tobytes() == p.grad.tobytes(), name
+        for name in STEP_KERNELS:
+            g = grads[name]
+            assert g[:, 1, 0].any()
+            assert np.array_equal(g, np.swapaxes(g, 1, 2)), name
+
+    def test_each_B_folded_once_per_call(self, monkeypatch):
+        folded = []
+        fold = L._fold
+
+        def counted(B):
+            folded.append(B.shape)
+            return fold(B)
+
+        monkeypatch.setattr(L, "_fold", counted)
+        model = step_fold_model()
+        shapes = [model.params[name].value.shape for name in STEP_KERNELS]
+        TR.batch_loss_and_grads(model, random_batch(STEP_LENGTHS, seed=2),
+                                training=True, rng=Rng(3))
+        assert folded == shapes
+        folded.clear()
+        vocab = packing_vocab()
+        seqs = [TokenSequence(tokens=["w2"] * n, labels=[FLUENT] * n) for n in STEP_LENGTHS]
+        assert len(TR.predict_masks(model, seqs, vocab)) == len(seqs)
+        assert folded == shapes
 
 
 def packing_vocab():
