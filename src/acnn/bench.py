@@ -24,8 +24,6 @@ class ArmResult:
 
 @dataclass
 class BenchResult:
-    preset: str
-    seeds: tuple[int, ...]
     cnn: list[ArmResult] = field(default_factory=list)
     acnn: list[ArmResult] = field(default_factory=list)
     # last trained ACNN, kept for the embedding similarity diagnostic
@@ -92,7 +90,7 @@ def ab_bench(preset: str = "rough-copy-hard", seeds=(11, 12, 13),
     vocab = build_vocab(train_seqs)
     if train_cfg is None:
         train_cfg = training.TrainConfig(learning_rate=0.002, max_epochs=25, patience=6)
-    result = BenchResult(preset=preset, seeds=tuple(seeds))
+    result = BenchResult()
     for seed in seeds:
         for arch in ("cnn", "acnn"):
             arm, model = _train_arm(arch, seed, train_seqs, dev_seqs, vocab, train_cfg)

@@ -80,8 +80,12 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _manifest_path(primary_output) -> Path:
+    return Path(str(primary_output) + ".manifest.json")
+
+
 def write_manifest(manifest: RunManifest, primary_output) -> Path:
-    path = Path(str(primary_output) + ".manifest.json")
+    path = _manifest_path(primary_output)
     _write_text(path, json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n")
     return path
 
@@ -89,6 +93,23 @@ def write_manifest(manifest: RunManifest, primary_output) -> Path:
 def _write_text(path, text: str) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _check_outputs(inputs: dict, outputs: dict) -> None:
+    """Refuse, before any work, an output that would replace a file the run
+    reads or writes. `inputs` and `outputs` map the role of each path, which
+    error messages name, to the path. An output that resolves to an input or
+    to another output is a usage error; one that is an existing directory is
+    a data error."""
+    roles = {Path(path).resolve(): role for role, path in inputs.items()}
+    for role, path in outputs.items():
+        path = Path(path)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
+        key = path.resolve()
+        if key in roles:
+            raise UsageError(f"{role} {path} is also the {roles[key]}")
+        roles[key] = role
 
 
 def _resolve(path: str) -> Path:
@@ -178,13 +199,12 @@ def cmd_train(args) -> int:
     t0 = time.time()
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(".log")
-    for path in (out, log_path):
-        if path.is_dir():  # found before training, not when saving its result
-            raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
+    train_path, dev_path = _resolve(args.train), _resolve(args.dev)
+    _check_outputs({"training corpus": train_path, "dev corpus": dev_path},
+                   {"checkpoint": out, "log": log_path, "manifest": _manifest_path(out)})
     with _flag_values():  # before any corpus is read; the vocabulary size comes after
         mcfg = _model_config_from_args(args, vocab_size=2)
         tcfg = _train_config_from_args(args)
-    train_path, dev_path = _resolve(args.train), _resolve(args.dev)
     train_raw = data.read_corpus(train_path, args.format)
     dev_raw = data.read_corpus(dev_path, args.format)
     train_seqs = [s for s in (data.preprocess(q) for q in train_raw) if s.tokens]
@@ -201,9 +221,7 @@ def cmd_train(args) -> int:
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
     last = result.log[-1]
     best = next(l for l in result.log if l.epoch == result.best_epoch)
-
-    def fmt(v):
-        return "absent" if v is None else f"{100 * v:.2f}"
+    fmt = evaluate.format_percent
     print(f"best epoch {result.best_epoch}: dev P {fmt(best.dev_precision)} "
           f"R {fmt(best.dev_recall)} F {fmt(best.dev_f1)}")
     print(param_count(model.params).format())
@@ -229,6 +247,9 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     t0 = time.time()
     ckpt_path, input_path = _resolve(args.checkpoint), _resolve(args.input)
+    out = Path(args.out)
+    _check_outputs({"checkpoint": ckpt_path, "input": input_path},
+                   {"output": out, "manifest": _manifest_path(out)})
     ckpt = load_checkpoint(ckpt_path)
     model = ckpt.build_model()
     vocab = data.Vocabulary(words=ckpt.vocab_words)
@@ -236,7 +257,6 @@ def cmd_tag(args) -> int:
                         for q in data.read_corpus(input_path, args.format))
             if s.tokens]
     masks = training.predict_masks(model, seqs, vocab)
-    out = Path(args.out)
     tagged = [data.TokenSequence(
         tokens=s.tokens,
         labels=[data.DISFLUENT if m else data.FLUENT for m in mask])
@@ -261,6 +281,9 @@ def cmd_eval(args) -> int:
     if args.errors < 0:
         raise UsageError(f"--errors must be >= 0, got {args.errors}")
     gold_path, predicted_path = _resolve(args.gold), _resolve(args.predicted)
+    out = Path(args.out) if args.out else None
+    _check_outputs({"gold corpus": gold_path, "predicted corpus": predicted_path},
+                   {"report": out, "manifest": _manifest_path(out)} if out else {})
     gold = data.read_corpus(gold_path, args.gold_format)
     predicted = data.read_corpus(predicted_path, "tabular")
     if args.preprocess:
@@ -276,14 +299,12 @@ def cmd_eval(args) -> int:
     print(report.as_tsv())
     if any(seq.spans for seq in gold):
         for kind, kr in sorted(evaluate.score_by_kind(gold, masks).items()):
-            f = "absent" if kr.f1 is None else f"{100 * kr.f1:.2f}"
-            print(f"kind:{kind}\tF={f}")
+            print(f"kind:{kind}\tF={evaluate.format_percent(kr.f1)}")
     if args.errors:
         listing = evaluate.error_listing(report, args.errors)
         if listing:
             print(listing)
-    if args.out:
-        out = Path(args.out)
+    if out:
         _write_text(out, report.as_tsv() + "\n")
         manifest = RunManifest(
             command="eval", config={"gold_format": args.gold_format},
@@ -373,6 +394,8 @@ def cmd_ab_bench(args) -> int:
     if len(seeds) < 3:
         raise UsageError("ab-bench needs at least 3 comma-separated seeds "
                          "(e.g. --seeds 11,12,13)")
+    out = Path(args.out)
+    _check_outputs({}, {"report": out, "manifest": _manifest_path(out)})
 
     def progress(arm):
         print(f"seed {arm.seed} {arm.arch}: dev F {100 * arm.dev_f1:.2f} "
@@ -393,7 +416,6 @@ def cmd_ab_bench(args) -> int:
     lines += ["", f"copy-pair embedding cosine {copy_mean:.3f} vs random-pair {rand_mean:.3f}"]
     report = "\n".join(lines)
     print(report)
-    out = Path(args.out)
     _write_text(out, report + "\n")
     manifest = RunManifest(
         command="ab-bench",

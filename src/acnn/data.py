@@ -39,7 +39,6 @@ RESERVED = ("[", "]", "{", "}", "+")
 # transcript, and it bounds the recursion of parse_annotated and write_bracket.
 MAX_NESTING = 100
 
-PAD_ID = 0
 UNK_ID = 1
 PAD_WORD = "<pad>"
 UNK_WORD = "<unk>"
@@ -267,9 +266,6 @@ class Vocabulary:
 
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.index.get(t, UNK_ID) for t in tokens], dtype=np.int64)
-
-    def decode(self, ids) -> list[str]:
-        return [self.words[int(i)] for i in ids]
 
 
 def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:

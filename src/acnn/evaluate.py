@@ -19,6 +19,11 @@ class AlignmentError(ValueError):
     pass
 
 
+def format_percent(v: float | None) -> str:
+    """A ratio as a percentage to two decimals, or "absent" where undefined."""
+    return "absent" if v is None else f"{100 * v:.2f}"
+
+
 @dataclass(frozen=True)
 class ErrorRecord:
     sentence: int
@@ -50,10 +55,8 @@ class EvalReport:
         return 2 * p * r / (p + r)
 
     def format(self) -> str:
-        def fmt(v):
-            return "absent" if v is None else f"{100 * v:.2f}"
-        return (f"tp={self.tp} fp={self.fp} fn={self.fn} "
-                f"P={fmt(self.precision)} R={fmt(self.recall)} F={fmt(self.f1)}")
+        return (f"tp={self.tp} fp={self.fp} fn={self.fn} P={format_percent(self.precision)} "
+                f"R={format_percent(self.recall)} F={format_percent(self.f1)}")
 
     def as_tsv(self) -> str:
         rows = [("tp", self.tp), ("fp", self.fp), ("fn", self.fn),

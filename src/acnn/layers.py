@@ -207,11 +207,11 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
-                      dB: np.ndarray, *, mirror: bool = True):
-    """Gradients of an autocorr_forward call: returns (dx, dA, dB, db), where
-    the kernel gradient is added into the caller's (c, w, w, m) `dB` in place.
-    With mirror=False only its i <= j half is added to; a caller summing
-    several calls into a symmetric `dB` completes it once with _mirror.
+                      dB: np.ndarray):
+    """Gradients of an autocorr_forward call: returns (dx, dA, db). The kernel
+    gradient is added onto the i <= j half of the caller's (c, w, w, m) `dB`
+    in place, and its i > j half is neither read nor written: a caller
+    summing several calls into `dB` completes it once with _mirror.
 
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
@@ -228,14 +228,12 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
         drow = dpair[:, starts[i] : starts[i + 1]]
         dwin[:, i] += np.einsum("njm,njm->nm", drow, win[:, i:])
         dwin[:, i:] += drow * win[:, i : i + 1]
-    # adjoint of _fold: pair (i, j) sends its gradient to B[i, j] and B[j, i]
+    # adjoint of _fold, i <= j half: pair (i, j)'s gradient, which _mirror
+    # later copies to B[j, i]
     for i in range(w):
-        row = dBs[:, starts[i] : starts[i + 1]]
-        dB[:, i, i:] += row
-        if mirror:
-            dB[:, i + 1 :, i] += row[:, 1:]
+        dB[:, i, i:] += dBs[:, starts[i] : starts[i + 1]]
     dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
-    return dx, dA, dB, upstream.sum(axis=0)
+    return dx, dA, upstream.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

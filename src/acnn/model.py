@@ -29,7 +29,6 @@ from . import layers as L
 from .atomic import atomic_open
 from .tensor import Rng
 
-CLASS_FLUENT = 0
 CLASS_DISFLUENT = 1
 NUM_CLASSES = 2
 
@@ -246,8 +245,8 @@ class Model:
                 if name.endswith(".B")}
 
     def _mirror_kernel_grads(self) -> None:
-        """Complete the B gradients that backward calls with mirror_B=False
-        summed on their i <= j half (layers._mirror)."""
+        """Complete the B gradients that backward calls summed on their i <= j
+        half (layers._mirror)."""
         for name, p in self.params.items():
             if name.endswith(".B"):
                 L._mirror(p.grad)
@@ -305,12 +304,12 @@ class Model:
             ids=ids, dropout_mask=mask, pre_activations=pre_acts,
             group_caches=group_caches, final_features=x)
 
-    def backward(self, cache: _ForwardCache, dscores: np.ndarray, *,
-                 mirror_B: bool = True) -> None:
+    def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
         """Accumulate the parameter gradients of one forward_with_cache call
-        into the store. With mirror_B=False each B gradient gets only its
-        i <= j half (see layers.autocorr_backward), and the caller completes it
-        with _mirror_kernel_grads after its last call."""
+        into the store: one pass of a step. Each B gradient gets only its
+        i <= j half (see layers.autocorr_backward); it is complete once
+        _mirror_kernel_grads has run after the step's last pass, as
+        training.batch_loss_and_grads does."""
         dx, dW, db = L.width1_backward(cache.final_features,
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad += dW
@@ -326,9 +325,8 @@ class Model:
                 A = self.params[f"{prefix}.A"].value
                 gcache = cache.group_caches[k - 1][g]
                 if lc.kind == "autocorr":
-                    dxg, dA, _, dbg = L.autocorr_backward(
-                        gcache, A, upstream, self.params[f"{prefix}.B"].grad,
-                        mirror=mirror_B)
+                    dxg, dA, dbg = L.autocorr_backward(
+                        gcache, A, upstream, self.params[f"{prefix}.B"].grad)
                 else:
                     dxg, dA, dbg = L.conv1d_backward(gcache, A, upstream)
                 self.params[f"{prefix}.A"].grad += dA

@@ -64,7 +64,6 @@ def ensure_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
 class GradCheckReport:
     max_rel_error: float
     ok: bool
-    worst_index: tuple
     checked: int
 
 
@@ -82,7 +81,6 @@ def grad_check(f, p: np.ndarray, analytic: np.ndarray, eps: float = 1e-5,
     if analytic.shape != p.shape:
         raise ValueError(f"gradient shape {analytic.shape} != parameter shape {p.shape}")
     worst = 0.0
-    worst_idx = ()
     it = np.nditer(p, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
@@ -96,10 +94,6 @@ def grad_check(f, p: np.ndarray, analytic: np.ndarray, eps: float = 1e-5,
             raise NumericError("non-finite objective during gradient check")
         numeric = (f_plus - f_minus) / (2.0 * eps)
         a = float(analytic[idx])
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        if rel > worst:
-            worst = rel
-            worst_idx = idx
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
         it.iternext()
-    return GradCheckReport(max_rel_error=worst, ok=worst <= tol,
-                           worst_index=worst_idx, checked=p.size)
+    return GradCheckReport(max_rel_error=worst, ok=worst <= tol, checked=p.size)

@@ -143,7 +143,7 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
                                                 lengths=lengths, folds=folds)
         part, dscores = cross_entropy(probs, label_ids, normalizer=total_tokens)
         loss += part
-        model.backward(cache, dscores, mirror_B=False)
+        model.backward(cache, dscores)
     model._mirror_kernel_grads()
     loss += l2_penalty(model.params, model.config.l2_weight)
     add_l2_grad(model.params, model.config.l2_weight)
@@ -175,8 +175,7 @@ class EpochLog:
     best: bool
 
     def format(self) -> str:
-        def fmt(v):
-            return "absent" if v is None else f"{100 * v:.2f}"
+        fmt = evaluate.format_percent
         star = " *" if self.best else ""
         return (f"epoch {self.epoch:3d}  loss {self.train_loss:.4f}  "
                 f"dev P {fmt(self.dev_precision)} R {fmt(self.dev_recall)} "

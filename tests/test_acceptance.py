@@ -114,6 +114,7 @@ def test_criterion_03_operator_oracles():
            f"each; worst rel err {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_04_ab_gap(ab_result):
     gap = ab_result.mean_gap
     acnn = ab_result.mean_acnn_f1
@@ -123,6 +124,7 @@ def test_criterion_04_ab_gap(ab_result):
                   f"gap {100 * gap:+.2f} (need gap >= +3 and ACNN >= 85)")
 
 
+@pytest.mark.slow
 def test_criterion_05_per_kind_ordering(ab_result):
     a_rep = ab_result.mean_kind_f1("acnn", "repetition")
     a_cor = ab_result.mean_kind_f1("acnn", "correction")
@@ -210,6 +212,7 @@ def test_criterion_09_parameter_count_report():
                   f"(reference figure ~4.9M, reported not asserted)")
 
 
+@pytest.mark.slow
 def test_criterion_10_similarity_diagnostic(ab_result):
     emb = ab_result.acnn_model.params["embedding"].value
     copy_mean, rand_mean = bench.copy_pair_similarity(

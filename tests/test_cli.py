@@ -384,6 +384,51 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tab"]
 
 
+# argv ("{d}" stands for a directory holding train.bt, dev.bt, test.bt, m.ckpt
+# and an empty outdir/), the exit code, and what stderr names
+OUTPUT_PATH_CASES = {
+    "train-out-is-default-log": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+                                  "--dev", "{d}/dev.bt", "--out", "{d}/m.log"),
+                                 cli.EXIT_USAGE, "log"),
+    "train-log-is-out": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+                          "--dev", "{d}/dev.bt", "--out", "{d}/m.ckpt", "--log", "{d}/m.ckpt"),
+                         cli.EXIT_USAGE, "log"),
+    "train-out-is-train": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+                            "--dev", "{d}/dev.bt", "--out", "{d}/train.bt"),
+                           cli.EXIT_USAGE, "training corpus"),
+    "tag-out-is-input": (("tag", "--checkpoint", "{d}/m.ckpt", "--input", "{d}/test.bt",
+                          "--out", "{d}/test.bt"), cli.EXIT_USAGE, "input"),
+    "eval-out-is-gold": (("eval", "--gold", "{d}/test.bt", "--predicted", "{d}/dev.bt",
+                          "--out", "{d}/test.bt"), cli.EXIT_USAGE, "gold corpus"),
+    "ab-bench-out-is-directory": (("ab-bench", "--out", "{d}/outdir"), cli.EXIT_DATA,
+                                  "is a directory"),
+}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("case", sorted(OUTPUT_PATH_CASES))
+    def test_refused_before_any_work(self, case, corpus_dir, tmp_path, monkeypatch, capsys):
+        """An output that would replace an input or another output, or that is
+        a directory, is refused before any corpus, checkpoint or benchmark
+        work, and nothing is written."""
+        def never(*_, **__):
+            raise AssertionError("work began before the output paths were checked")
+
+        monkeypatch.setattr(cli.data, "read_corpus", never)
+        monkeypatch.setattr(cli, "load_checkpoint", never)
+        monkeypatch.setattr(cli.bench, "ab_bench", never)
+        for split in ("train", "dev", "test"):
+            (tmp_path / f"{split}.bt").write_bytes((corpus_dir / f"{split}.bt").read_bytes())
+        (tmp_path / "m.ckpt").write_bytes(b"a checkpoint that is never read")
+        (tmp_path / "outdir").mkdir()
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        argv, code, named = OUTPUT_PATH_CASES[case]
+        assert run(*(a.format(d=tmp_path) for a in argv)) == code
+        assert named in capsys.readouterr().err
+        assert {p: p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")} == before
+
+
 class TestOutputDirectories:
     def test_eval_out_creates_missing_directory(self, corpus_dir, trained, tmp_path):
         tagged = tmp_path / "test.tab"

@@ -234,6 +234,12 @@ class TestConv1dBackward:
         assert grad_check(lambda v: loss(x, A, v), b, db).ok
 
 
+def lower_half(w):
+    """(w, w) bool: True at the pairs i > j, which a (c, w, w, m) kernel
+    gradient indexed [:, mask] selects."""
+    return np.tril(np.ones((w, w), dtype=bool), k=-1)
+
+
 def pair_index(i, j, w):
     """Index of window pair (i, j), i <= j, in an autocorr cache's pair windows:
     the pairs of row 0 (j = 0 .. w-1) first, then those of row 1, and so on."""
@@ -355,6 +361,16 @@ class TestAutocorrForward:
                            rtol=1e-12, atol=1e-12)
 
 
+def full_autocorr_backward(cache, A, up, B):
+    """(dx, dA, dB, db) of one autocorr_forward call: autocorr_backward into a
+    zero kernel gradient, completed by _mirror as a training step completes
+    B.grad."""
+    dB = np.zeros_like(B)
+    dx, dA, db = L.autocorr_backward(cache, A, up, dB)
+    L._mirror(dB)
+    return dx, dA, dB, db
+
+
 class TestAutocorrBackward:
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_random_shapes(self, seed):
@@ -363,7 +379,7 @@ class TestAutocorrBackward:
         x, spec, A, B, b = rand_instance(rng, n, m, ell, r, c, with_B=True)
         up = rng.uniform(-1, 1, (n, c))
         _, cache = L.autocorr_forward(x, spec, A, B, b)
-        assert_all_close(L.autocorr_backward(cache, A, up, np.zeros_like(B)),
+        assert_all_close(full_autocorr_backward(cache, A, up, B),
                          naive_autocorr_backward(x, spec, A, B, up))
 
     def test_zero_B_x_gradient_equals_conv(self):
@@ -373,7 +389,7 @@ class TestAutocorrBackward:
         _, ccache = L.conv1d_forward(x, spec, A, b)
         dxc, dAc, dbc = L.conv1d_backward(ccache, A, up)
         _, acache = L.autocorr_forward(x, spec, A, np.zeros_like(B), b)
-        dxa, dAa, _, dba = L.autocorr_backward(acache, A, up, np.zeros_like(B))
+        dxa, dAa, dba = L.autocorr_backward(acache, A, up, np.zeros_like(B))
         assert np.array_equal(dxc, dxa)
         assert np.array_equal(dAc, dAa)
         assert np.array_equal(dbc, dba)
@@ -390,7 +406,7 @@ class TestAutocorrBackward:
         b = np.zeros(1)
         _, cache = L.autocorr_forward(x, spec, A, B, b)
         up = np.ones((1, 1))
-        dx, _, _, _ = L.autocorr_backward(cache, A, up, np.zeros_like(B))
+        dx, _, _, _ = full_autocorr_backward(cache, A, up, B)
         # the real row sits at window offset 1
         assert np.allclose(dx[0], 2.0 * B[0, 1, 1] * x[0])
 
@@ -406,8 +422,7 @@ class TestAutocorrBackward:
             return float(((out - target) ** 2).sum())
 
         out, cache = L.autocorr_forward(x, spec, A, B, b)
-        dx, dA, dB, db = L.autocorr_backward(cache, A, 2.0 * (out - target),
-                                             np.zeros_like(B))
+        dx, dA, dB, db = full_autocorr_backward(cache, A, 2.0 * (out - target), B)
         assert grad_check(lambda v: loss(v, A, B, b), x, dx).ok
         assert grad_check(lambda v: loss(x, v, B, b), A, dA).ok
         assert grad_check(lambda v: loss(x, A, v, b), B, dB).ok
@@ -432,7 +447,8 @@ class TestFoldedPairs:
     def test_equals_full_pair_path(self, case):
         """The i <= j pairs with the folded kernel give the output and every
         gradient of the full w*w pair path, for an asymmetric B; the kernel
-        gradient is added into the buffer the caller passes."""
+        gradient is added onto the i <= j half of the buffer the caller
+        passes, and _mirror completes it."""
         (ell, r), n, lengths = FOLD_CASES[case]
         rng = Rng(6000 + case)
         x, spec, A, B, b = rand_instance(rng, n, 290, ell, r, 60, with_B=True)
@@ -440,14 +456,41 @@ class TestFoldedPairs:
         out, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
         prior = rng.uniform(-1, 1, B.shape)
         dB = prior.copy()
-        dx, dA, dB_out, db = L.autocorr_backward(cache, A, up, dB)
-        assert dB_out is dB
+        dx, dA, db = L.autocorr_backward(cache, A, up, dB)
+        lower = lower_half(spec.width)
+        assert dB[:, lower].tobytes() == prior[:, lower].tobytes()
+        dB -= prior
+        L._mirror(dB)
         want_out, saved = full_pair_forward(x, spec, A, B, b, lengths)
-        got = (out, dx, dA, dB - prior, db)
+        got = (out, dx, dA, dB, db)
         want = (want_out, *full_pair_backward(x, spec, A, B, saved, up))
         for g, v in zip(got, want, strict=True):
             assert g.shape == v.shape
             assert np.abs(g - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
+
+    def test_calls_add_upper_half_and_one_mirror_completes_their_sum(self):
+        """autocorr_backward leaves the i > j half of its kernel gradient
+        buffer as it was and adds the full-pair gradient's i <= j half; one
+        _mirror after two calls gives the sum of their full-pair gradients."""
+        rng = Rng(6100)
+        x, spec, A, B, b = rand_instance(rng, 9, 4, 2, 3, 3, with_B=True)
+        lower, upper = lower_half(spec.width), ~lower_half(spec.width)
+        prior = rng.uniform(-1, 1, B.shape)
+        dB = prior.copy()
+        want = np.zeros_like(B)
+        for lengths in ([9], [4, 1, 4]):
+            up = rng.uniform(-1, 1, (9, 3))
+            before = dB.copy()
+            _, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
+            L.autocorr_backward(cache, A, up, dB)
+            _, saved = full_pair_forward(x, spec, A, B, b, lengths)
+            full = full_pair_backward(x, spec, A, B, saved, up)[2]
+            assert dB[:, lower].tobytes() == prior[:, lower].tobytes()
+            assert np.abs(dB[:, upper] - before[:, upper] - full[:, upper]).max() <= 1e-12
+            want += full
+        dB -= prior
+        L._mirror(dB)
+        assert np.abs(dB - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 class TestElementwise:
@@ -634,7 +677,7 @@ class TestPacked:
             return L.conv1d_backward(cache, A, upi)
 
         def autocorr_backward(cache, upi):
-            return L.autocorr_backward(cache, A, upi, np.zeros_like(B))
+            return full_autocorr_backward(cache, A, upi, B)
 
         for forward, backward, kernels in ((L.conv1d_forward, conv_backward, (A, b)),
                                            (L.autocorr_forward, autocorr_backward,

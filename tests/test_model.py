@@ -187,6 +187,7 @@ class TestBackward:
         from acnn.layers import softmax_xent_backward
         model.params.zero_grads()
         model.backward(cache, softmax_xent_backward(probs, labels, len(ids)))
+        model._mirror_kernel_grads()
         for name, p in model.params.items():
             report = grad_check(lambda _v: loss(), p.value, p.grad)
             assert report.ok, f"{name}: max rel err {report.max_rel_error:.2e}"

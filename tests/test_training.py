@@ -430,7 +430,8 @@ class TestStepFold:
     def test_equals_full_backward_per_chunk(self):
         """Folding each B once per step and mirroring its gradient once after
         the last chunk gives the loss and every gradient, byte for byte, of
-        per-chunk Model.backward calls that each add a full gradient."""
+        per-chunk passes that each mirror B's gradient after their
+        Model.backward: no pass reads the i > j half of B.grad."""
         batch = random_batch(STEP_LENGTHS, seed=2)
         model = step_fold_model()
         loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(3))
@@ -445,6 +446,7 @@ class TestStepFold:
             part, dscores = TR.cross_entropy(probs, labels, normalizer=sum(STEP_LENGTHS))
             want_loss += part
             model.backward(cache, dscores)
+            model._mirror_kernel_grads()
         want_loss += TR.l2_penalty(model.params, model.config.l2_weight)
         TR.add_l2_grad(model.params, model.config.l2_weight)
         assert loss == want_loss
