@@ -71,9 +71,13 @@ def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
         best_epoch=result.best_epoch), model
 
 
-def ab_bench(preset: str = "rough-copy-hard", seeds=(11, 12, 13),
-             train_count: int = 2000, dev_count: int = 500,
-             train_cfg: training.TrainConfig | None = None,
+# The default training recipe of every arm; `acnn ab-bench` takes its flag
+# defaults from it.
+AB_TRAIN = training.TrainConfig(learning_rate=0.002, max_epochs=25, patience=6)
+
+
+def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
+             train_cfg: training.TrainConfig = AB_TRAIN,
              progress=None) -> BenchResult:
     """Train matched CNN and ACNN toy models per seed on a synthetic preset.
 
@@ -83,13 +87,10 @@ def ab_bench(preset: str = "rough-copy-hard", seeds=(11, 12, 13),
     if len(seeds) < 3:
         raise ValueError("ab_bench needs at least 3 seeds for a stable mean")
     gen_cfg = GENERATOR_PRESETS[preset]
-    train_seqs = generate_corpus(replace(gen_cfg, sentence_count=train_count,
-                                         seed=gen_cfg.seed))
+    train_seqs = generate_corpus(replace(gen_cfg, sentence_count=train_count))
     dev_seqs = generate_corpus(replace(gen_cfg, sentence_count=dev_count,
                                        seed=gen_cfg.seed + 1))
     vocab = build_vocab(train_seqs)
-    if train_cfg is None:
-        train_cfg = training.TrainConfig(learning_rate=0.002, max_epochs=25, patience=6)
     result = BenchResult()
     for seed in seeds:
         for arch in ("cnn", "acnn"):

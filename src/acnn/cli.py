@@ -99,13 +99,16 @@ def _check_outputs(inputs: dict, outputs: dict) -> None:
     """Refuse, before any work, an output that would replace a file the run
     reads or writes. `inputs` and `outputs` map the role of each path, which
     error messages name, to the path. An output that resolves to an input or
-    to another output is a usage error; one that is an existing directory is
-    a data error."""
+    to another output is a usage error; one that is an existing directory, or
+    that lies under an existing file, is a data error."""
     roles = {Path(path).resolve(): role for role, path in inputs.items()}
     for role, path in outputs.items():
         path = Path(path)
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
+        nearest = next((p for p in path.parents if p.exists()), None)
+        if nearest is not None and not nearest.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(nearest))
         key = path.resolve()
         if key in roles:
             raise UsageError(f"{role} {path} is also the {roles[key]}")
@@ -144,6 +147,8 @@ def cmd_synth(args) -> int:
         split_cfgs = [replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
                       for i, count in enumerate(counts.values())]
     out_dir = Path(args.out)
+    _check_outputs({}, {**{f"{split} split": out_dir / f"{split}.bt" for split in counts},
+                        "manifest": _manifest_path(out_dir / "corpus")})
     t0 = time.time()
     outputs = {}
     for (split, count), split_cfg in zip(counts.items(), split_cfgs):
@@ -301,7 +306,7 @@ def cmd_eval(args) -> int:
         for kind, kr in sorted(evaluate.score_by_kind(gold, masks).items()):
             print(f"kind:{kind}\tF={evaluate.format_percent(kr.f1)}")
     if args.errors:
-        listing = evaluate.error_listing(report, args.errors)
+        listing = evaluate.error_listing(gold, masks, args.errors)
         if listing:
             print(listing)
     if out:
@@ -324,7 +329,7 @@ def cmd_eval(args) -> int:
 def _gradcheck_config(arch: str, seed: int) -> ModelConfig:
     first = "autocorr" if arch == "acnn" else "conv"
     return ModelConfig(
-        arch=arch, vocab_size=16, embedding_dim=5,
+        vocab_size=16, embedding_dim=5,
         dropout_rate=0.0, l2_weight=0.05, seed=seed,
         layers=(LayerConfig(first, ((1, 2), (2, 1)), 4),
                 LayerConfig("conv", ((1, 1),), 4),
@@ -498,9 +503,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", default="11,12,13")
     p.add_argument("--train-count", type=int, default=2000)
     p.add_argument("--dev-count", type=int, default=500)
-    p.add_argument("--max-epochs", type=int, default=25)
-    p.add_argument("--patience", type=int, default=6)
-    p.add_argument("--lr", type=float, default=0.002)
+    p.add_argument("--max-epochs", type=int, default=bench.AB_TRAIN.max_epochs)
+    p.add_argument("--patience", type=int, default=bench.AB_TRAIN.patience)
+    p.add_argument("--lr", type=float, default=bench.AB_TRAIN.learning_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ab_bench)
     return parser

@@ -7,7 +7,8 @@ Undefined ratios (zero denominators) are reported as None, never silently as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,20 +25,11 @@ def format_percent(v: float | None) -> str:
     return "absent" if v is None else f"{100 * v:.2f}"
 
 
-@dataclass(frozen=True)
-class ErrorRecord:
-    sentence: int
-    tokens: tuple[str, ...]
-    gold: tuple[bool, ...]
-    predicted: tuple[bool, ...]
-
-
 @dataclass
 class EvalReport:
     tp: int
     fp: int
     fn: int
-    errors: list[ErrorRecord] = field(default_factory=list)
 
     @property
     def precision(self) -> float | None:
@@ -80,17 +72,13 @@ def score(gold: list[TokenSequence], predicted: list) -> EvalReport:
     boolean mask per sentence, aligned with the gold tokenization."""
     _check_alignment(gold, predicted)
     tp = fp = fn = 0
-    errors = []
-    for i, (seq, mask) in enumerate(zip(gold, predicted)):
+    for seq, mask in zip(gold, predicted):
         g = seq.disfluent_mask()
         p = np.asarray(mask, dtype=bool)
         tp += int((g & p).sum())
         fp += int((~g & p).sum())
         fn += int((g & ~p).sum())
-        if (g != p).any():
-            errors.append(ErrorRecord(sentence=i, tokens=tuple(seq.tokens),
-                                      gold=tuple(g), predicted=tuple(p)))
-    return EvalReport(tp=tp, fp=fp, fn=fn, errors=errors)
+    return EvalReport(tp=tp, fp=fp, fn=fn)
 
 
 def _innermost_span(spans: list[DisfluencySpan], idx: int) -> DisfluencySpan | None:
@@ -197,8 +185,18 @@ def render_marked(tokens, gold, predicted) -> str:
     return " ".join(parts)
 
 
-def error_listing(report: EvalReport, limit: int | None = None) -> str:
-    records = report.errors if limit is None else report.errors[:limit]
-    return "\n".join(
-        f"#{r.sentence}: {render_marked(r.tokens, r.gold, r.predicted)}"
-        for r in records)
+def error_listing(gold: list[TokenSequence], predicted: list,
+                  limit: int | None = None) -> str:
+    """One line `#<index>: <marked text>` per sentence whose predicted mask
+    differs from its gold labels, for the first `limit` such sentences (all
+    of them when None)."""
+    _check_alignment(gold, predicted)
+
+    def mismatched():
+        for i, (seq, mask) in enumerate(zip(gold, predicted)):
+            g = seq.disfluent_mask()
+            p = np.asarray(mask, dtype=bool)
+            if (g != p).any():
+                yield f"#{i}: {render_marked(seq.tokens, g, p)}"
+
+    return "\n".join(islice(mismatched(), limit))

@@ -3,8 +3,8 @@ over one sentence or several packed ones, parameter counting, and checkpoint
 serialization.
 
 Architecture (fixed skeleton): embedding lookup -> dropout (training only) ->
-three operator layers (layer 1 is auto-correlational in the acnn arch,
-convolutional otherwise; layers 2-3 always convolutional) each followed by
+three operator layers (layer 1 is auto-correlational in an acnn,
+convolutional in a cnn; layers 2-3 always convolutional) each followed by
 ReLU -> width-1 convolution -> row softmax over {fluent, disfluent}.
 
 Each operator layer owns one or more kernel-size groups. Every group emits
@@ -74,7 +74,6 @@ class LayerConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    arch: str  # "cnn" | "acnn"
     vocab_size: int
     embedding_dim: int
     dropout_rate: float
@@ -83,8 +82,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arch not in ("cnn", "acnn"):
-            raise ConfigError(f"unknown arch {self.arch!r}")
         for name in ("vocab_size", "embedding_dim", "seed"):
             _check_type(name, getattr(self, name), int)
         if self.vocab_size < 2 or self.embedding_dim < 1:
@@ -99,14 +96,14 @@ class ModelConfig:
             raise ConfigError(f"l2_weight must be finite and >= 0, got {self.l2_weight}")
         if not self.layers:
             raise ConfigError("at least one operator layer required")
-        if self.arch == "acnn":
-            if self.layers[0].kind != "autocorr":
-                raise ConfigError("acnn arch requires an autocorr first layer")
-        else:
-            if any(lc.kind != "conv" for lc in self.layers):
-                raise ConfigError("cnn arch must be all-conv")
         if any(lc.kind == "autocorr" for lc in self.layers[1:]):
             raise ConfigError("autocorr is only supported at layer 1")
+
+    @property
+    def arch(self) -> str:
+        """The architecture, read from layer 1: "acnn" when it is
+        auto-correlational, "cnn" otherwise."""
+        return "acnn" if self.layers[0].kind == "autocorr" else "cnn"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,7 +111,6 @@ class ModelConfig:
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         return ModelConfig(
-            arch=d["arch"],
             vocab_size=d["vocab_size"],
             embedding_dim=d["embedding_dim"],
             dropout_rate=d["dropout_rate"],
@@ -385,7 +381,7 @@ def model_preset(name: str, vocab_size: int, seed: int = 0) -> ModelConfig:
     """
     if name == "cnn-table1":
         return ModelConfig(
-            arch="cnn", vocab_size=vocab_size, embedding_dim=290,
+            vocab_size=vocab_size, embedding_dim=290,
             dropout_rate=0.51, l2_weight=0.13, seed=seed,
             layers=(
                 LayerConfig("conv", ((0, 1), (1, 1), (4, 4)), 570),
@@ -394,7 +390,7 @@ def model_preset(name: str, vocab_size: int, seed: int = 0) -> ModelConfig:
             ))
     if name == "acnn-table1":
         return ModelConfig(
-            arch="acnn", vocab_size=vocab_size, embedding_dim=290,
+            vocab_size=vocab_size, embedding_dim=290,
             dropout_rate=0.53, l2_weight=0.23, seed=seed,
             layers=(
                 LayerConfig("autocorr", ((5, 6), (3, 3)), 120),
@@ -402,10 +398,9 @@ def model_preset(name: str, vocab_size: int, seed: int = 0) -> ModelConfig:
                 LayerConfig("conv", ((3, 4), (2, 2)), 120),
             ))
     if name in ("cnn-toy", "acnn-toy"):
-        arch = "cnn" if name == "cnn-toy" else "acnn"
-        first = "conv" if arch == "cnn" else "autocorr"
+        first = "conv" if name == "cnn-toy" else "autocorr"
         return ModelConfig(
-            arch=arch, vocab_size=vocab_size, embedding_dim=32,
+            vocab_size=vocab_size, embedding_dim=32,
             dropout_rate=0.15, l2_weight=0.01, seed=seed,
             layers=(
                 LayerConfig(first, ((2, 6),), 16),

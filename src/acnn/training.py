@@ -208,7 +208,7 @@ def train(model: Model, train_seqs: list[TokenSequence],
     rng = Rng(model.config.seed)
     shuffle_rng = rng.spawn(1)
     dropout_rng = rng.spawn(2)
-    best_values = model.params.values_copy()
+    best_values = None  # set by epoch 1, whose F always beats -1
     best_f1 = -1.0
     best_epoch = 0
     without_improvement = 0
@@ -268,7 +268,7 @@ def _sample_trial(arch: str, rng: Rng, vocab_size: int,
 
     channels = rng.choice(SEARCH_CHANNELS)
     mcfg = ModelConfig(
-        arch=arch, vocab_size=vocab_size,
+        vocab_size=vocab_size,
         embedding_dim=rng.choice(SEARCH_EMBEDDING_DIMS),
         dropout_rate=float(rng.uniform(*SEARCH_DROPOUT)),
         l2_weight=float(rng.uniform(*SEARCH_L2)),

@@ -8,7 +8,7 @@ from acnn import model as M
 
 _VALID_META = {
     "config": M.ModelConfig(
-        arch="cnn", vocab_size=10, embedding_dim=3, dropout_rate=0.0,
+        vocab_size=10, embedding_dim=3, dropout_rate=0.0,
         l2_weight=0.0, layers=(M.LayerConfig("conv", ((0, 1),), 2),)).to_dict(),
     "vocab": ["<pad>", "<unk>", "a"],
     "rng_algorithm": "pcg64",

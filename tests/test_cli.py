@@ -55,6 +55,26 @@ class TestSynth:
         assert run("synth", "--preset", "nope",
                    "--out", str(tmp_path)) == cli.EXIT_USAGE
 
+    @pytest.fixture
+    def no_generation(self, monkeypatch):
+        def never(*_, **__):
+            pytest.fail("generated a split before the outputs were checked")
+
+        monkeypatch.setattr(cli.data, "generate_corpus", never)
+
+    def test_out_is_a_file_is_data_error(self, no_generation, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        out.write_text("keep\n")
+        assert run("synth", "--preset", "toy", "--out", str(out)) == cli.EXIT_DATA
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
+    def test_split_is_a_directory_is_data_error(self, no_generation, tmp_path, capsys):
+        (tmp_path / "dev.bt").mkdir()
+        assert run("synth", "--preset", "toy", "--out", str(tmp_path)) == cli.EXIT_DATA
+        assert "error:data" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.bt"]
+
 
 class TestTrain:
     def test_checkpoint_and_log(self, trained):
@@ -70,7 +90,7 @@ class TestTrain:
             (trained.parent / "model.ckpt.manifest.json").read_text())
         assert manifest["command"] == "train"
         assert str(corpus_dir / "train.bt") in manifest["inputs"]
-        assert manifest["config"]["model"]["arch"] == "acnn"
+        assert manifest["config"]["model"]["layers"][0]["kind"] == "autocorr"
 
     def test_deterministic_reruns_byte_identical(self, corpus_dir, tmp_path):
         outs = []
@@ -123,6 +143,18 @@ class TestTagAndEval:
         assert "kind:" in printed
         tsv = out_tsv.read_text()
         assert tsv.startswith("tp\t")
+
+    def test_errors_lists_first_mismatched_sentences(self, tmp_path, capsys):
+        gold = tmp_path / "gold.bt"
+        gold.write_text("[ a + a ] b\nc d\n[ e + e ] f\ng h\n")
+        predicted = tmp_path / "predicted.tab"
+        # sentence 0 right, 1 a false alarm, 2 a miss, 3 a false alarm
+        predicted.write_text("a\tE\na\t_\nb\t_\n\nc\tE\nd\t_\n\n"
+                             "e\t_\ne\t_\nf\t_\n\ng\t_\nh\tE\n\n")
+        assert run("eval", "--gold", str(gold), "--predicted", str(predicted),
+                   "--errors", "2") == cli.EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2:] == ["#1: c/p d", "#2: e/g e f"]
 
     def test_misaligned_eval_is_data_error(self, corpus_dir, trained, tmp_path):
         tagged = tmp_path / "dev.tab"
@@ -402,6 +434,9 @@ OUTPUT_PATH_CASES = {
                           "--out", "{d}/test.bt"), cli.EXIT_USAGE, "gold corpus"),
     "ab-bench-out-is-directory": (("ab-bench", "--out", "{d}/outdir"), cli.EXIT_DATA,
                                   "is a directory"),
+    "train-out-under-a-file": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+                                "--dev", "{d}/dev.bt", "--out", "{d}/m.ckpt/m.ckpt"),
+                               cli.EXIT_DATA, "not a directory"),
 }
 
 

@@ -29,7 +29,7 @@ class TestScore:
         report = E.score(gold, [gold[0].disfluent_mask()])
         assert (report.tp, report.fp, report.fn) == (1, 0, 0)
         assert report.f1 == 1.0
-        assert report.errors == []
+        assert E.error_listing(gold, [gold[0].disfluent_mask()]) == ""
 
     def test_degenerate_denominators_are_none(self):
         gold = [parse_annotated("a b")]
@@ -62,10 +62,9 @@ class TestScore:
 
     def test_error_records_only_for_mistakes(self):
         gold, masks = seqs_and_masks()
-        report = E.score(gold, masks)
-        assert [r.sentence for r in report.errors] == [0, 1]
-        good = E.score([gold[0]], [gold[0].disfluent_mask()])
-        assert good.errors == []
+        listing = E.error_listing(gold, masks)
+        assert [line.split(":")[0] for line in listing.splitlines()] == ["#0", "#1"]
+        assert E.error_listing([gold[0]], [gold[0].disfluent_mask()]) == ""
 
     def test_length_mismatch_rejected(self):
         gold, masks = seqs_and_masks()
@@ -73,6 +72,8 @@ class TestScore:
             E.score(gold, masks[:1])
         with pytest.raises(E.AlignmentError):
             E.score([gold[0]], [np.array([True])])
+        with pytest.raises(E.AlignmentError):
+            E.error_listing(gold, masks[:1])
 
 
 class TestScoreByKind:
@@ -167,8 +168,7 @@ class TestMarkedText:
 
     def test_error_listing(self):
         gold, masks = seqs_and_masks()
-        report = E.score(gold, masks)
-        listing = E.error_listing(report)
+        listing = E.error_listing(gold, masks)
         assert listing.splitlines()[0].startswith("#0:")
         assert "a/gp" in listing
-        assert len(E.error_listing(report, limit=1).splitlines()) == 1
+        assert len(E.error_listing(gold, masks, limit=1).splitlines()) == 1

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from acnn.tensor import Rng, grad_check
 def toy_config(arch="acnn", vocab_size=12, embedding_dim=5, channels=4, seed=0):
     first = "autocorr" if arch == "acnn" else "conv"
     return M.ModelConfig(
-        arch=arch, vocab_size=vocab_size, embedding_dim=embedding_dim,
+        vocab_size=vocab_size, embedding_dim=embedding_dim,
         dropout_rate=0.0, l2_weight=0.0, seed=seed,
         layers=(
             M.LayerConfig(first, ((1, 2),), channels),
@@ -18,21 +21,16 @@ def toy_config(arch="acnn", vocab_size=12, embedding_dim=5, channels=4, seed=0):
 
 
 class TestConfig:
-    def test_acnn_requires_autocorr_first(self):
-        with pytest.raises(M.ConfigError):
-            M.ModelConfig(arch="acnn", vocab_size=8, embedding_dim=4,
-                          dropout_rate=0.0, l2_weight=0.0,
-                          layers=(M.LayerConfig("conv", ((1, 1),), 4),))
-
-    def test_cnn_rejects_autocorr(self):
-        with pytest.raises(M.ConfigError):
-            M.ModelConfig(arch="cnn", vocab_size=8, embedding_dim=4,
-                          dropout_rate=0.0, l2_weight=0.0,
-                          layers=(M.LayerConfig("autocorr", ((1, 1),), 4),))
+    @pytest.mark.parametrize("arch", ["cnn", "acnn"])
+    def test_arch_follows_layer_1(self, arch):
+        cfg = toy_config(arch)
+        assert cfg.arch == arch
+        assert "arch" not in cfg.to_dict()
+        assert M.ModelConfig.from_dict(cfg.to_dict()).arch == arch
 
     def test_autocorr_only_at_first_layer(self):
         with pytest.raises(M.ConfigError):
-            M.ModelConfig(arch="acnn", vocab_size=8, embedding_dim=4,
+            M.ModelConfig(vocab_size=8, embedding_dim=4,
                           dropout_rate=0.0, l2_weight=0.0,
                           layers=(M.LayerConfig("autocorr", ((1, 1),), 4),
                                   M.LayerConfig("autocorr", ((1, 1),), 4)))
@@ -96,7 +94,7 @@ class TestBuild:
 
     def test_param_count_closed_form(self):
         # single autocorr layer, one group: A w*m per channel, B w*w*m, bias 1
-        cfg = M.ModelConfig(arch="acnn", vocab_size=10, embedding_dim=3,
+        cfg = M.ModelConfig(vocab_size=10, embedding_dim=3,
                             dropout_rate=0.0, l2_weight=0.0,
                             layers=(M.LayerConfig("autocorr", ((1, 1),), 2),))
         model = M.Model.build(cfg)
@@ -295,6 +293,18 @@ class TestCheckpoint:
         for name, p in rebuilt.params.items():
             assert p.value is ckpt.tensors[name], name  # taken over, not copied
             assert np.array_equal(p.value, model.params[name].value), name
+
+    def test_config_arch_key_is_ignored(self, tmp_path):
+        """Older checkpoints carry an `arch` key in their config; they load."""
+        cfg, _, _, path = self.make(tmp_path)
+        raw = path.read_bytes()
+        (size,) = struct.unpack("<Q", raw[12:20])
+        meta = json.loads(raw[20:20 + size])
+        assert "arch" not in meta["config"]
+        meta["config"]["arch"] = "acnn"
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + size:])
+        assert M.load_checkpoint(path, expect_config=cfg).config.arch == "acnn"
 
     def test_valid_fixture_loads(self, valid_checkpoint):
         probs = M.load_checkpoint(valid_checkpoint).build_model().forward([2, 1, 0])

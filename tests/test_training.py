@@ -17,7 +17,7 @@ from acnn.tensor import Rng
 
 def tiny_model(vocab_size=10, dropout=0.0, l2=0.0, seed=0):
     cfg = ModelConfig(
-        arch="acnn", vocab_size=vocab_size, embedding_dim=4,
+        vocab_size=vocab_size, embedding_dim=4,
         dropout_rate=dropout, l2_weight=l2, seed=seed,
         layers=(LayerConfig("autocorr", ((1, 2),), 4),
                 LayerConfig("conv", ((0, 1),), 4)))
@@ -278,6 +278,18 @@ class TestTrain:
         report = evaluate.score(dev, TR.predict_masks(model, dev, vocab))
         assert (report.f1 or 0.0) == result.best_f1
 
+    def test_weights_copied_once_per_improving_epoch(self, monkeypatch):
+        copies = []
+        values_copy = ParamStore.values_copy
+
+        def counted(store):
+            copies.append(store)
+            return values_copy(store)
+
+        monkeypatch.setattr(ParamStore, "values_copy", counted)
+        _, result = self.run(max_epochs=6, patience=6)
+        assert len(copies) == sum(e.best for e in result.log)
+
     def test_loss_decreases(self):
         train, dev, vocab = toy_data(n_train=120)
         model = tiny_model(vocab_size=len(vocab))
@@ -352,7 +364,7 @@ class TestRandomSearch:
 def packing_model(dropout):
     """Windows wider than a 1-token sentence on both sides, in every layer."""
     cfg = ModelConfig(
-        arch="acnn", vocab_size=12, embedding_dim=3, dropout_rate=dropout,
+        vocab_size=12, embedding_dim=3, dropout_rate=dropout,
         l2_weight=0.0, seed=4,
         layers=(LayerConfig("autocorr", ((2, 3), (0, 1)), 4),
                 LayerConfig("conv", ((1, 2),), 3),
@@ -413,7 +425,7 @@ class TestPacking:
 def step_fold_model():
     """A (5, 6) and an ell = 0 autocorr group, dropout and L2 on."""
     cfg = ModelConfig(
-        arch="acnn", vocab_size=12, embedding_dim=3, dropout_rate=0.3,
+        vocab_size=12, embedding_dim=3, dropout_rate=0.3,
         l2_weight=0.1, seed=6,
         layers=(LayerConfig("autocorr", ((5, 6), (0, 2)), 4),
                 LayerConfig("conv", ((1, 1),), 3),
