@@ -250,13 +250,16 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tag(args) -> int:
-    t0 = time.time()
+    # phase marks on one monotonic clock, so each phase is within total_sec
+    t0 = time.perf_counter()
     ckpt_path, input_path = _resolve(args.checkpoint), _resolve(args.input)
     out = Path(args.out)
     _check_outputs({"checkpoint": ckpt_path, "input": input_path},
                    {"output": out, "manifest": _manifest_path(out)})
+    t_load = time.perf_counter()
     ckpt = load_checkpoint(ckpt_path)
     model = ckpt.build_model()
+    t_tag = time.perf_counter()
     vocab = data.Vocabulary(words=ckpt.vocab_words)
     seqs = [s for s in (data.preprocess(q)
                         for q in data.read_corpus(input_path, args.format))
@@ -266,13 +269,17 @@ def cmd_tag(args) -> int:
         tokens=s.tokens,
         labels=[data.DISFLUENT if m else data.FLUENT for m in mask])
         for s, mask in zip(seqs, masks)]
+    t_write = time.perf_counter()
     data.write_corpus(tagged, out, "tabular")
+    t_done = time.perf_counter()
     manifest = RunManifest(
         command="tag", config={"format": args.format}, seed=ckpt.seed,
         inputs={str(ckpt_path): _sha256(ckpt_path),
                 str(input_path): _sha256(input_path)},
         outputs={str(out): _sha256(out)},
-        timings={"total_sec": time.time() - t0})
+        timings={"load_sec": t_tag - t_load, "tag_sec": t_write - t_tag,
+                 "write_sec": t_done - t_write,
+                 "total_sec": time.perf_counter() - t0})
     write_manifest(manifest, out)
     return EXIT_OK
 

@@ -215,11 +215,14 @@ class _ForwardCache:
 
 
 class Model:
-    """A built network: config plus parameter store."""
+    """A built network: config plus parameter store. A model whose B values
+    never change keeps their folds (see Checkpoint.build_model); any other
+    folds each B afresh for every batch or tagging call."""
 
     def __init__(self, config: ModelConfig, params: ParamStore):
         self.config = config
         self.params = params
+        self._kept_folds: dict[str, np.ndarray] | None = None
 
     @staticmethod
     def build(config: ModelConfig) -> "Model":
@@ -236,7 +239,10 @@ class Model:
 
     def _folded_kernels(self) -> dict[str, np.ndarray]:
         """Each autocorr B folded (layers._fold), by parameter name, for the
-        `folds` of several forward calls over unchanged values."""
+        `folds` of several forward calls over unchanged values: the kept
+        folds when the model has them, else folded now."""
+        if self._kept_folds is not None:
+            return self._kept_folds
         return {name: L._fold(p.value) for name, p in self.params.items()
                 if name.endswith(".B")}
 
@@ -260,8 +266,10 @@ class Model:
         """Probabilities and the cache for `backward`. `token_ids` may be several
         sentences stacked in order, of `lengths` tokens each (default: one
         sentence); each row then equals that of its sentence run on its own.
-        `folds` is _folded_kernels() of the current values, or None to fold
-        each B in this call."""
+        `folds` is _folded_kernels() of the current values, or None for the
+        kept folds or, when the model keeps none, to fold each B in this call."""
+        if folds is None:
+            folds = self._kept_folds
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or len(ids) == 0:
             raise ValueError("token_ids must be a non-empty 1-d sequence")
@@ -439,12 +447,18 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def build_model(self) -> Model:
-        """The model over this checkpoint's tensors: it takes over the arrays
-        without drawing or copying, so training it changes `tensors` too."""
+        """A model for tagging over this checkpoint's tensors. It takes over
+        the arrays without drawing or copying, marks each B read-only and
+        folds it once, here, for the model's life. A write into a B (an Adam
+        step, load_values) then raises instead of leaving a stale fold."""
         params = ParamStore()
         for name, value in self.tensors.items():
             params.add(name, value)
-        return Model(self.config, params)
+            if name.endswith(".B"):
+                params[name].value.flags.writeable = False
+        model = Model(self.config, params)
+        model._kept_folds = model._folded_kernels()
+        return model
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -475,7 +489,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)  # no copy
 
 
 # metadata key -> required JSON type
@@ -486,11 +500,14 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
+        def guard(n: int) -> int:
             # a length field larger than the rest of the file is never allocated
             if n > size - fh.tell():
                 raise CheckpointError("corrupt checkpoint: truncated file")
-            return fh.read(n)
+            return n
+
+        def read(n: int) -> bytes:
+            return fh.read(guard(n))
 
         def unpack(fmt: str) -> int:
             return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
@@ -536,7 +553,11 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             shape = tuple(unpack("<I") for _ in range(unpack("<B")))
             if shape != want_shape:
                 raise CheckpointError(f"{name!r} has shape {shape}, its config's {want_shape}")
-            tensors[name] = np.frombuffer(read(8 * math.prod(shape))).reshape(shape).copy()
+            n = guard(8 * math.prod(shape))
+            tensors[name] = np.empty(shape)
+            # read straight into the array, with no bytes object beside it
+            if fh.readinto(tensors[name].data.cast("B")) != n:
+                raise CheckpointError("corrupt checkpoint: truncated file")
         if fh.tell() != size:
             raise CheckpointError("corrupt checkpoint: trailing bytes")
     if expect_config is not None and config != expect_config:

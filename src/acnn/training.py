@@ -155,7 +155,8 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
 def predict_masks(model: Model, seqs: list[TokenSequence],
                   vocab: Vocabulary) -> list[np.ndarray]:
     """Per-sentence disfluency masks (eval mode), packed as in training: one
-    Model.forward per _chunks run, with each B folded once per call."""
+    Model.forward per _chunks run, with each B folded once per call, or never
+    for a model that keeps its folds (Checkpoint.build_model)."""
     folds = model._folded_kernels()
     masks = []
     for lengths, ids in _chunks([(vocab.encode(seq.tokens),) for seq in seqs]):

@@ -180,6 +180,25 @@ class TestTagAndEval:
                    "--input", str(corpus_dir / "test.bt"),
                    "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
 
+    def test_checkpoint_truncated_in_tensor_data_is_data_error(self, corpus_dir, trained,
+                                                                tmp_path):
+        broken = tmp_path / "broken.ckpt"
+        raw = trained.read_bytes()
+        broken.write_bytes(raw[: len(raw) // 2])
+        assert run("tag", "--checkpoint", str(broken),
+                   "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
+
+    def test_tag_manifest_times_its_phases(self, corpus_dir, trained, tmp_path):
+        tagged = tmp_path / "test.tab"
+        assert run("tag", "--checkpoint", str(trained),
+                   "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(tagged)) == cli.EXIT_OK
+        timings = json.loads((tmp_path / "test.tab.manifest.json").read_text())["timings"]
+        assert set(timings) == {"load_sec", "tag_sec", "write_sec", "total_sec"}
+        for key in ("load_sec", "tag_sec", "write_sec"):
+            assert 0.0 <= timings[key] <= timings["total_sec"], key
+
     def test_hostile_checkpoint_is_data_error(self, corpus_dir, hostile_checkpoint,
                                               tmp_path):
         assert run("tag", "--checkpoint", str(hostile_checkpoint),

@@ -1,5 +1,7 @@
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,6 +339,59 @@ class TestCheckpoint:
         with pytest.raises(M.CheckpointError):
             M.load_checkpoint(path, expect_config=other)
 
+    def test_truncated_inside_tensor_data(self, tmp_path):
+        _, _, ckpt, path = self.make(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - ckpt.tensors["output.W"].nbytes // 2 - 16])
+        with pytest.raises(M.CheckpointError, match="truncated"):
+            M.load_checkpoint(path)
+
+    def test_file_shrinking_while_read(self, tmp_path, monkeypatch):
+        """A tensor read that comes short of what the file's size promised is
+        a CheckpointError too."""
+        _, _, _, path = self.make(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-9])
+        monkeypatch.setattr(M.os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(M.CheckpointError, match="truncated"):
+            M.load_checkpoint(path)
+
     def test_hostile_metadata_is_checkpoint_error(self, hostile_checkpoint):
         with pytest.raises(M.CheckpointError):
             M.load_checkpoint(hostile_checkpoint)
+
+
+def big_B_config():
+    """A (5, 6) autocorr group whose B (2.2 MB) is most of the checkpoint."""
+    return M.ModelConfig(
+        vocab_size=4, embedding_dim=48, dropout_rate=0.0, l2_weight=0.0, seed=3,
+        layers=(M.LayerConfig("autocorr", ((5, 6),), 40),
+                M.LayerConfig("conv", ((0, 1),), 4),
+                M.LayerConfig("conv", ((0, 1),), 4)))
+
+
+class TestCheckpointIO:
+    def test_load_holds_each_tensor_once(self, tmp_path):
+        """Tensors are read straight into their arrays: the traced peak of a
+        load stays near the file's size. A reader that keeps the bytes of a
+        tensor beside its array peaks near twice the size of B."""
+        cfg = big_B_config()
+        tensors = M.Model.build(cfg).params.values_copy()
+        assert tensors["layer1.group0.B"].nbytes > 0.9 * sum(t.nbytes for t in tensors.values())
+        path = tmp_path / "big.ckpt"
+        M.save_checkpoint(M.Checkpoint(config=cfg, vocab_words=["<pad>", "<unk>"],
+                                       rng_algorithm="pcg64", seed=3, step=0,
+                                       tensors=tensors), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = M.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * size, f"traced peak {peak / 1e6:.2f} MB, file {size / 1e6:.2f} MB"
+        for name, value in tensors.items():
+            assert loaded.tensors[name].tobytes() == value.tobytes(), name
+        again = tmp_path / "again.ckpt"
+        M.save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()

@@ -10,8 +10,8 @@ from acnn import training as TR
 from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, TokenSequence,
                        Vocabulary, build_vocab, generate_corpus, parse_annotated,
                        preprocess)
-from acnn.model import (CLASS_DISFLUENT, LayerConfig, Model, ModelConfig, ParamStore,
-                        model_preset)
+from acnn.model import (CLASS_DISFLUENT, Checkpoint, LayerConfig, Model, ModelConfig,
+                        ParamStore, load_checkpoint, model_preset, save_checkpoint)
 from acnn.tensor import Rng
 
 
@@ -488,6 +488,82 @@ class TestStepFold:
         seqs = [TokenSequence(tokens=["w2"] * n, labels=[FLUENT] * n) for n in STEP_LENGTHS]
         assert len(TR.predict_masks(model, seqs, vocab)) == len(seqs)
         assert folded == shapes
+
+
+@pytest.fixture
+def folded(monkeypatch):
+    """The shape of every B that layers._fold folds, in call order."""
+    shapes = []
+    fold = L._fold
+
+    def counted(B):
+        shapes.append(B.shape)
+        return fold(B)
+
+    monkeypatch.setattr(L, "_fold", counted)
+    return shapes
+
+
+def reloaded(model, tmp_path):
+    """`model`'s values saved as a checkpoint and loaded back."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(Checkpoint(config=model.config, vocab_words=packing_vocab().words,
+                               rng_algorithm=Rng.ALGORITHM, seed=model.config.seed,
+                               step=0, tensors=model.params.values_copy()), path)
+    return load_checkpoint(path)
+
+
+class TestKeptFold:
+    """A checkpoint-built model folds each B once, when it is built, and
+    keeps the fold; a Model.build model, whose B training writes, folds on
+    every call. The naive path runs beside the kept one."""
+
+    def test_folds_once_at_build_and_tags_identically(self, tmp_path, folded):
+        fresh = step_fold_model()
+        shapes = [fresh.params[name].value.shape for name in STEP_KERNELS]
+        kept = reloaded(fresh, tmp_path).build_model()
+        assert folded == shapes
+        folded.clear()
+        vocab = packing_vocab()
+        rng = Rng(7)
+        seqs = [TokenSequence(tokens=[vocab.words[int(i)] for i in rng.integers(0, 12, size=n)],
+                              labels=[FLUENT] * n) for n in STEP_LENGTHS]
+        ids = np.concatenate([vocab.encode(s.tokens) for s in seqs])
+        kept_masks = [TR.predict_masks(kept, seqs, vocab) for _ in range(3)]
+        kept_probs = kept.forward(ids, lengths=STEP_LENGTHS)
+        assert folded == []
+        fresh_masks = [TR.predict_masks(fresh, seqs, vocab) for _ in range(3)]
+        fresh_probs = fresh.forward(ids, lengths=STEP_LENGTHS)
+        assert folded == shapes * 4
+        assert kept_probs.tobytes() == fresh_probs.tobytes()
+        for got, want in zip(kept_masks, fresh_masks, strict=True):
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+    def test_B_is_read_only(self, tmp_path):
+        ckpt = reloaded(step_fold_model(), tmp_path)
+        model = ckpt.build_model()
+        for name, p in model.params.items():
+            assert p.value.flags.writeable == (name not in STEP_KERNELS), name
+        with pytest.raises(ValueError):
+            model.params["layer1.group0.B"].value[0, 0, 1, 0] = 1.0
+        with pytest.raises(ValueError):
+            ckpt.tensors["layer1.group1.B"][...] = 0.0
+        with pytest.raises(ValueError):
+            model.params.load_values(model.params.values_copy())
+        TR.batch_loss_and_grads(model, random_batch(STEP_LENGTHS, seed=2),
+                                training=True, rng=Rng(3))
+        with pytest.raises(ValueError):
+            TR.adam_step(model.params, 1, TR.TrainConfig())
+
+    def test_cnn_checkpoint_folds_nothing(self, tmp_path, folded):
+        cfg = ModelConfig(vocab_size=12, embedding_dim=3, dropout_rate=0.0,
+                          l2_weight=0.0, seed=6,
+                          layers=(LayerConfig("conv", ((5, 6),), 4),
+                                  LayerConfig("conv", ((0, 1),), 2)))
+        model = reloaded(Model.build(cfg), tmp_path).build_model()
+        seqs = [TokenSequence(tokens=["w2"] * n, labels=[FLUENT] * n) for n in STEP_LENGTHS]
+        assert len(TR.predict_masks(model, seqs, packing_vocab())) == len(seqs)
+        assert folded == []
 
 
 def packing_vocab():
