@@ -6,7 +6,7 @@ import argparse
 from dataclasses import replace
 
 from acnn import training
-from acnn.data import GENERATOR_PRESETS, build_vocab, generate_corpus
+from acnn.bench import preset_corpora
 from acnn.model import Model
 
 
@@ -21,11 +21,7 @@ def main() -> None:
     ap.add_argument("--master-seed", type=int, default=0)
     args = ap.parse_args()
 
-    gen = GENERATOR_PRESETS[args.preset]
-    train_seqs = generate_corpus(replace(gen, sentence_count=args.train_count))
-    dev_seqs = generate_corpus(replace(gen, sentence_count=args.dev_count,
-                                       seed=gen.seed + 1))
-    vocab = build_vocab(train_seqs)
+    train_seqs, dev_seqs, vocab = preset_corpora(args.preset, args.train_count, args.dev_count)
 
     def runner(mcfg, tcfg) -> float:
         model = Model.build(mcfg)

@@ -57,6 +57,16 @@ class BenchResult:
         return "\n".join(lines)
 
 
+def preset_corpora(preset: str, train_count: int, dev_count: int,
+                   ) -> tuple[list[TokenSequence], list[TokenSequence], Vocabulary]:
+    """A generator preset's train corpus, its dev corpus (drawn from the
+    preset's seed + 1) and the train corpus's vocabulary."""
+    gen_cfg = GENERATOR_PRESETS[preset]
+    train_seqs = generate_corpus(replace(gen_cfg, sentence_count=train_count))
+    dev_seqs = generate_corpus(replace(gen_cfg, sentence_count=dev_count, seed=gen_cfg.seed + 1))
+    return train_seqs, dev_seqs, build_vocab(train_seqs)
+
+
 def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
                train_cfg: training.TrainConfig) -> tuple[ArmResult, Model]:
     model = Model.build(model_preset(f"{arch}-toy", vocab_size=len(vocab), seed=seed))
@@ -86,11 +96,7 @@ def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
     """
     if len(seeds) < 3:
         raise ValueError("ab_bench needs at least 3 seeds for a stable mean")
-    gen_cfg = GENERATOR_PRESETS[preset]
-    train_seqs = generate_corpus(replace(gen_cfg, sentence_count=train_count))
-    dev_seqs = generate_corpus(replace(gen_cfg, sentence_count=dev_count,
-                                       seed=gen_cfg.seed + 1))
-    vocab = build_vocab(train_seqs)
+    train_seqs, dev_seqs, vocab = preset_corpora(preset, train_count, dev_count)
     result = BenchResult()
     for seed in seeds:
         for arch in ("cnn", "acnn"):

@@ -4,6 +4,7 @@ gradient checking, and the CNN-vs-ACNN benchmark.
 synth, train, tag and ab-bench write a RunManifest (JSON, atomic) next to
 their primary output, and eval does with --out, so a run can be reproduced
 bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS); gradcheck writes nothing.
+Each of them keeps its record in one _RunRecord.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import bench, data, evaluate, training
 from .atomic import atomic_open
-from .model import (Checkpoint, LayerConfig, Model, ModelConfig, CheckpointError,
-                    ConfigError, load_checkpoint, model_preset, param_count,
-                    save_checkpoint)
+from .model import (LAYER1_KIND, Checkpoint, LayerConfig, Model, ModelConfig,
+                    CheckpointError, ConfigError, load_checkpoint, model_preset,
+                    param_count, save_checkpoint)
 from .tensor import GradCheckReport, NumericError, Rng, grad_check
 
 EXIT_OK = 0
@@ -115,6 +116,37 @@ def _check_outputs(inputs: dict, outputs: dict) -> None:
         roles[key] = role
 
 
+class _RunRecord:
+    """The run record of one command, made before any work. It refuses bad
+    outputs (_check_outputs, the manifest next to `primary` included) and
+    starts one clock. `lap` times a phase from the previous mark; `write`,
+    once the outputs exist, writes the RunManifest with the sha256 of every
+    input and output and the timings, total_sec last."""
+
+    def __init__(self, command: str, primary, inputs: dict, outputs: dict):
+        _check_outputs(inputs, {**outputs, "manifest": _manifest_path(primary)})
+        self.command, self.primary = command, primary
+        self.inputs, self.outputs = inputs, outputs
+        self.timings: dict[str, float] = {}
+        self._start = self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.timings[f"{phase}_sec"] = now - self._mark
+        self._mark = now
+
+    def write(self, config: dict, seed: int, **timings: float) -> None:
+        def digests(paths: dict) -> dict[str, str]:
+            return {str(Path(path)): _sha256(path) for path in paths.values()}
+
+        # total_sec is read after the hashing, so it covers every other timing
+        write_manifest(RunManifest(
+            command=self.command, config=config, seed=seed,
+            inputs=digests(self.inputs), outputs=digests(self.outputs),
+            timings={**self.timings, **timings,
+                     "total_sec": time.perf_counter() - self._start}), self.primary)
+
+
 def _resolve(path: str) -> Path:
     p = Path(path)
     if not p.is_absolute() and DATA_DIR_ENV in os.environ and not p.exists():
@@ -147,23 +179,14 @@ def cmd_synth(args) -> int:
         split_cfgs = [replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
                       for i, count in enumerate(counts.values())]
     out_dir = Path(args.out)
-    _check_outputs({}, {**{f"{split} split": out_dir / f"{split}.bt" for split in counts},
-                        "manifest": _manifest_path(out_dir / "corpus")})
-    t0 = time.time()
-    outputs = {}
+    paths = {split: out_dir / f"{split}.bt" for split in counts}
+    record = _RunRecord("synth", out_dir / "corpus", {},
+                        {f"{split} split": path for split, path in paths.items()})
     for (split, count), split_cfg in zip(counts.items(), split_cfgs):
-        seqs = data.generate_corpus(split_cfg)
-        path = out_dir / f"{split}.bt"
-        data.write_corpus(seqs, path, "bracket-text")
-        outputs[str(path)] = _sha256(path)
-        print(f"wrote {path} ({count} sentences)")
-    manifest = RunManifest(
-        command="synth",
-        config={"preset": args.preset, "generator": dataclasses.asdict(cfg),
-                "counts": counts},
-        seed=cfg.seed, outputs=outputs,
-        timings={"total_sec": time.time() - t0})
-    write_manifest(manifest, out_dir / "corpus")
+        data.write_corpus(data.generate_corpus(split_cfg), paths[split], "bracket-text")
+        print(f"wrote {paths[split]} ({count} sentences)")
+    record.write({"preset": args.preset, "generator": dataclasses.asdict(cfg),
+                  "counts": counts}, cfg.seed)
     return EXIT_OK
 
 
@@ -201,19 +224,16 @@ def _train_config_from_args(args) -> training.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    t0 = time.time()
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(".log")
     train_path, dev_path = _resolve(args.train), _resolve(args.dev)
-    _check_outputs({"training corpus": train_path, "dev corpus": dev_path},
-                   {"checkpoint": out, "log": log_path, "manifest": _manifest_path(out)})
+    record = _RunRecord("train", out, {"training corpus": train_path, "dev corpus": dev_path},
+                        {"checkpoint": out, "log": log_path})
     with _flag_values():  # before any corpus is read; the vocabulary size comes after
         mcfg = _model_config_from_args(args, vocab_size=2)
         tcfg = _train_config_from_args(args)
-    train_raw = data.read_corpus(train_path, args.format)
-    dev_raw = data.read_corpus(dev_path, args.format)
-    train_seqs = [s for s in (data.preprocess(q) for q in train_raw) if s.tokens]
-    dev_seqs = [s for s in (data.preprocess(q) for q in dev_raw) if s.tokens]
+    train_seqs = data.read_sentences(train_path, args.format)
+    dev_seqs = data.read_sentences(dev_path, args.format)
     vocab = data.build_vocab(train_seqs, min_freq=args.min_freq)
     mcfg = replace(mcfg, vocab_size=len(vocab))
     model = Model.build(mcfg)
@@ -224,24 +244,15 @@ def cmd_train(args) -> int:
                       step=result.steps, tensors=model.params.values_copy())
     save_checkpoint(ckpt, out)
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
-    last = result.log[-1]
     best = next(l for l in result.log if l.epoch == result.best_epoch)
     fmt = evaluate.format_percent
     print(f"best epoch {result.best_epoch}: dev P {fmt(best.dev_precision)} "
           f"R {fmt(best.dev_recall)} F {fmt(best.dev_f1)}")
     print(param_count(model.params).format())
-    manifest = RunManifest(
-        command="train",
-        config={"model": mcfg.to_dict(), "train": dataclasses.asdict(tcfg),
-                "preset": args.preset or f"{args.arch}-toy",
-                "min_freq": args.min_freq, "format": args.format},
-        seed=args.seed,
-        inputs={str(train_path): _sha256(train_path),
-                str(dev_path): _sha256(dev_path)},
-        outputs={str(out): _sha256(out), str(log_path): _sha256(log_path)},
-        timings={"total_sec": time.time() - t0,
-                 "epochs": float(last.epoch)})
-    write_manifest(manifest, out)
+    record.write({"model": mcfg.to_dict(), "train": dataclasses.asdict(tcfg),
+                  "preset": args.preset or f"{args.arch}-toy",
+                  "min_freq": args.min_freq, "format": args.format},
+                 args.seed, epochs=float(result.log[-1].epoch))
     return EXIT_OK
 
 
@@ -250,37 +261,23 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tag(args) -> int:
-    # phase marks on one monotonic clock, so each phase is within total_sec
-    t0 = time.perf_counter()
     ckpt_path, input_path = _resolve(args.checkpoint), _resolve(args.input)
     out = Path(args.out)
-    _check_outputs({"checkpoint": ckpt_path, "input": input_path},
-                   {"output": out, "manifest": _manifest_path(out)})
-    t_load = time.perf_counter()
+    record = _RunRecord("tag", out, {"checkpoint": ckpt_path, "input": input_path},
+                        {"output": out})
     ckpt = load_checkpoint(ckpt_path)
     model = ckpt.build_model()
-    t_tag = time.perf_counter()
-    vocab = data.Vocabulary(words=ckpt.vocab_words)
-    seqs = [s for s in (data.preprocess(q)
-                        for q in data.read_corpus(input_path, args.format))
-            if s.tokens]
-    masks = training.predict_masks(model, seqs, vocab)
+    record.lap("load")
+    seqs = data.read_sentences(input_path, args.format)
+    masks = training.predict_masks(model, seqs, data.Vocabulary(words=ckpt.vocab_words))
     tagged = [data.TokenSequence(
         tokens=s.tokens,
         labels=[data.DISFLUENT if m else data.FLUENT for m in mask])
         for s, mask in zip(seqs, masks)]
-    t_write = time.perf_counter()
+    record.lap("tag")
     data.write_corpus(tagged, out, "tabular")
-    t_done = time.perf_counter()
-    manifest = RunManifest(
-        command="tag", config={"format": args.format}, seed=ckpt.seed,
-        inputs={str(ckpt_path): _sha256(ckpt_path),
-                str(input_path): _sha256(input_path)},
-        outputs={str(out): _sha256(out)},
-        timings={"load_sec": t_tag - t_load, "tag_sec": t_write - t_tag,
-                 "write_sec": t_done - t_write,
-                 "total_sec": time.perf_counter() - t0})
-    write_manifest(manifest, out)
+    record.lap("write")
+    record.write({"format": args.format}, ckpt.seed)
     return EXIT_OK
 
 
@@ -289,17 +286,15 @@ def cmd_tag(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    t0 = time.time()
     if args.errors < 0:
         raise UsageError(f"--errors must be >= 0, got {args.errors}")
     gold_path, predicted_path = _resolve(args.gold), _resolve(args.predicted)
-    out = Path(args.out) if args.out else None
-    _check_outputs({"gold corpus": gold_path, "predicted corpus": predicted_path},
-                   {"report": out, "manifest": _manifest_path(out)} if out else {})
-    gold = data.read_corpus(gold_path, args.gold_format)
+    record = _RunRecord("eval", args.out, {"gold corpus": gold_path,
+                                           "predicted corpus": predicted_path},
+                        {"report": args.out}) if args.out else None
+    read = data.read_sentences if args.preprocess else data.read_corpus
+    gold = read(gold_path, args.gold_format)
     predicted = data.read_corpus(predicted_path, "tabular")
-    if args.preprocess:
-        gold = [s for s in (data.preprocess(q) for q in gold) if s.tokens]
     masks = [seq.disfluent_mask() for seq in predicted]
     for g, pseq in zip(gold, predicted):
         if g.tokens != pseq.tokens:
@@ -316,16 +311,9 @@ def cmd_eval(args) -> int:
         listing = evaluate.error_listing(gold, masks, args.errors)
         if listing:
             print(listing)
-    if out:
-        _write_text(out, report.as_tsv() + "\n")
-        manifest = RunManifest(
-            command="eval", config={"gold_format": args.gold_format},
-            seed=0,
-            inputs={str(gold_path): _sha256(gold_path),
-                    str(predicted_path): _sha256(predicted_path)},
-            outputs={str(out): _sha256(out)},
-            timings={"total_sec": time.time() - t0})
-        write_manifest(manifest, out)
+    if record:
+        _write_text(args.out, report.as_tsv() + "\n")
+        record.write({"gold_format": args.gold_format}, 0)
     return EXIT_OK
 
 
@@ -334,11 +322,10 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _gradcheck_config(arch: str, seed: int) -> ModelConfig:
-    first = "autocorr" if arch == "acnn" else "conv"
     return ModelConfig(
         vocab_size=16, embedding_dim=5,
         dropout_rate=0.0, l2_weight=0.05, seed=seed,
-        layers=(LayerConfig(first, ((1, 2), (2, 1)), 4),
+        layers=(LayerConfig(LAYER1_KIND[arch], ((1, 2), (2, 1)), 4),
                 LayerConfig("conv", ((1, 1),), 4),
                 LayerConfig("conv", ((0, 1),), 4)))
 
@@ -392,7 +379,6 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ab_bench(args) -> int:
-    t0 = time.time()
     with _flag_values():
         # built here only so that bench.ab_bench never meets a value they reject
         gen_cfg = data.GENERATOR_PRESETS[args.preset]
@@ -406,8 +392,7 @@ def cmd_ab_bench(args) -> int:
     if len(seeds) < 3:
         raise UsageError("ab-bench needs at least 3 comma-separated seeds "
                          "(e.g. --seeds 11,12,13)")
-    out = Path(args.out)
-    _check_outputs({}, {"report": out, "manifest": _manifest_path(out)})
+    record = _RunRecord("ab-bench", args.out, {}, {"report": args.out})
 
     def progress(arm):
         print(f"seed {arm.seed} {arm.arch}: dev F {100 * arm.dev_f1:.2f} "
@@ -428,15 +413,9 @@ def cmd_ab_bench(args) -> int:
     lines += ["", f"copy-pair embedding cosine {copy_mean:.3f} vs random-pair {rand_mean:.3f}"]
     report = "\n".join(lines)
     print(report)
-    _write_text(out, report + "\n")
-    manifest = RunManifest(
-        command="ab-bench",
-        config={"preset": args.preset, "seeds": seeds,
-                "train_count": args.train_count, "dev_count": args.dev_count,
-                "train": dataclasses.asdict(tcfg)},
-        seed=seeds[0], outputs={str(out): _sha256(out)},
-        timings={"total_sec": time.time() - t0})
-    write_manifest(manifest, out)
+    _write_text(args.out, report + "\n")
+    record.write({"preset": args.preset, "seeds": seeds, "train_count": args.train_count,
+                  "dev_count": args.dev_count, "train": dataclasses.asdict(tcfg)}, seeds[0])
     return EXIT_OK
 
 

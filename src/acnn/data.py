@@ -270,10 +270,11 @@ class Vocabulary:
 
 def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
     """Frequency-ordered vocabulary with lexicographic tie-break; words below
-    min_freq are left out and map to <unk> at encode time."""
+    min_freq are left out and map to <unk> at encode time. The reserved
+    <pad> and <unk> are never counted, so no word appears twice."""
     if not corpus:
         raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
-    counts = Counter(t for seq in corpus for t in seq.tokens)
+    counts = Counter(t for seq in corpus for t in seq.tokens if t not in (PAD_WORD, UNK_WORD))
     ordered = sorted((w for w, c in counts.items() if c >= min_freq),
                      key=lambda w: (-counts[w], w))
     return Vocabulary(words=[PAD_WORD, UNK_WORD] + ordered)
@@ -325,6 +326,12 @@ def read_corpus(path, fmt: str = "bracket-text") -> list[TokenSequence]:
             seqs.append(TokenSequence(tokens=tokens, labels=labels))
         return seqs
     raise ValueError(f"unknown corpus format {fmt!r}")
+
+
+def read_sentences(path, fmt: str = "bracket-text") -> list[TokenSequence]:
+    """A corpus file, preprocessed, without the sentences that preprocessing
+    leaves empty: what training and tagging read."""
+    return [s for s in map(preprocess, read_corpus(path, fmt)) if s.tokens]
 
 
 def write_corpus(seqs: list[TokenSequence], path, fmt: str = "bracket-text") -> None:

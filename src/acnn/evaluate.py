@@ -67,14 +67,19 @@ def _check_alignment(gold: list[TokenSequence], predicted: list) -> None:
                 f"sentence {i}: {len(seq.tokens)} tokens vs {len(mask)} predictions")
 
 
+def _mask_pairs(gold: list[TokenSequence], predicted: list):
+    """Check the alignment now, then yield (sentence, gold mask, predicted
+    mask) per sentence, both masks boolean arrays."""
+    _check_alignment(gold, predicted)
+    return ((seq, seq.disfluent_mask(), np.asarray(mask, dtype=bool))
+            for seq, mask in zip(gold, predicted))
+
+
 def score(gold: list[TokenSequence], predicted: list) -> EvalReport:
     """Token-level counts over the disfluent class only. `predicted` is one
     boolean mask per sentence, aligned with the gold tokenization."""
-    _check_alignment(gold, predicted)
     tp = fp = fn = 0
-    for seq, mask in zip(gold, predicted):
-        g = seq.disfluent_mask()
-        p = np.asarray(mask, dtype=bool)
+    for _, g, p in _mask_pairs(gold, predicted):
         tp += int((g & p).sum())
         fp += int((~g & p).sum())
         fn += int((g & ~p).sum())
@@ -107,11 +112,8 @@ def score_by_kind(gold: list[TokenSequence], predicted: list) -> dict[str, EvalR
     """F restricted to reparandum tokens of each disfluency kind. Gold
     disfluent tokens are attributed to the innermost containing span; false
     positives to the nearest gold span in the sentence."""
-    _check_alignment(gold, predicted)
     reports = {k: EvalReport(tp=0, fp=0, fn=0) for k in KINDS}
-    for seq, mask in zip(gold, predicted):
-        g = seq.disfluent_mask()
-        p = np.asarray(mask, dtype=bool)
+    for seq, g, p in _mask_pairs(gold, predicted):
         for idx in range(len(seq.tokens)):
             if g[idx]:
                 span = _innermost_span(seq.spans, idx)
@@ -190,13 +192,7 @@ def error_listing(gold: list[TokenSequence], predicted: list,
     """One line `#<index>: <marked text>` per sentence whose predicted mask
     differs from its gold labels, for the first `limit` such sentences (all
     of them when None)."""
-    _check_alignment(gold, predicted)
-
-    def mismatched():
-        for i, (seq, mask) in enumerate(zip(gold, predicted)):
-            g = seq.disfluent_mask()
-            p = np.asarray(mask, dtype=bool)
-            if (g != p).any():
-                yield f"#{i}: {render_marked(seq.tokens, g, p)}"
-
-    return "\n".join(islice(mismatched(), limit))
+    lines = (f"#{i}: {render_marked(seq.tokens, g, p)}"
+             for i, (seq, g, p) in enumerate(_mask_pairs(gold, predicted))
+             if (g != p).any())
+    return "\n".join(islice(lines, limit))

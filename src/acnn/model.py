@@ -102,7 +102,7 @@ class ModelConfig:
     @property
     def arch(self) -> str:
         """The architecture, read from layer 1: "acnn" when it is
-        auto-correlational, "cnn" otherwise."""
+        auto-correlational, "cnn" otherwise (the inverse of LAYER1_KIND)."""
         return "acnn" if self.layers[0].kind == "autocorr" else "cnn"
 
     def to_dict(self) -> dict:
@@ -173,11 +173,16 @@ class ParamStore:
         return {k: p.value.copy() for k, p in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """All or nothing: every name, shape and write flag is checked before
+        the first value is written."""
         if set(values) != set(self._params):
             raise ConfigError("parameter name mismatch while loading values")
         for k, v in values.items():
             if v.shape != self._params[k].value.shape:
                 raise ConfigError(f"shape mismatch for parameter {k!r}")
+            if not self._params[k].value.flags.writeable:
+                raise ValueError(f"parameter {k!r} is read-only")
+        for k, v in values.items():
             self._params[k].value[...] = v
 
 
@@ -380,6 +385,10 @@ def param_count(params: ParamStore) -> ParamCountReport:
 # Named presets
 # ---------------------------------------------------------------------------
 
+# architecture -> the kind of its layer 1; ModelConfig.arch reads it back
+LAYER1_KIND = {"acnn": "autocorr", "cnn": "conv"}
+
+
 def model_preset(name: str, vocab_size: int, seed: int = 0) -> ModelConfig:
     """Named architecture presets.
 
@@ -406,12 +415,11 @@ def model_preset(name: str, vocab_size: int, seed: int = 0) -> ModelConfig:
                 LayerConfig("conv", ((3, 4), (2, 2)), 120),
             ))
     if name in ("cnn-toy", "acnn-toy"):
-        first = "conv" if name == "cnn-toy" else "autocorr"
         return ModelConfig(
             vocab_size=vocab_size, embedding_dim=32,
             dropout_rate=0.15, l2_weight=0.01, seed=seed,
             layers=(
-                LayerConfig(first, ((2, 6),), 16),
+                LayerConfig(LAYER1_KIND[name.removesuffix("-toy")], ((2, 6),), 16),
                 LayerConfig("conv", ((1, 2),), 16),
                 LayerConfig("conv", ((0, 1),), 16),
             ))
@@ -530,6 +538,8 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
                     f"corrupt checkpoint metadata: {key!r} missing or not a {typ.__name__}")
         if not all(isinstance(word, str) for word in meta["vocab"]):
             raise CheckpointError("corrupt checkpoint metadata: non-string vocabulary entry")
+        if len(set(meta["vocab"])) != len(meta["vocab"]):
+            raise CheckpointError("corrupt checkpoint metadata: a vocabulary word repeats")
         try:
             config = ModelConfig.from_dict(meta["config"])
         except (KeyError, TypeError, ValueError) as exc:

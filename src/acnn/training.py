@@ -11,7 +11,7 @@ import numpy as np
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
 from .layers import softmax_xent_backward
-from .model import CLASS_DISFLUENT, LayerConfig, Model, ModelConfig, ParamStore
+from .model import CLASS_DISFLUENT, LAYER1_KIND, LayerConfig, Model, ModelConfig, ParamStore
 from .tensor import NumericError, Rng
 
 
@@ -260,8 +260,6 @@ SEARCH_LEARNING_RATES = (0.001, 0.003)
 
 def _sample_trial(arch: str, rng: Rng, vocab_size: int,
                   seed: int) -> tuple[ModelConfig, TrainConfig]:
-    first = "autocorr" if arch == "acnn" else "conv"
-
     def group() -> tuple[int, int]:
         ell = int(rng.integers(SEARCH_ELL[0], SEARCH_ELL[1] + 1))
         r = int(rng.integers(SEARCH_R[0], SEARCH_R[1] + 1))
@@ -273,7 +271,7 @@ def _sample_trial(arch: str, rng: Rng, vocab_size: int,
         embedding_dim=rng.choice(SEARCH_EMBEDDING_DIMS),
         dropout_rate=float(rng.uniform(*SEARCH_DROPOUT)),
         l2_weight=float(rng.uniform(*SEARCH_L2)),
-        layers=(LayerConfig(first, (group(),), channels),
+        layers=(LayerConfig(LAYER1_KIND[arch], (group(),), channels),
                 LayerConfig("conv", (group(),), channels),
                 LayerConfig("conv", (group(),), channels)),
         seed=seed)

@@ -64,6 +64,9 @@ HOSTILE_CHECKPOINTS = {
                            _VALID_TENSORS[:3] + (_tensor("output.W", (2, 3)),) + _VALID_TENSORS[4:]),
     "vocab-beyond-vocab-size": (_changed(_VALID_META, vocab=[f"w{i}" for i in range(11)]), None,
                                 _VALID_TENSORS),
+    # both copies would encode to one id, and the other's embedding row would go unused
+    "vocab-word-repeats": (_changed(_VALID_META, vocab=["<pad>", "<unk>", "a", "a"]), None,
+                           _VALID_TENSORS),
     # two float32 values, as a reader of a float32 code would take them
     "dtype-code-1": (_VALID_META, None, _VALID_TENSORS[:4] + (("output.b", (2,), 1, bytes(8)),)),
     # a seed that no Rng takes, so the checkpoint could not have been built from it

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +516,45 @@ class TestManifest:
         loaded = json.loads(path.read_text())
         assert loaded["command"] == "x"
         assert loaded["rng_algorithm"] == "pcg64"
+
+
+@pytest.fixture(scope="module")
+def run_records(tmp_path_factory):
+    """One tiny run of each command that writes a manifest: command ->
+    (primary output, the input paths, the output paths)."""
+    d = tmp_path_factory.mktemp("records")
+    splits = [d / f"{split}.bt" for split in ("train", "dev", "test")]
+    ckpt, tagged, report, bench = d / "m.ckpt", d / "test.tab", d / "r.tsv", d / "bench.tsv"
+    for argv in (("synth", "--preset", "toy", "--out", str(d), "--train-count", "12",
+                  "--dev-count", "6", "--test-count", "4"),
+                 ("train", "--arch", "acnn", "--train", str(splits[0]), "--dev", str(splits[1]),
+                  "--out", str(ckpt), "--max-epochs", "1"),
+                 ("tag", "--checkpoint", str(ckpt), "--input", str(splits[2]),
+                  "--out", str(tagged)),
+                 ("eval", "--gold", str(splits[2]), "--predicted", str(tagged), "--preprocess",
+                  "--out", str(report)),
+                 ("ab-bench", "--train-count", "12", "--dev-count", "6", "--max-epochs", "1",
+                  "--patience", "1", "--out", str(bench))):
+        assert run(*argv) == cli.EXIT_OK, argv[0]
+    return {"synth": (d / "corpus", [], splits),
+            "train": (ckpt, splits[:2], [ckpt, d / "m.log"]),
+            "tag": (tagged, [ckpt, splits[2]], [tagged]),
+            "eval": (report, [splits[2], tagged], [report]),
+            "ab-bench": (bench, [], [bench])}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", ["synth", "train", "tag", "eval", "ab-bench"])
+    def test_manifest_records_the_run(self, command, run_records):
+        primary, inputs, outputs = run_records[command]
+        manifest = json.loads(Path(f"{primary}.manifest.json").read_text())
+        assert set(manifest) == {"command", "config", "seed", "inputs", "outputs",
+                                 "timings", "rng_algorithm"}
+        assert manifest["command"] == command
+        for role, paths in (("inputs", inputs), ("outputs", outputs)):
+            assert manifest[role] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                                      for path in paths}, role
+        timings = manifest["timings"]
+        for key, value in timings.items():
+            if key.endswith("_sec"):
+                assert 0.0 <= value <= timings["total_sec"], key

@@ -178,8 +178,20 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             D.build_vocab([])
 
+    def test_reserved_words_are_not_counted(self):
+        corpus = [D.TokenSequence(tokens="<unk> cat <pad> cat <pad>".split(), labels=["_"] * 5)]
+        vocab = D.build_vocab(corpus)
+        assert vocab.words == [D.PAD_WORD, D.UNK_WORD, "cat"]
+        assert vocab.encode(["<pad>", "<unk>", "cat"]).tolist() == [0, D.UNK_ID, 2]
+
 
 class TestCorpusFiles:
+    def test_read_sentences_preprocesses_and_drops_empty(self, tmp_path):
+        path = tmp_path / "c.bt"
+        path.write_text("So , I\n. ,\n[ We + { uh } they ] went-\n")
+        assert [(s.tokens, s.labels) for s in D.read_sentences(path)] == [
+            (["so", "i"], ["_", "_"]), (["we", "uh", "they"], ["E", "_", "_"])]
+
     def test_bracket_file_round_trip(self, tmp_path):
         cfg = replace(D.GENERATOR_PRESETS["toy"], sentence_count=50, seed=3)
         seqs = D.generate_corpus(cfg)

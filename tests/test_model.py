@@ -227,6 +227,27 @@ class TestParamStore:
         with pytest.raises(M.ConfigError):
             model.params.load_values(vals)
 
+    def test_load_values_checks_every_shape_before_writing(self):
+        model = M.Model.build(toy_config())
+        before = model.params.values_copy()
+        values = {k: v + 1.0 for k, v in before.items() if k != "output.W"}
+        values["output.W"] = np.zeros((3, 3))  # the last tensor written, of the wrong shape
+        with pytest.raises(M.ConfigError, match="output.W"):
+            model.params.load_values(values)
+        assert {k: p.value.tobytes() for k, p in model.params.items()} == \
+            {k: v.tobytes() for k, v in before.items()}
+
+    def test_load_values_into_read_only_B_writes_nothing(self):
+        cfg = toy_config()
+        model = M.Checkpoint(config=cfg, vocab_words=["<pad>", "<unk>"], rng_algorithm="pcg64",
+                             seed=0, step=0,
+                             tensors=M.Model.build(cfg).params.values_copy()).build_model()
+        before = model.params.values_copy()
+        with pytest.raises(ValueError, match="read-only"):
+            model.params.load_values({k: v + 1.0 for k, v in before.items()})
+        assert {k: p.value.tobytes() for k, p in model.params.items()} == \
+            {k: v.tobytes() for k, v in before.items()}
+
     def test_zero_grads(self):
         model = M.Model.build(toy_config())
         model.params["output.W"].grad += 1.0
