@@ -40,3 +40,13 @@ class TestGradCheck:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             grad_check(lambda q: 0.0, np.zeros(3), np.zeros(4))
+
+
+def test_import_turns_off_numpy_huge_page_advice():
+    # with huge pages, a freed-and-reused heap region's resident size (and a
+    # tagger's peak RSS) follows the process's randomised heap address
+    import acnn
+
+    previous = acnn._set_madvise_hugepage(False)
+    acnn._set_madvise_hugepage(previous)
+    assert previous is False
