@@ -121,7 +121,7 @@ class _RunRecord:
     outputs (_check_outputs, the manifest next to `primary` included) and
     starts one clock. `lap` times a phase from the previous mark; `write`,
     once the outputs exist, writes the RunManifest with the sha256 of every
-    input and output and the timings, total_sec last."""
+    input and output and the timings in seconds, total_sec last."""
 
     def __init__(self, command: str, primary, inputs: dict, outputs: dict):
         _check_outputs(inputs, {**outputs, "manifest": _manifest_path(primary)})
@@ -135,7 +135,7 @@ class _RunRecord:
         self.timings[f"{phase}_sec"] = now - self._mark
         self._mark = now
 
-    def write(self, config: dict, seed: int, **timings: float) -> None:
+    def write(self, config: dict, seed: int) -> None:
         def digests(paths: dict) -> dict[str, str]:
             return {str(Path(path)): _sha256(path) for path in paths.values()}
 
@@ -143,8 +143,8 @@ class _RunRecord:
         write_manifest(RunManifest(
             command=self.command, config=config, seed=seed,
             inputs=digests(self.inputs), outputs=digests(self.outputs),
-            timings={**self.timings, **timings,
-                     "total_sec": time.perf_counter() - self._start}), self.primary)
+            timings={**self.timings, "total_sec": time.perf_counter() - self._start}),
+            self.primary)
 
 
 def _resolve(path: str) -> Path:
@@ -252,7 +252,7 @@ def cmd_train(args) -> int:
     record.write({"model": mcfg.to_dict(), "train": dataclasses.asdict(tcfg),
                   "preset": args.preset or f"{args.arch}-toy",
                   "min_freq": args.min_freq, "format": args.format},
-                 args.seed, epochs=float(result.log[-1].epoch))
+                 args.seed)
     return EXIT_OK
 
 

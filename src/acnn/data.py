@@ -35,8 +35,8 @@ KINDS = (KIND_REPETITION, KIND_CORRECTION, KIND_RESTART)
 
 RESERVED = ("[", "]", "{", "}", "+")
 
-# Deepest disfluency nesting a bracket-text line may have: far beyond any
-# transcript, and it bounds the recursion of parse_annotated and write_bracket.
+# Deepest disfluency nesting a bracket-text line may have: a documented limit
+# of the format, far beyond any transcript.
 MAX_NESTING = 100
 
 UNK_ID = 1
@@ -84,79 +84,55 @@ def classify_span(span: DisfluencySpan, tokens: list[str]) -> str:
 
 
 def parse_annotated(text: str) -> TokenSequence:
-    """Parse one bracket-annotated utterance."""
-    raw = text.split()
+    """Parse one bracket-annotated utterance, in one pass over its tokens."""
     tokens: list[str] = []
     labels: list[str] = []
     spans: list[DisfluencySpan] = []
-    pos = 0
-    edit_depth = 0  # open reparanda around the current token
-    nesting = 0  # open disfluencies around the current token
-
-    def emit(word: str) -> None:
-        tokens.append(word)
-        labels.append(DISFLUENT if edit_depth > 0 else FLUENT)
-
-    def parse_region(terminators: tuple[str, ...]) -> None:
-        nonlocal pos
-        while pos < len(raw) and raw[pos] not in terminators:
-            tok = raw[pos]
-            if tok == "[":
-                parse_disfluency()
-            elif tok in ("]", "}", "+"):
-                raise CorpusFormatError(f"unexpected {tok!r} at token {pos}")
-            elif tok == "{":
+    # open disfluencies, innermost last, as [phase, reparandum start, reparandum
+    # end, interregnum end]; the phase is "reparandum", "+" (just after the
+    # '+'), "interregnum" or "repair"
+    stack: list[list] = []
+    edit_depth = 0  # open disfluencies still in their reparandum
+    for pos, tok in enumerate(text.split()):
+        top = stack[-1] if stack else (None,)  # outside every disfluency
+        if top[0] == "+" and tok == "{":
+            top[0] = "interregnum"
+            continue
+        if top[0] == "+":
+            top[0] = "repair"
+        if tok not in RESERVED:
+            tokens.append(tok)
+            labels.append(DISFLUENT if edit_depth > 0 else FLUENT)
+        elif top[0] == "interregnum" and tok == "}":
+            top[0], top[3] = "repair", len(tokens)
+        elif top[0] == "interregnum":
+            raise CorpusFormatError("nested annotation inside interregnum")
+        elif tok == "[":
+            if len(stack) == MAX_NESTING:
                 raise CorpusFormatError(
-                    f"interregnum braces only allowed after '+' (token {pos})")
-            else:
-                emit(tok)
-                pos += 1
-
-    def parse_disfluency() -> None:
-        nonlocal pos, edit_depth, nesting
-        if nesting == MAX_NESTING:
-            raise CorpusFormatError(
-                f"disfluencies nested deeper than {MAX_NESTING} at token {pos}")
-        nesting += 1
-        pos += 1  # consume '['
-        rep_start = len(tokens)
-        edit_depth += 1
-        parse_region(("+",))
-        edit_depth -= 1
-        if pos >= len(raw):
-            raise CorpusFormatError("'[' without matching '+'")
-        rep_end = len(tokens)
-        if rep_end == rep_start:
-            raise CorpusFormatError("empty reparandum")
-        pos += 1  # consume '+'
-        interregnum = None
-        if pos < len(raw) and raw[pos] == "{":
-            pos += 1
-            ig_start = len(tokens)
-            while pos < len(raw) and raw[pos] != "}":
-                if raw[pos] in RESERVED:
-                    raise CorpusFormatError("nested annotation inside interregnum")
-                emit(raw[pos])
-                pos += 1
-            if pos >= len(raw):
-                raise CorpusFormatError("'{' without matching '}'")
-            pos += 1  # consume '}'
-            if len(tokens) > ig_start:
-                interregnum = (ig_start, len(tokens))
-        fix_start = len(tokens)
-        parse_region(("]",))
-        if pos >= len(raw):
-            raise CorpusFormatError("'[' without matching ']'")
-        pos += 1  # consume ']'
-        nesting -= 1
-        repair = (fix_start, len(tokens)) if len(tokens) > fix_start else None
-        span = DisfluencySpan(reparandum=(rep_start, rep_end),
-                              interregnum=interregnum, repair=repair, kind="")
-        spans.append(replace(span, kind=classify_span(span, tokens)))
-
-    parse_region(())
-    if pos != len(raw):
-        raise CorpusFormatError(f"unexpected {raw[pos]!r} at token {pos}")
+                    f"disfluencies nested deeper than {MAX_NESTING} at token {pos}")
+            stack.append(["reparandum", len(tokens), None, None])
+            edit_depth += 1
+        elif tok == "+" and top[0] == "reparandum":
+            if len(tokens) == top[1]:
+                raise CorpusFormatError("empty reparandum")
+            top[0], top[2], top[3] = "+", len(tokens), len(tokens)
+            edit_depth -= 1
+        elif tok == "]" and top[0] == "repair":
+            _, rep_start, rep_end, ig_end = stack.pop()
+            span = DisfluencySpan(
+                reparandum=(rep_start, rep_end),
+                interregnum=(rep_end, ig_end) if ig_end > rep_end else None,
+                repair=(ig_end, len(tokens)) if len(tokens) > ig_end else None, kind="")
+            spans.append(replace(span, kind=classify_span(span, tokens)))
+        elif tok == "{":
+            raise CorpusFormatError(f"interregnum braces only allowed after '+' (token {pos})")
+        else:
+            raise CorpusFormatError(f"unexpected {tok!r} at token {pos}")
+    if stack:
+        raise CorpusFormatError({"reparandum": "'[' without matching '+'",
+                                 "interregnum": "'{' without matching '}'"}.get(
+                                     stack[-1][0], "'[' without matching ']'"))
     spans.sort(key=lambda s: (s.reparandum[0], -(_span_end(s) - s.reparandum[0])))
     return TokenSequence(tokens=tokens, labels=labels, spans=spans)
 
@@ -170,41 +146,32 @@ def _span_end(span: DisfluencySpan) -> int:
 
 
 def write_bracket(seq: TokenSequence) -> str:
-    """Render a TokenSequence back to bracket-text. Inverse of parse_annotated
-    on span structure and labels."""
-
-    def contains(outer: DisfluencySpan, inner: DisfluencySpan) -> bool:
-        return (outer.reparandum[0] <= inner.reparandum[0]
-                and _span_end(inner) <= _span_end(outer)
-                and outer is not inner)
-
-    def render(lo: int, hi: int, avail: list[DisfluencySpan]) -> list[str]:
-        tops = [s for s in avail
-                if not any(contains(o, s) for o in avail)]
-        tops.sort(key=lambda s: s.reparandum[0])
-        out: list[str] = []
-        t = lo
-        for s in tops:
-            s_lo, s_hi = s.reparandum[0], _span_end(s)
-            out.extend(seq.tokens[t:s_lo])
-            inner = [x for x in avail if contains(s, x)]
-            out.append("[")
-            out.extend(render(s.reparandum[0], s.reparandum[1],
-                              [x for x in inner if _span_end(x) <= s.reparandum[1]]))
-            out.append("+")
-            if s.interregnum is not None:
-                out.append("{")
-                out.extend(seq.tokens[s.interregnum[0]:s.interregnum[1]])
-                out.append("}")
-            if s.repair is not None:
-                out.extend(render(s.repair[0], s.repair[1],
-                                  [x for x in inner if x.reparandum[0] >= s.repair[0]]))
-            out.append("]")
-            t = s_hi
-        out.extend(seq.tokens[t:hi])
-        return out
-
-    return " ".join(render(0, len(seq.tokens), list(seq.spans)))
+    """Render a TokenSequence back to bracket-text, in one pass over its
+    spans' marks in token order. Inverse of parse_annotated on tokens, labels and spans (spans
+    that share an extent may come back in another list order)."""
+    # (boundary, sort key, marks): at a token boundary an interregnum's '}'
+    # goes first; then each '+' and ']', innermost span first (shorter extent,
+    # then earlier reparandum end, then list order, so that spans alike close
+    # one by one; a span's '+' before its ']'); then the '['s, whose order
+    # (the reverse) reads the same
+    marks: list[tuple] = []
+    for i, s in enumerate(seq.spans):
+        (start, rep_end), end = s.reparandum, _span_end(s)
+        inner = (end - start, rep_end, i)
+        plus = ["+"]
+        if s.interregnum is not None:
+            plus.append("{")
+            marks.append((s.interregnum[1], (-1,), ["}"]))
+        marks += [(rep_end, (0, *inner, 0), plus), (end, (0, *inner, 1), ["]"]),
+                  (start, (1,), ["["])]
+    out: list[str] = []
+    done = 0  # tokens written
+    for boundary, _, words in sorted(marks):
+        out += seq.tokens[done:boundary]
+        out += words
+        done = boundary
+    out += seq.tokens[done:]
+    return " ".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 from . import tensor as T
 from . import layers as L
 from .atomic import atomic_open
+from .data import PAD_WORD, UNK_WORD
 from .tensor import Rng
 
 CLASS_DISFLUENT = 1
@@ -540,6 +541,10 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             raise CheckpointError("corrupt checkpoint metadata: non-string vocabulary entry")
         if len(set(meta["vocab"])) != len(meta["vocab"]):
             raise CheckpointError("corrupt checkpoint metadata: a vocabulary word repeats")
+        # Vocabulary.encode sends unknown words to id 1
+        if meta["vocab"][:2] != [PAD_WORD, UNK_WORD]:
+            raise CheckpointError(f"corrupt checkpoint metadata: vocabulary does not start "
+                                  f"with {PAD_WORD!r}, {UNK_WORD!r}")
         try:
             config = ModelConfig.from_dict(meta["config"])
         except (KeyError, TypeError, ValueError) as exc:

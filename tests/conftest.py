@@ -62,8 +62,11 @@ HOSTILE_CHECKPOINTS = {
     "tensor-extra": (_VALID_META, None, _VALID_TENSORS + (_tensor("extra", (1,)),)),
     "tensor-wrong-shape": (_VALID_META, None,
                            _VALID_TENSORS[:3] + (_tensor("output.W", (2, 3)),) + _VALID_TENSORS[4:]),
-    "vocab-beyond-vocab-size": (_changed(_VALID_META, vocab=[f"w{i}" for i in range(11)]), None,
-                                _VALID_TENSORS),
+    "vocab-beyond-vocab-size": (
+        _changed(_VALID_META, vocab=["<pad>", "<unk>"] + [f"w{i}" for i in range(9)]), None,
+        _VALID_TENSORS),
+    # Vocabulary.encode would send unknown words to the row of "b"
+    "vocab-without-pad-unk": (_changed(_VALID_META, vocab=["a", "b", "c"]), None, _VALID_TENSORS),
     # both copies would encode to one id, and the other's embedding row would go unused
     "vocab-word-repeats": (_changed(_VALID_META, vocab=["<pad>", "<unk>", "a", "a"]), None,
                            _VALID_TENSORS),

@@ -556,5 +556,5 @@ class TestRunRecord:
                                       for path in paths}, role
         timings = manifest["timings"]
         for key, value in timings.items():
-            if key.endswith("_sec"):
-                assert 0.0 <= value <= timings["total_sec"], key
+            assert key.endswith("_sec"), key
+            assert 0.0 <= value <= timings["total_sec"], key

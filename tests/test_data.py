@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,27 @@ from acnn import data as D
 
 
 EXAMPLE = "i want a flight [ to boston + { uh i mean } to denver ] on friday"
+
+# preprocess drops the punctuation and the partial word
+WORDS = st.sampled_from(["a", "b", "uh", ",", "wou-"])
+
+
+@st.composite
+def bracket_region(draw, depth=0, min_size=0):
+    """The tokens of a valid bracket-text region: words and disfluencies
+    nested up to 4 deep, with optional (possibly empty) interregna and
+    possibly empty repairs."""
+    out = []
+    for _ in range(draw(st.integers(min_size, 3))):
+        if depth < 4 and draw(st.booleans()):
+            out += ["[", *draw(bracket_region(depth + 1, 1)), "+"]
+            interregnum = draw(st.none() | st.lists(WORDS, max_size=2))
+            if interregnum is not None:
+                out += ["{", *interregnum, "}"]
+            out += [*draw(bracket_region(depth + 1)), "]"]
+        else:
+            out.append(draw(WORDS))
+    return out
 
 
 class TestParse:
@@ -55,19 +78,33 @@ class TestParse:
                      if lab == D.DISFLUENT]
         assert disfluent == ["a", "a", "cat"]
 
-    @pytest.mark.parametrize("bad", [
-        "a [ b c",              # '[' without '+'
-        "a [ b + c",            # missing ']'
-        "a ] b",                # stray ']'
-        "a + b",                # stray '+'
-        "a { uh } b",           # braces outside a disfluency
-        "[ + a ]",              # empty reparandum
-        "[ a + { uh ]",         # '{' without '}'
-        "[ a + { [ b + b ] } c ]",  # annotation inside interregnum
-    ])
+    # each malformed line and its whole error message
+    MALFORMED = {
+        "a [ b c": "'[' without matching '+'",
+        "a [ b + c": "'[' without matching ']'",
+        "a ] b": "unexpected ']' at token 1",
+        "a + b": "unexpected '+' at token 1",
+        "[ a + ] ]": "unexpected ']' at token 4",
+        "[ a + b } ]": "unexpected '}' at token 4",
+        "a { uh } b": "interregnum braces only allowed after '+' (token 1)",
+        "[ a + { uh } { x } b ]": "interregnum braces only allowed after '+' (token 6)",
+        "[ + a ]": "empty reparandum",
+        "[ a + { uh": "'{' without matching '}'",
+        "[ a + { uh ]": "nested annotation inside interregnum",
+        "[ a + { [ b + b ] } c ]": "nested annotation inside interregnum",
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed_input_rejected(self, bad):
-        with pytest.raises(D.CorpusFormatError):
+        with pytest.raises(D.CorpusFormatError, match=f"^{re.escape(self.MALFORMED[bad])}$"):
             D.parse_annotated(bad)
+
+    def test_nesting_limit(self):
+        deep = "[ a + " * (D.MAX_NESTING + 1) + "b" + " ]" * (D.MAX_NESTING + 1)
+        message = f"disfluencies nested deeper than {D.MAX_NESTING} at token {3 * D.MAX_NESTING}"
+        with pytest.raises(D.CorpusFormatError, match=f"^{re.escape(message)}$"):
+            D.parse_annotated(deep)
+        assert len(D.parse_annotated(deep[6:-2]).spans) == D.MAX_NESTING
 
 
 class TestWriteBracket:
@@ -78,6 +115,10 @@ class TestWriteBracket:
         "i [ [ a + a ] cat + a dog ] slept",
         "plain fluent words only",
         "[ a + b ] then [ c c + { um } c c ] end",
+        # spans that share an extent
+        "[ [ b + ] + ]",
+        "i [ [ uh + ] + ] want",
+        "[ [ to + { uh } ] + ] to boston",
     ])
     def test_round_trip(self, text):
         seq = D.parse_annotated(text)
@@ -91,6 +132,16 @@ class TestWriteBracket:
             assert again.tokens == seq.tokens
             assert again.labels == seq.labels
             assert again.spans == seq.spans
+
+    @given(st.builds(" ".join, bracket_region()))
+    @settings(max_examples=300, deadline=None)
+    def test_nested_round_trip(self, text):
+        seq = D.parse_annotated(text)
+        for s in (seq, D.preprocess(seq)):
+            again = D.parse_annotated(D.write_bracket(s))
+            assert (again.tokens, again.labels) == (s.tokens, s.labels)
+            # spans with one extent may come back in another list order
+            assert Counter(again.spans) == Counter(s.spans)
 
 
 class TestPreprocess:
