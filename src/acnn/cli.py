@@ -232,6 +232,8 @@ def cmd_train(args) -> int:
     with _flag_values():  # before any corpus is read; the vocabulary size comes after
         mcfg = _model_config_from_args(args, vocab_size=2)
         tcfg = _train_config_from_args(args)
+    if args.min_freq < 1:
+        raise UsageError(f"--min-freq must be >= 1, got {args.min_freq}")
     train_seqs = data.read_sentences(train_path, args.format)
     dev_seqs = data.read_sentences(dev_path, args.format)
     vocab = data.build_vocab(train_seqs, min_freq=args.min_freq)

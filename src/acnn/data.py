@@ -239,6 +239,8 @@ def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
     """Frequency-ordered vocabulary with lexicographic tie-break; words below
     min_freq are left out and map to <unk> at encode time. The reserved
     <pad> and <unk> are never counted, so no word appears twice."""
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if not corpus:
         raise CorpusFormatError("cannot build a vocabulary from an empty corpus")
     counts = Counter(t for seq in corpus for t in seq.tokens if t not in (PAD_WORD, UNK_WORD))

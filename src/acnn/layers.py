@@ -3,15 +3,19 @@
 One-dimensional convolution over a token sequence, the auto-correlation
 operator (convolution plus a learned contraction over the pairwise Hadamard
 interaction tensor of the window), ReLU, row softmax, inverted dropout, and the
-width-1 (per-position affine) convolution. Every learned term is one matmul,
-`_contract`, with one adjoint, `_contract_backward`: the A-term contracts the
-windows, autocorr's B-term the pair windows, and width-1 the rows themselves.
+width-1 (per-position affine) convolution. Every learned term is built from
+one matmul, `_contract`, with one adjoint, `_contract_backward`: the A-term is
+one call over the windows, width-1 one call over the rows themselves, and
+autocorr's B-term one call per window row i over that row's pairs.
 
-The interaction tensor is symmetric, x_i * x_j == x_j * x_i, so autocorr keeps
+The interaction tensor is symmetric, x_i * x_j == x_j * x_i, so autocorr uses
 only the w(w+1)/2 window pairs with i <= j, row by row: pair i*w - i(i-1)/2 +
 (j - i) is (i, j). Its B-term contracts them with the folded kernel
 Bs[i, j] = B[i, j] + B[j, i] (i < j), Bs[i, i] = B[i, i], which equals the
-full w*w contraction with B. B itself keeps its (c, w, w, m) shape.
+full w*w contraction with B. B itself keeps its (c, w, w, m) shape. Row i's
+pairs (i, i .. w-1) are one contiguous run of that layout, so each call forms
+only its own (n, w-i, m) block of products, and no array of all the pairs is
+ever held: the backward forms each block again from the cached windows.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -114,8 +118,7 @@ class ConvCache:
 
 @dataclass
 class AutoCorrCache(ConvCache):
-    pair_windows: np.ndarray  # (n, w(w+1)/2, m): pairs i <= j, row by row
-    folded: np.ndarray  # (c, w(w+1)/2, m): B folded onto the same pairs
+    folded: np.ndarray  # (c, w(w+1)/2, m): B folded onto the pairs i <= j
 
 
 def _row_starts(w: int) -> list[int]:
@@ -197,13 +200,12 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     if B.shape != (A.shape[0], w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
     starts = _row_starts(w)
-    pair = np.empty((n, starts[-1], m), dtype=win.dtype)
-    for i in range(w):
-        np.multiply(win[:, i : i + 1], win[:, i:], out=pair[:, starts[i] : starts[i + 1]])
     Bs = _fold(B) if folded is None else folded
-    out = _contract(win, A) + _contract(pair, Bs) + b
-    return out, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask,
-                              pair_windows=pair, folded=Bs)
+    out = _contract(win, A)
+    for i in range(w):
+        # the pairs (i, i .. w-1), one run of Bs's i <= j layout
+        out += _contract(win[:, i : i + 1] * win[:, i:], Bs[:, starts[i] : starts[i + 1]])
+    return out + b, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask, folded=Bs)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
@@ -220,18 +222,17 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     win = cache.windows
     w = cache.spec.width
     dA, dwin = _contract_backward(win, A, upstream)
-    dBs, dpair = _contract_backward(cache.pair_windows, cache.folded, upstream)
-    # pair (i, j) = win[i] * win[j] sends dpair * win[j] to row i and
-    # dpair * win[i] to row j; for i == j both land on row i.
     starts = _row_starts(w)
     for i in range(w):
-        drow = dpair[:, starts[i] : starts[i + 1]]
+        dBs, drow = _contract_backward(win[:, i : i + 1] * win[:, i:],
+                                       cache.folded[:, starts[i] : starts[i + 1]], upstream)
+        # adjoint of _fold, i <= j half: pair (i, j)'s gradient, which _mirror
+        # later copies to B[j, i]
+        dB[:, i, i:] += dBs
+        # pair (i, j) = win[i] * win[j] sends drow * win[j] to row i and
+        # drow * win[i] to row j; for i == j both land on row i.
         dwin[:, i] += np.einsum("njm,njm->nm", drow, win[:, i:])
         dwin[:, i:] += drow * win[:, i : i + 1]
-    # adjoint of _fold, i <= j half: pair (i, j)'s gradient, which _mirror
-    # later copies to B[j, i]
-    for i in range(w):
-        dB[:, i, i:] += dBs[:, starts[i] : starts[i + 1]]
     dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
     return dx, dA, upstream.sum(axis=0)
 

@@ -101,9 +101,13 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
 
 
 # Token budget of one packed forward/backward pass. Larger chunks run fewer,
-# larger GEMMs but hold more pair windows at once: on acnn-table1 training, 48
-# keeps the process's peak RSS within 5% of one sentence at a time; 64 does
-# not, and is no faster.
+# larger GEMMs but hold more windows and activations at once. Layer 1 holds no
+# pair windows (it forms one window row's pairs at a time), so one acnn-table1
+# step over 25 switchboard-like sentences peaks at 22.4 MB traced one sentence
+# at a time and 25.6 / 28.8 / 32.0 MB with 32 / 48 / 64-token chunks. 48 was
+# set while the pairs were held (54.2 MB at 48, 63.8 at 64): then it kept the
+# process's peak RSS within 5% of one sentence at a time, 64 did not, and 64
+# was no faster.
 CHUNK_TOKENS = 48
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from acnn import cli, data
 from acnn import layers as L
-from acnn.model import load_checkpoint
+from acnn.model import load_checkpoint, save_checkpoint
 from acnn.tensor import NumericError
 
 
@@ -52,6 +52,19 @@ class TestSynth:
         assert manifest["rng_algorithm"] == "pcg64"
         for path, digest in manifest["outputs"].items():
             assert cli._sha256(path) == digest
+
+    def test_seed_flag_gives_identical_splits_and_is_recorded(self, tmp_path):
+        counts = ("--train-count", "20", "--dev-count", "5", "--test-count", "5")
+        a, b, c = (tmp_path / name for name in "abc")
+        for seed, d in (("41", a), ("41", b), ("42", c)):
+            assert run("synth", "--preset", "toy", "--seed", seed, *counts,
+                       "--out", str(d)) == cli.EXIT_OK
+        for split in ("train", "dev", "test"):
+            assert (a / f"{split}.bt").read_bytes() == (b / f"{split}.bt").read_bytes()
+        assert (a / "train.bt").read_bytes() != (c / "train.bt").read_bytes()
+        manifest = json.loads((a / "corpus.manifest.json").read_text())
+        assert manifest["seed"] == 41
+        assert manifest["config"]["generator"]["seed"] == 41
 
     def test_unknown_preset_is_usage_error(self, tmp_path):
         assert run("synth", "--preset", "nope",
@@ -190,6 +203,22 @@ class TestTagAndEval:
         assert run("tag", "--checkpoint", str(broken),
                    "--input", str(corpus_dir / "test.bt"),
                    "--out", str(tmp_path / "o.tab")) == cli.EXIT_DATA
+
+    def test_nan_weight_is_numeric_error(self, corpus_dir, trained, tmp_path, capsys):
+        """A checkpoint in valid format whose output bias holds a NaN loads,
+        but its forward output is not finite: exit 3, and neither the tagged
+        file nor its manifest is written."""
+        ckpt = load_checkpoint(trained)
+        bias = ckpt.tensors["output.b"].copy()
+        bias[0] = np.nan
+        ckpt.tensors["output.b"] = bias
+        broken = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, broken)
+        assert run("tag", "--checkpoint", str(broken),
+                   "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(tmp_path / "o.tab")) == cli.EXIT_NUMERIC
+        assert "error:numeric:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [broken]
 
     def test_tag_manifest_times_its_phases(self, corpus_dir, trained, tmp_path):
         tagged = tmp_path / "test.tab"
@@ -342,12 +371,14 @@ class TestUsage:
         ("train", "--arch", "cnn", "--patience", "0"),
         ("train", "--arch", "cnn", "--patience", "-4"),
         ("ab-bench", "--patience", "0"),
+        ("train", "--arch", "cnn", "--min-freq", "0"),
+        ("train", "--arch", "cnn", "--min-freq", "-3"),
     ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
             "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
             "ab-bench-train-count-0", "ab-bench-seeds-negative", "max-epochs-0",
             "max-epochs-negative", "lr-nan", "lr-inf", "ab-bench-max-epochs-0",
             "ab-bench-lr-nan", "patience-0", "patience-negative",
-            "ab-bench-patience-0"])
+            "ab-bench-patience-0", "min-freq-0", "min-freq-negative"])
     def test_rejected_flag_value_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         if argv[0] == "train":
             argv += ("--train", str(corpus_dir / "train.bt"),
@@ -366,8 +397,9 @@ class TestUsage:
         ("--arch", "acnn", "--l2", "-1"),
         ("--arch", "cnn", "--channels", "0"),
         ("--arch", "cnn", "--embedding-dim", "0"),
+        ("--arch", "cnn", "--min-freq", "0"),
     ], ids=["patience-0", "seed-negative", "preset-arch-mismatch", "dropout-1.5",
-            "l2-negative", "channels-0", "embedding-dim-0"])
+            "l2-negative", "channels-0", "embedding-dim-0", "min-freq-0"])
     def test_train_flags_checked_before_corpora(self, flags, tmp_path, monkeypatch,
                                                 capsys):
         def never(*_, **__):

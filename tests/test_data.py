@@ -225,6 +225,11 @@ class TestVocabulary:
         assert "dog" not in vocab.index
         assert vocab.encode(["dog"]).tolist() == [D.UNK_ID]
 
+    @pytest.mark.parametrize("min_freq", [0, -3])
+    def test_min_freq_below_one_rejected(self, min_freq):
+        with pytest.raises(ValueError, match="min_freq"):
+            D.build_vocab(self.corpus(), min_freq=min_freq)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             D.build_vocab([])
@@ -261,6 +266,14 @@ class TestCorpusFiles:
         assert [s.tokens for s in loaded] == [s.tokens for s in seqs]
         assert [s.labels for s in loaded] == [s.labels for s in seqs]
         assert all(s.spans == [] for s in loaded)
+
+    @pytest.mark.parametrize("ending", ["", "\n"])
+    def test_tabular_last_sentence_without_blank_line(self, tmp_path, ending):
+        path = tmp_path / "c.tab"
+        path.write_text("a\tE\na\t_\n\nb\t_\nc\tE" + ending)
+        loaded = D.read_corpus(path, "tabular")
+        assert [s.tokens for s in loaded] == [["a", "a"], ["b", "c"]]
+        assert [s.labels for s in loaded] == [["E", "_"], ["_", "E"]]
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "c.bt"

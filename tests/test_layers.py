@@ -241,20 +241,27 @@ def lower_half(w):
 
 
 def pair_index(i, j, w):
-    """Index of window pair (i, j), i <= j, in an autocorr cache's pair windows:
-    the pairs of row 0 (j = 0 .. w-1) first, then those of row 1, and so on."""
+    """Index of window pair (i, j), i <= j, in autocorr's pair layout (that of
+    pair_tensor and of a cache's `folded`): the pairs of row 0 (j = 0 .. w-1)
+    first, then those of row 1, and so on."""
     assert 0 <= i <= j < w
     return sum(w - k for k in range(i)) + (j - i)
 
 
 def pair_tensor(x, spec):
-    """The (n, w(w+1)/2, m) pair windows, i <= j, that an autocorr call contracts."""
+    """The (n, w(w+1)/2, m) pair windows, i <= j, that an autocorr call
+    contracts, read off its output: with A = 0, b = 0 and one output channel
+    per (pair, feature) whose B is 1 at that pair and feature and 0 elsewhere,
+    channel (p, k) of row t is window t's pair p at feature k, exactly."""
     n, m = x.shape
     w = spec.width
-    _, cache = L.autocorr_forward(x, spec, np.zeros((1, w, m)),
-                                  np.zeros((1, w, w, m)), np.zeros(1))
-    assert cache.pair_windows.shape == (n, w * (w + 1) // 2, m)
-    return cache.pair_windows
+    pairs = [(i, j) for i in range(w) for j in range(i, w)]
+    B = np.zeros((len(pairs) * m, w, w, m))
+    for p, (i, j) in enumerate(pairs):
+        for k in range(m):
+            B[p * m + k, i, j, k] = 1.0
+    out, _ = L.autocorr_forward(x, spec, np.zeros((len(B), w, m)), B, np.zeros(len(B)))
+    return out.reshape(n, len(pairs), m)
 
 
 def full_pair_forward(x, spec, A, B, b, lengths=None):

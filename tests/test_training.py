@@ -253,6 +253,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="patience"):
             TR.TrainConfig(patience=patience)
 
+    def test_patience_stops_early(self):
+        """With a step too small to move dev F, epoch 1 stays the best, and
+        `patience` epochs without improvement end training before max_epochs."""
+        _, result = self.run(lr=1e-12, max_epochs=10, patience=2)
+        assert [e.best for e in result.log] == [True, False, False]
+        assert result.best_epoch == 1
+
     def test_seed_determinism(self):
         m1, r1 = self.run()
         m2, r2 = self.run()
@@ -603,10 +610,13 @@ class TestPackedTagging:
 class TestMemory:
     def test_table1_step_peak_memory_bounded(self):
         """Traced peak of one acnn-table1 training step on 25 switchboard-like
-        sentences. One sentence at a time peaks near 37 MB; 48-token chunks
-        near 60 MB; 64-token chunks just over 70 MB (81 MB when all w*w window
-        pairs were kept, which raised the process's peak RSS past its
-        budget). A larger CHUNK_TOKENS fails here first."""
+        sentences. With layer 1 forming one window row's pairs at a time, one
+        sentence at a time peaks near 22 MB, and 32 / 48 / 64-token chunks
+        near 26 / 29 / 32 MB, and the whole 198-token batch in one chunk near
+        57 MB. The 70 MB bound dates from when each chunk's pair windows were
+        held: i <= j pairs and their gradient took 48 tokens to 54 MB and 64
+        to 64 MB, and all w*w pairs took 64 to 81 MB, which raised the
+        process's peak RSS past its budget."""
         gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=1, sentence_count=25)
         corpus = [preprocess(s) for s in generate_corpus(gen)]
         vocab = build_vocab(corpus)
