@@ -8,7 +8,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import evaluate, training
-from .data import GENERATOR_PRESETS, TokenSequence, Vocabulary, build_vocab, generate_corpus
+from .data import (GENERATOR_PRESETS, KINDS, TokenSequence, Vocabulary, build_vocab,
+                   generate_corpus)
 from .model import Model, model_preset
 from .tensor import Rng
 
@@ -26,10 +27,9 @@ class ArmResult:
 class BenchResult:
     cnn: list[ArmResult] = field(default_factory=list)
     acnn: list[ArmResult] = field(default_factory=list)
-    # last trained ACNN, kept for the embedding similarity diagnostic
-    acnn_model: Model | None = None
-    vocab: Vocabulary | None = None
-    dev_seqs: list[TokenSequence] | None = None
+    # copy_pair_similarity of the last ACNN arm's embeddings on the dev set
+    copy_cosine: float = float("nan")
+    random_cosine: float = float("nan")
 
     @property
     def mean_cnn_f1(self) -> float:
@@ -49,11 +49,19 @@ class BenchResult:
         vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else float("nan")
 
-    def format_table(self) -> str:
+    def report(self) -> str:
+        """The per-seed table, each kind's mean F per arch and the copy-pair
+        diagnostic: the text `acnn ab-bench` prints and writes."""
         lines = ["seed\tcnn_f1\tacnn_f1\tgap"]
         for c, a in zip(self.cnn, self.acnn):
             lines.append(f"{c.seed}\t{c.dev_f1:.4f}\t{a.dev_f1:.4f}\t{a.dev_f1 - c.dev_f1:+.4f}")
-        lines.append(f"mean\t{self.mean_cnn_f1:.4f}\t{self.mean_acnn_f1:.4f}\t{self.mean_gap:+.4f}")
+        lines += [f"mean\t{self.mean_cnn_f1:.4f}\t{self.mean_acnn_f1:.4f}\t"
+                  f"{self.mean_gap:+.4f}", ""]
+        for kind in KINDS:
+            lines.append(f"{kind:<12} CNN {100 * self.mean_kind_f1('cnn', kind):6.2f}  "
+                         f"ACNN {100 * self.mean_kind_f1('acnn', kind):6.2f}")
+        lines += ["", f"copy-pair embedding cosine {self.copy_cosine:.3f} "
+                      f"vs random-pair {self.random_cosine:.3f}"]
         return "\n".join(lines)
 
 
@@ -71,12 +79,9 @@ def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
                train_cfg: training.TrainConfig) -> tuple[ArmResult, Model]:
     model = Model.build(model_preset(f"{arch}-toy", vocab_size=len(vocab), seed=seed))
     result = training.train(model, train_seqs, dev_seqs, vocab, train_cfg)
-    masks = training.predict_masks(model, dev_seqs, vocab)
-    report = evaluate.score(dev_seqs, masks)
-    by_kind = evaluate.score_by_kind(dev_seqs, masks)
+    by_kind = evaluate.score_by_kind(dev_seqs, training.predict_masks(model, dev_seqs, vocab))
     return ArmResult(
-        arch=arch, seed=seed,
-        dev_f1=report.f1 if report.f1 is not None else 0.0,
+        arch=arch, seed=seed, dev_f1=result.best_f1,
         per_kind_f1={k: r.f1 for k, r in by_kind.items()},
         best_epoch=result.best_epoch), model
 
@@ -89,7 +94,8 @@ AB_TRAIN = training.TrainConfig(learning_rate=0.002, max_epochs=25, patience=6)
 def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
              train_cfg: training.TrainConfig = AB_TRAIN,
              progress=None) -> BenchResult:
-    """Train matched CNN and ACNN toy models per seed on a synthetic preset.
+    """Train matched CNN and ACNN toy models per seed on a synthetic preset,
+    and take the copy-pair diagnostic of the last ACNN arm.
 
     The corpus is generated once from the preset (deterministic); the seeds
     vary parameter initialization, shuffling, and dropout.
@@ -103,13 +109,10 @@ def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
             arm, model = _train_arm(arch, seed, train_seqs, dev_seqs, vocab, train_cfg)
             if progress is not None:
                 progress(arm)
-            if arch == "cnn":
-                result.cnn.append(arm)
-            else:
-                result.acnn.append(arm)
-                result.acnn_model = model
-    result.vocab = vocab
-    result.dev_seqs = dev_seqs
+            getattr(result, arch).append(arm)
+    # each seed trains its ACNN arm last, so `model` is the last ACNN arm
+    result.copy_cosine, result.random_cosine = copy_pair_similarity(
+        model.params["embedding"].value, vocab, dev_seqs, Rng(99))
     return result
 
 

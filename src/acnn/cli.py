@@ -1,7 +1,7 @@
 """Command-line entry point: corpus synthesis, training, tagging, evaluation,
 gradient checking, and the CNN-vs-ACNN benchmark.
 
-synth, train, tag and ab-bench write a RunManifest (JSON, atomic) next to
+synth, train, tag and ab-bench write a run manifest (JSON, atomic) next to
 their primary output, and eval does with --out, so a run can be reproduced
 bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS); gradcheck writes nothing.
 Each of them keeps its record in one _RunRecord.
@@ -24,16 +24,16 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bench, data, evaluate, training
 from .atomic import atomic_open
-from .model import (LAYER1_KIND, Checkpoint, LayerConfig, Model, ModelConfig,
-                    CheckpointError, ConfigError, load_checkpoint, model_preset,
-                    param_count, save_checkpoint)
+from .model import (LAYER1_KIND, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
+                    ModelConfig, CheckpointError, ConfigError, load_checkpoint,
+                    model_preset, param_count, save_checkpoint)
 from .tensor import GradCheckReport, NumericError, Rng, grad_check
 
 EXIT_OK = 0
@@ -62,17 +62,6 @@ def _flag_values():
         raise UsageError(str(exc)) from exc
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
-    rng_algorithm: str = Rng.ALGORITHM
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -83,12 +72,6 @@ def _sha256(path) -> str:
 
 def _manifest_path(primary_output) -> Path:
     return Path(str(primary_output) + ".manifest.json")
-
-
-def write_manifest(manifest: RunManifest, primary_output) -> Path:
-    path = _manifest_path(primary_output)
-    _write_text(path, json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _write_text(path, text: str) -> None:
@@ -120,8 +103,9 @@ class _RunRecord:
     """The run record of one command, made before any work. It refuses bad
     outputs (_check_outputs, the manifest next to `primary` included) and
     starts one clock. `lap` times a phase from the previous mark; `write`,
-    once the outputs exist, writes the RunManifest with the sha256 of every
-    input and output and the timings in seconds, total_sec last."""
+    once the outputs exist, writes the manifest: the command, its config and
+    seed, the RNG algorithm, the sha256 of every input and output, and the
+    timings in seconds, total_sec last."""
 
     def __init__(self, command: str, primary, inputs: dict, outputs: dict):
         _check_outputs(inputs, {**outputs, "manifest": _manifest_path(primary)})
@@ -139,12 +123,13 @@ class _RunRecord:
         def digests(paths: dict) -> dict[str, str]:
             return {str(Path(path)): _sha256(path) for path in paths.values()}
 
+        manifest = {"command": self.command, "config": config, "seed": seed,
+                    "rng_algorithm": Rng.ALGORITHM, "inputs": digests(self.inputs),
+                    "outputs": digests(self.outputs)}
         # total_sec is read after the hashing, so it covers every other timing
-        write_manifest(RunManifest(
-            command=self.command, config=config, seed=seed,
-            inputs=digests(self.inputs), outputs=digests(self.outputs),
-            timings={**self.timings, "total_sec": time.perf_counter() - self._start}),
-            self.primary)
+        manifest["timings"] = {**self.timings, "total_sec": time.perf_counter() - self._start}
+        _write_text(_manifest_path(self.primary),
+                    json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve(path: str) -> Path:
@@ -195,11 +180,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
-    preset = args.preset or f"{args.arch}-toy"
-    cfg = model_preset(preset, vocab_size=vocab_size, seed=args.seed)
-    if cfg.arch != args.arch:
-        raise UsageError(f"preset {preset!r} is a {cfg.arch} config, but "
-                         f"--arch {args.arch} was given")
+    cfg = model_preset(args.preset, vocab_size=vocab_size, seed=args.seed)
     if args.embedding_dim is not None:
         cfg = replace(cfg, embedding_dim=args.embedding_dim)
     if args.dropout is not None:
@@ -243,7 +224,8 @@ def cmd_train(args) -> int:
 
     ckpt = Checkpoint(config=mcfg, vocab_words=vocab.words,
                       rng_algorithm=Rng.ALGORITHM, seed=args.seed,
-                      step=result.steps, tensors=model.params.values_copy())
+                      step=result.steps,
+                      tensors={name: p.value for name, p in model.params.items()})
     save_checkpoint(ckpt, out)
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
     best = next(l for l in result.log if l.epoch == result.best_epoch)
@@ -252,7 +234,7 @@ def cmd_train(args) -> int:
           f"R {fmt(best.dev_recall)} F {fmt(best.dev_f1)}")
     print(param_count(model.params).format())
     record.write({"model": mcfg.to_dict(), "train": dataclasses.asdict(tcfg),
-                  "preset": args.preset or f"{args.arch}-toy",
+                  "preset": args.preset,
                   "min_freq": args.min_freq, "format": args.format},
                  args.seed)
     return EXIT_OK
@@ -404,16 +386,7 @@ def cmd_ab_bench(args) -> int:
                             train_count=args.train_count,
                             dev_count=args.dev_count, train_cfg=tcfg,
                             progress=progress)
-    lines = [result.format_table(), ""]
-    for kind in data.KINDS:
-        lines.append(f"{kind:<12} CNN {100 * result.mean_kind_f1('cnn', kind):6.2f}  "
-                     f"ACNN {100 * result.mean_kind_f1('acnn', kind):6.2f}")
-    # the similarity diagnostic of the last ACNN arm (criterion 10)
-    copy_mean, rand_mean = bench.copy_pair_similarity(
-        result.acnn_model.params["embedding"].value, result.vocab,
-        result.dev_seqs, Rng(99))
-    lines += ["", f"copy-pair embedding cosine {copy_mean:.3f} vs random-pair {rand_mean:.3f}"]
-    report = "\n".join(lines)
+    report = result.report()
     print(report)
     _write_text(args.out, report + "\n")
     record.write({"preset": args.preset, "seeds": seeds, "train_count": args.train_count,
@@ -440,12 +413,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--arch", choices=("cnn", "acnn"), required=True)
+    p.add_argument("--preset", choices=MODEL_PRESETS, required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
-    p.add_argument("--preset", default=None)
     p.add_argument("--format", choices=("bracket-text", "tabular"),
                    default="bracket-text")
     p.add_argument("--seed", type=int, default=0)

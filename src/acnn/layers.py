@@ -9,13 +9,13 @@ one call over the windows, width-1 one call over the rows themselves, and
 autocorr's B-term one call per window row i over that row's pairs.
 
 The interaction tensor is symmetric, x_i * x_j == x_j * x_i, so autocorr uses
-only the w(w+1)/2 window pairs with i <= j, row by row: pair i*w - i(i-1)/2 +
-(j - i) is (i, j). Its B-term contracts them with the folded kernel
-Bs[i, j] = B[i, j] + B[j, i] (i < j), Bs[i, i] = B[i, i], which equals the
-full w*w contraction with B. B itself keeps its (c, w, w, m) shape. Row i's
-pairs (i, i .. w-1) are one contiguous run of that layout, so each call forms
-only its own (n, w-i, m) block of products, and no array of all the pairs is
-ever held: the backward forms each block again from the cached windows.
+only the w(w+1)/2 window pairs with i <= j, one window row at a time: row i's
+pairs (i, i .. w-1) are contracted with its block of the folded kernel,
+Bs[i][:, j - i] = B[i, j] + B[j, i] (i < j) and Bs[i][:, 0] = B[i, i], which
+equals the full w*w contraction with B. B itself keeps its (c, w, w, m) shape.
+Each call forms only row i's (n, w-i, m) block of products, and no array of
+all the pairs is ever held: the backward forms each block again from the
+cached windows.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -64,9 +64,9 @@ def _window_mask(lengths, ell: int, r: int) -> np.ndarray:
     Every other slot reads zero."""
     lengths = np.asarray(lengths)
     ends = np.repeat(np.cumsum(lengths), lengths)
-    starts = ends - np.repeat(lengths, lengths)
+    begins = ends - np.repeat(lengths, lengths)
     src = np.arange(len(ends))[:, None] + np.arange(-ell, r + 1)
-    return (src >= starts[:, None]) & (src < ends[:, None])
+    return (src >= begins[:, None]) & (src < ends[:, None])
 
 
 def sliding_windows(x: np.ndarray, ell: int, r: int, mask: np.ndarray) -> np.ndarray:
@@ -118,25 +118,21 @@ class ConvCache:
 
 @dataclass
 class AutoCorrCache(ConvCache):
-    folded: np.ndarray  # (c, w(w+1)/2, m): B folded onto the pairs i <= j
+    folded: list[np.ndarray]  # _fold(B): row i's (c, w-i, m) kernel block
 
 
-def _row_starts(w: int) -> list[int]:
-    """Index of pair (i, i) in the i <= j layout, for i = 0 .. w; the last
-    entry is the pair count w(w+1)/2."""
-    return [i * w - i * (i - 1) // 2 for i in range(w + 1)]
-
-
-def _fold(B: np.ndarray) -> np.ndarray:
-    """(c, w(w+1)/2, m) kernel over pairs i <= j whose contraction equals B's
-    over all w*w pairs of a symmetric interaction tensor."""
+def _fold(B: np.ndarray) -> list[np.ndarray]:
+    """B folded onto the window pairs i <= j, one (c, w-i, m) block per window
+    row i over its pairs (i, i .. w-1): their contraction equals B's over all
+    w*w pairs of a symmetric interaction tensor."""
     c, w, _, m = B.shape
-    starts = _row_starts(w)
-    Bs = np.empty((c, starts[-1], m), dtype=B.dtype)
+    folded = []
     for i in range(w):
-        Bs[:, starts[i]] = B[:, i, i]
-        np.add(B[:, i, i + 1 :], B[:, i + 1 :, i], out=Bs[:, starts[i] + 1 : starts[i + 1]])
-    return Bs
+        row = np.empty((c, w - i, m), dtype=B.dtype)
+        row[:, 0] = B[:, i, i]
+        np.add(B[:, i, i + 1 :], B[:, i + 1 :, i], out=row[:, 1:])
+        folded.append(row)
+    return folded
 
 
 def _mirror(dB: np.ndarray) -> None:
@@ -184,7 +180,7 @@ def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
 
 def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
                      B: np.ndarray, b: np.ndarray, lengths=None, *,
-                     folded: np.ndarray | None = None) -> tuple[np.ndarray, AutoCorrCache]:
+                     folded: list[np.ndarray] | None = None) -> tuple[np.ndarray, AutoCorrCache]:
     """out[t, u] = A[u] . window + B[u] . (window x window interactions) + b[u].
 
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
@@ -199,13 +195,11 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     n, w, m = win.shape
     if B.shape != (A.shape[0], w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
-    starts = _row_starts(w)
-    Bs = _fold(B) if folded is None else folded
+    folded = _fold(B) if folded is None else folded
     out = _contract(win, A)
-    for i in range(w):
-        # the pairs (i, i .. w-1), one run of Bs's i <= j layout
-        out += _contract(win[:, i : i + 1] * win[:, i:], Bs[:, starts[i] : starts[i + 1]])
-    return out + b, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask, folded=Bs)
+    for i, Bs in enumerate(folded):  # the pairs (i, i .. w-1)
+        out += _contract(win[:, i : i + 1] * win[:, i:], Bs)
+    return out + b, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask, folded=folded)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
@@ -220,12 +214,9 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
     win = cache.windows
-    w = cache.spec.width
     dA, dwin = _contract_backward(win, A, upstream)
-    starts = _row_starts(w)
-    for i in range(w):
-        dBs, drow = _contract_backward(win[:, i : i + 1] * win[:, i:],
-                                       cache.folded[:, starts[i] : starts[i + 1]], upstream)
+    for i, Bs in enumerate(cache.folded):
+        dBs, drow = _contract_backward(win[:, i : i + 1] * win[:, i:], Bs, upstream)
         # adjoint of _fold, i <= j half: pair (i, j)'s gradient, which _mirror
         # later copies to B[j, i]
         dB[:, i, i:] += dBs

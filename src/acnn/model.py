@@ -228,7 +228,7 @@ class Model:
     def __init__(self, config: ModelConfig, params: ParamStore):
         self.config = config
         self.params = params
-        self._kept_folds: dict[str, np.ndarray] | None = None
+        self._kept_folds: dict[str, list[np.ndarray]] | None = None
 
     @staticmethod
     def build(config: ModelConfig) -> "Model":
@@ -243,7 +243,7 @@ class Model:
                        else np.ones(shape))
         return Model(config, params)
 
-    def _folded_kernels(self) -> dict[str, np.ndarray]:
+    def _folded_kernels(self) -> dict[str, list[np.ndarray]]:
         """Each autocorr B folded (layers._fold), by parameter name, for the
         `folds` of several forward calls over unchanged values: the kept
         folds when the model has them, else folded now."""

@@ -185,7 +185,7 @@ def test_criterion_08_training_determinism(tmp_path):
     blobs, logs = [], []
     for sub in ("r1", "r2"):
         ckpt = tmp_path / sub / "m.ckpt"
-        assert cli.main(["train", "--arch", "acnn",
+        assert cli.main(["train", "--preset", "acnn-toy",
                          "--train", str(d / "train.bt"),
                          "--dev", str(d / "dev.bt"), "--out", str(ckpt),
                          "--max-epochs", "2", "--seed", "5"]) == 0
@@ -214,9 +214,7 @@ def test_criterion_09_parameter_count_report():
 
 @pytest.mark.slow
 def test_criterion_10_similarity_diagnostic(ab_result):
-    emb = ab_result.acnn_model.params["embedding"].value
-    copy_mean, rand_mean = bench.copy_pair_similarity(
-        emb, ab_result.vocab, ab_result.dev_seqs, Rng(99))
+    copy_mean, rand_mean = ab_result.copy_cosine, ab_result.random_cosine
     margin = copy_mean - rand_mean
     report(10, margin >= 0.1,
            f"copy-pair embedding cosine {copy_mean:.3f} vs random-pair "

@@ -30,7 +30,7 @@ def corpus_dir(tmp_path_factory):
 def trained(corpus_dir, tmp_path_factory):
     d = tmp_path_factory.mktemp("run")
     ckpt = d / "model.ckpt"
-    code = run("train", "--arch", "acnn",
+    code = run("train", "--preset", "acnn-toy",
                "--train", str(corpus_dir / "train.bt"),
                "--dev", str(corpus_dir / "dev.bt"),
                "--out", str(ckpt), "--max-epochs", "2", "--seed", "3")
@@ -111,7 +111,7 @@ class TestTrain:
         outs = []
         for sub in ("a", "b"):
             ckpt = tmp_path / sub / "m.ckpt"
-            code = run("train", "--arch", "cnn",
+            code = run("train", "--preset", "cnn-toy",
                        "--train", str(corpus_dir / "train.bt"),
                        "--dev", str(corpus_dir / "dev.bt"),
                        "--out", str(ckpt), "--max-epochs", "2", "--seed", "9")
@@ -122,21 +122,15 @@ class TestTrain:
                 == outs[1].with_suffix(".log").read_text())
 
     def test_missing_corpus_is_data_error(self, tmp_path):
-        assert run("train", "--arch", "cnn",
+        assert run("train", "--preset", "cnn-toy",
                    "--train", str(tmp_path / "missing.bt"),
                    "--dev", str(tmp_path / "missing.bt"),
                    "--out", str(tmp_path / "m.ckpt")) == cli.EXIT_DATA
 
-    def test_arch_preset_mismatch_is_usage_error(self, corpus_dir, tmp_path):
-        assert run("train", "--arch", "cnn", "--preset", "acnn-toy",
-                   "--train", str(corpus_dir / "train.bt"),
-                   "--dev", str(corpus_dir / "dev.bt"),
-                   "--out", str(tmp_path / "m.ckpt")) == cli.EXIT_USAGE
-
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bt"
         bad.write_text("a [ broken\n")
-        assert run("train", "--arch", "cnn", "--train", str(bad),
+        assert run("train", "--preset", "cnn-toy", "--train", str(bad),
                    "--dev", str(bad),
                    "--out", str(tmp_path / "m.ckpt")) == cli.EXIT_DATA
 
@@ -353,26 +347,26 @@ class TestUsage:
                    "--out", str(tmp_path / "b.tsv")) == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
-        ("train", "--arch", "cnn", "--lr", "-1"),
-        ("train", "--arch", "cnn", "--batch-size", "0"),
-        ("train", "--arch", "cnn", "--preset", "cnn-table1", "--channels", "7"),
-        ("train", "--arch", "cnn", "--seed", "-1"),
+        ("train", "--preset", "cnn-toy", "--lr", "-1"),
+        ("train", "--preset", "cnn-toy", "--batch-size", "0"),
+        ("train", "--preset", "cnn-table1", "--channels", "7"),
+        ("train", "--preset", "cnn-toy", "--seed", "-1"),
         ("ab-bench", "--seeds", "a,b,c"),
         ("synth", "--train-count", "0"),
         ("ab-bench", "--preset", "nope"),
         ("ab-bench", "--train-count", "0"),
         ("ab-bench", "--seeds=-1,-2,-3"),
-        ("train", "--arch", "cnn", "--max-epochs", "0"),
-        ("train", "--arch", "cnn", "--max-epochs", "-3"),
-        ("train", "--arch", "cnn", "--lr", "nan"),
-        ("train", "--arch", "cnn", "--lr", "inf"),
+        ("train", "--preset", "cnn-toy", "--max-epochs", "0"),
+        ("train", "--preset", "cnn-toy", "--max-epochs", "-3"),
+        ("train", "--preset", "cnn-toy", "--lr", "nan"),
+        ("train", "--preset", "cnn-toy", "--lr", "inf"),
         ("ab-bench", "--max-epochs", "0"),
         ("ab-bench", "--lr", "nan"),
-        ("train", "--arch", "cnn", "--patience", "0"),
-        ("train", "--arch", "cnn", "--patience", "-4"),
+        ("train", "--preset", "cnn-toy", "--patience", "0"),
+        ("train", "--preset", "cnn-toy", "--patience", "-4"),
         ("ab-bench", "--patience", "0"),
-        ("train", "--arch", "cnn", "--min-freq", "0"),
-        ("train", "--arch", "cnn", "--min-freq", "-3"),
+        ("train", "--preset", "cnn-toy", "--min-freq", "0"),
+        ("train", "--preset", "cnn-toy", "--min-freq", "-3"),
     ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
             "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
             "ab-bench-train-count-0", "ab-bench-seeds-negative", "max-epochs-0",
@@ -390,15 +384,14 @@ class TestUsage:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [
-        ("--arch", "cnn", "--patience", "0"),
-        ("--arch", "cnn", "--seed", "-1"),
-        ("--arch", "cnn", "--preset", "acnn-toy"),
-        ("--arch", "acnn", "--dropout", "1.5"),
-        ("--arch", "acnn", "--l2", "-1"),
-        ("--arch", "cnn", "--channels", "0"),
-        ("--arch", "cnn", "--embedding-dim", "0"),
-        ("--arch", "cnn", "--min-freq", "0"),
-    ], ids=["patience-0", "seed-negative", "preset-arch-mismatch", "dropout-1.5",
+        ("--preset", "cnn-toy", "--patience", "0"),
+        ("--preset", "cnn-toy", "--seed", "-1"),
+        ("--preset", "acnn-toy", "--dropout", "1.5"),
+        ("--preset", "acnn-toy", "--l2", "-1"),
+        ("--preset", "cnn-toy", "--channels", "0"),
+        ("--preset", "cnn-toy", "--embedding-dim", "0"),
+        ("--preset", "cnn-toy", "--min-freq", "0"),
+    ], ids=["patience-0", "seed-negative", "dropout-1.5",
             "l2-negative", "channels-0", "embedding-dim-0", "min-freq-0"])
     def test_train_flags_checked_before_corpora(self, flags, tmp_path, monkeypatch,
                                                 capsys):
@@ -443,7 +436,7 @@ class TestAtomicOutputs:
         monkeypatch.setattr(cli.training, "train", never)
         out = tmp_path / "outdir"
         out.mkdir()
-        assert run("train", "--arch", "cnn", "--train", str(corpus_dir / "train.bt"),
+        assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
                    "--dev", str(corpus_dir / "dev.bt"), "--out", str(out)) == cli.EXIT_DATA
         assert "is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
@@ -455,7 +448,7 @@ class TestAtomicOutputs:
 
         monkeypatch.setattr(os, "replace", refuse)
         out = tmp_path / "m.ckpt"
-        assert run("train", "--arch", "cnn", "--train", str(corpus_dir / "train.bt"),
+        assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
                    "--dev", str(corpus_dir / "dev.bt"), "--out", str(out),
                    "--max-epochs", "1") == cli.EXIT_DATA
         assert "refused" in capsys.readouterr().err
@@ -472,13 +465,13 @@ class TestAtomicOutputs:
 # argv ("{d}" stands for a directory holding train.bt, dev.bt, test.bt, m.ckpt
 # and an empty outdir/), the exit code, and what stderr names
 OUTPUT_PATH_CASES = {
-    "train-out-is-default-log": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+    "train-out-is-default-log": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
                                   "--dev", "{d}/dev.bt", "--out", "{d}/m.log"),
                                  cli.EXIT_USAGE, "log"),
-    "train-log-is-out": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+    "train-log-is-out": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
                           "--dev", "{d}/dev.bt", "--out", "{d}/m.ckpt", "--log", "{d}/m.ckpt"),
                          cli.EXIT_USAGE, "log"),
-    "train-out-is-train": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+    "train-out-is-train": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
                             "--dev", "{d}/dev.bt", "--out", "{d}/train.bt"),
                            cli.EXIT_USAGE, "training corpus"),
     "tag-out-is-input": (("tag", "--checkpoint", "{d}/m.ckpt", "--input", "{d}/test.bt",
@@ -487,7 +480,7 @@ OUTPUT_PATH_CASES = {
                           "--out", "{d}/test.bt"), cli.EXIT_USAGE, "gold corpus"),
     "ab-bench-out-is-directory": (("ab-bench", "--out", "{d}/outdir"), cli.EXIT_DATA,
                                   "is a directory"),
-    "train-out-under-a-file": (("train", "--arch", "cnn", "--train", "{d}/train.bt",
+    "train-out-under-a-file": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
                                 "--dev", "{d}/dev.bt", "--out", "{d}/m.ckpt/m.ckpt"),
                                cli.EXIT_DATA, "not a directory"),
 }
@@ -530,7 +523,7 @@ class TestOutputDirectories:
 
     def test_train_log_creates_missing_directory(self, corpus_dir, tmp_path):
         out, log = tmp_path / "m.ckpt", tmp_path / "logs" / "m.log"
-        assert run("train", "--arch", "cnn", "--train", str(corpus_dir / "train.bt"),
+        assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
                    "--dev", str(corpus_dir / "dev.bt"), "--out", str(out),
                    "--log", str(log), "--max-epochs", "1") == cli.EXIT_OK
         assert log.read_text().count("epoch") == 1
@@ -540,12 +533,11 @@ class TestOutputDirectories:
 
 class TestManifest:
     def test_atomic_write_no_tmp_left_behind(self, tmp_path):
-        manifest = cli.RunManifest(command="x", config={}, seed=0)
         primary = tmp_path / "out.bin"
-        path = cli.write_manifest(manifest, primary)
-        assert path.name == "out.bin.manifest.json"
-        assert not list(tmp_path.glob("*.tmp"))
-        loaded = json.loads(path.read_text())
+        primary.write_bytes(b"output")
+        cli._RunRecord("x", primary, {}, {"output": primary}).write({}, 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.bin.manifest.json"]
+        loaded = json.loads((tmp_path / "out.bin.manifest.json").read_text())
         assert loaded["command"] == "x"
         assert loaded["rng_algorithm"] == "pcg64"
 
@@ -559,8 +551,8 @@ def run_records(tmp_path_factory):
     ckpt, tagged, report, bench = d / "m.ckpt", d / "test.tab", d / "r.tsv", d / "bench.tsv"
     for argv in (("synth", "--preset", "toy", "--out", str(d), "--train-count", "12",
                   "--dev-count", "6", "--test-count", "4"),
-                 ("train", "--arch", "acnn", "--train", str(splits[0]), "--dev", str(splits[1]),
-                  "--out", str(ckpt), "--max-epochs", "1"),
+                 ("train", "--preset", "acnn-toy", "--train", str(splits[0]),
+                  "--dev", str(splits[1]), "--out", str(ckpt), "--max-epochs", "1"),
                  ("tag", "--checkpoint", str(ckpt), "--input", str(splits[2]),
                   "--out", str(tagged)),
                  ("eval", "--gold", str(splits[2]), "--predicted", str(tagged), "--preprocess",

@@ -241,9 +241,8 @@ def lower_half(w):
 
 
 def pair_index(i, j, w):
-    """Index of window pair (i, j), i <= j, in autocorr's pair layout (that of
-    pair_tensor and of a cache's `folded`): the pairs of row 0 (j = 0 .. w-1)
-    first, then those of row 1, and so on."""
+    """Index of window pair (i, j), i <= j, in pair_tensor's layout: the pairs
+    of row 0 (j = 0 .. w-1) first, then those of row 1, and so on."""
     assert 0 <= i <= j < w
     return sum(w - k for k in range(i)) + (j - i)
 
@@ -312,7 +311,7 @@ class TestAutocorrTensor:
         for i in range(w):
             for j in range(i, w):
                 fold = B[:, i, j] + B[:, j, i] if i < j else B[:, i, i]
-                assert np.array_equal(cache.folded[:, pair_index(i, j, w)], fold)
+                assert np.array_equal(cache.folded[i][:, j - i], fold)
 
     def test_repeated_rows_give_identical_interactions(self):
         rng = Rng(6)

@@ -22,7 +22,7 @@ def test_embedding_heatmap(tmp_path):
     ckpt = tmp_path / "m.ckpt"
     assert cli.main(["synth", "--preset", "toy", "--out", str(corpus), "--train-count", "30",
                      "--dev-count", "10", "--test-count", "1"]) == cli.EXIT_OK
-    assert cli.main(["train", "--arch", "acnn", "--train", str(corpus / "train.bt"),
+    assert cli.main(["train", "--preset", "acnn-toy", "--train", str(corpus / "train.bt"),
                      "--dev", str(corpus / "dev.bt"), "--out", str(ckpt),
                      "--max-epochs", "1"]) == cli.EXIT_OK
     proc = run_script("embedding_heatmap.py", "--checkpoint", str(ckpt),
