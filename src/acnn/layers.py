@@ -3,19 +3,28 @@
 One-dimensional convolution over a token sequence, the auto-correlation
 operator (convolution plus a learned contraction over the pairwise Hadamard
 interaction tensor of the window), ReLU, row softmax, inverted dropout, and the
-width-1 (per-position affine) convolution. Every learned term is built from
-one matmul, `_contract`, with one adjoint, `_contract_backward`: the A-term is
-one call over the windows, width-1 one call over the rows themselves, and
-autocorr's B-term one call per window row i over that row's pairs.
+width-1 (per-position affine) convolution. No operator gathers windows.
 
-The interaction tensor is symmetric, x_i * x_j == x_j * x_i, so autocorr uses
-only the w(w+1)/2 window pairs with i <= j, one window row at a time: row i's
-pairs (i, i .. w-1) are contracted with its block of the folded kernel,
-Bs[i][:, j - i] = B[i, j] + B[j, i] (i < j) and Bs[i][:, 0] = B[i, i], which
-equals the full w*w contraction with B. B itself keeps its (c, w, w, m) shape.
-Each call forms only row i's (n, w-i, m) block of products, and no array of
-all the pairs is ever held: the backward forms each block again from the
-cached windows.
+The A-term, which conv1d and autocorr share, is kn2row: one matmul of the
+layer input with the kernel in its own layout, Y = x @ A.reshape(c*w, m).T,
+gives every row's product with every window slot's kernel, and output row t
+sums Y[t - ell + k, :, k] over its slots k (_kn2row, _slot_sum). The backward
+spreads the upstream gradient the same shifted way into dY, and then dA =
+dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is one matmul over the
+rows themselves.
+
+Autocorr's B-term reads the sentence's auto-correlation bands. Window t's pair
+(i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so each
+call forms every distinct product once, Q[a, d] = x_a * x_{a+d} of shape
+(n, w, m), zero wherever row a + d leaves row a's sentence. The interaction
+tensor is symmetric, so only the pairs i <= j are used: window row i's pairs
+(i, i .. w-1) are Q[a, :w-i], a view, contracted with row i's block of the
+folded kernel, Bs[i][:, j - i] = B[i, j] + B[j, i] (i < j) and Bs[i][:, 0] =
+B[i, i], which equals the full w*w contraction with B. That is one matmul per
+window row over all of Q's rows, added onto Y's slot i before the slots are
+summed, so with B == 0 autocorr is conv1d bit for bit. No array of window
+pairs is formed, in the forward or the backward. B itself keeps its
+(c, w, w, m) shape.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -59,9 +68,9 @@ class ConvKernelSpec:
 
 
 def _window_mask(lengths, ell: int, r: int) -> np.ndarray:
-    """(n, w) bool: True where window slot k of row t reads a row of t's own
-    sentence, for sentences of `lengths` stacked in order (n = sum(lengths)).
-    Every other slot reads zero."""
+    """(n, ell + r + 1) bool: True where slot k of row t, which reads row
+    t - ell + k, reads a row of t's own sentence, for sentences of `lengths`
+    stacked in order (n = sum(lengths)). Every other slot reads zero."""
     lengths = np.asarray(lengths)
     ends = np.repeat(np.cumsum(lengths), lengths)
     begins = ends - np.repeat(lengths, lengths)
@@ -69,55 +78,52 @@ def _window_mask(lengths, ell: int, r: int) -> np.ndarray:
     return (src >= begins[:, None]) & (src < ends[:, None])
 
 
-def sliding_windows(x: np.ndarray, ell: int, r: int, mask: np.ndarray) -> np.ndarray:
-    """(n, w, m) windows: out[t, k] = x[t - ell + k] where `mask` (see
-    _window_mask) is True, a zero vector where it is False. C-contiguous, so
-    that the matmuls of _contract and its adjoint read it as one (n, w*m)
-    matrix."""
-    n = len(x)
-    src = np.clip(np.arange(n)[:, None] + np.arange(-ell, r + 1), 0, n - 1)
-    win = np.take(x, src, axis=0)
-    win[~mask] = 0.0
-    return win
+def _kn2row(x: np.ndarray, A: np.ndarray, ell: int) -> np.ndarray:
+    """(n + w - 1, c, w) products of every row with every slot's kernel in one
+    matmul over A in its own layout: Y[ell + s, u, k] = A[u, k] . x[s], with
+    ell zero rows above and r below."""
+    c, w, m = A.shape
+    Y = np.zeros((len(x) + w - 1, c * w))
+    np.matmul(x, A.reshape(c * w, m).T, out=Y[ell : ell + len(x)])
+    return Y.reshape(-1, c, w)
 
 
-def _scatter_windows(dwin: np.ndarray, n: int, ell: int, mask: np.ndarray) -> np.ndarray:
-    """Adjoint of sliding_windows: accumulate window gradients back onto rows.
-    Overwrites the masked-out slots of dwin with zeros."""
-    _, w, m = dwin.shape
-    dwin[~mask] = 0.0
-    dpad = np.zeros((n + w - 1, m), dtype=dwin.dtype)
+def _slot_sum(Y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """out[t] = sum over slots k of Y[t + k, :, k] where mask[t, k], for Y laid
+    out as _kn2row's: slot k of row t reads row t - ell + k."""
+    n, w = mask.shape
+    out = np.zeros((n, Y.shape[1]))
     for k in range(w):
-        dpad[k : k + n] += dwin[:, k, :]
-    return dpad[ell : ell + n]
+        out += Y[k : k + n, :, k] * mask[:, k, None]
+    return out
 
 
-def _contract(feats: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """out[t, u] = K[u] . feats[t] for feats (n, ...) and K (c, ...). Every learned
-    term is this matmul, so autocorr with B == 0 is conv1d bit for bit."""
-    return feats.reshape(len(feats), -1) @ K.reshape(len(K), -1).T
-
-
-def _contract_backward(feats: np.ndarray, K: np.ndarray, upstream: np.ndarray):
-    """(dK, dfeats) of a _contract call, given the upstream gradient (n, c)."""
-    n, c = len(feats), len(K)
-    if upstream.shape != (n, c):
-        raise ValueError(f"upstream shape {upstream.shape} != ({n}, {c})")
-    dK = upstream.T @ feats.reshape(n, -1)
-    dfeats = upstream @ K.reshape(c, -1)
-    return dK.reshape(K.shape), dfeats.reshape(feats.shape)
+def _a_term_backward(x: np.ndarray, A: np.ndarray, ell: int, mask: np.ndarray,
+                     upstream: np.ndarray):
+    """(dx, dA, db, dY) of _slot_sum(_kn2row(x, A, ell), mask) + b, given the
+    upstream gradient (n, c): dY[s, :, k] = upstream[t] where slot k of row t
+    reads row s = t - ell + k, and dY is (n, c, w)."""
+    n, (c, w, m) = len(x), A.shape
+    dY = np.zeros((n + w - 1, c, w))
+    for k in range(w):
+        dY[k : k + n, :, k] = upstream * mask[:, k, None]
+    flat = dY[ell : ell + n].reshape(n, c * w)
+    return (flat @ A.reshape(c * w, m), (flat.T @ x).reshape(A.shape), upstream.sum(axis=0),
+            flat.reshape(n, c, w))
 
 
 @dataclass
 class ConvCache:
     n: int
     spec: ConvKernelSpec
-    windows: np.ndarray  # (n, w, m)
+    x: np.ndarray  # (n, m) layer input
     mask: np.ndarray  # (n, w) bool _window_mask of the sentences
 
 
 @dataclass
 class AutoCorrCache(ConvCache):
+    bands: np.ndarray  # (n, w) bool: row a + d lies in row a's sentence
+    Q: np.ndarray  # (n, w, m) Q[a, d] = x[a] * x[a + d] where bands[a, d], else 0
     folded: list[np.ndarray]  # _fold(B): row i's (c, w-i, m) kernel block
 
 
@@ -143,9 +149,9 @@ def _mirror(dB: np.ndarray) -> None:
         dB[:, i + 1 :, i] = dB[:, i, i + 1 :]
 
 
-def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
-                     b: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """The windows of x and their _window_mask, once x, A, b and the sentence
+def _checked_mask(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
+                  b: np.ndarray, lengths, reach: int) -> np.ndarray:
+    """_window_mask(lengths, spec.ell, reach) once x, A, b and the sentence
     lengths (None: one sentence of all rows) are checked against each other."""
     n, m = x.shape
     if n == 0:
@@ -154,28 +160,24 @@ def _checked_windows(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
         lengths = [n]
     elif sum(lengths) != n or min(lengths) < 1:
         raise ValueError(f"sentence lengths {list(lengths)} do not split {n} rows")
-    w = spec.width
-    if A.ndim != 3 or A.shape[1:] != (w, m):
-        raise ValueError(f"A kernel shape {A.shape} incompatible with window ({w}, {m})")
+    if A.ndim != 3 or A.shape[1:] != (spec.width, m):
+        raise ValueError(f"A kernel shape {A.shape} incompatible with window ({spec.width}, {m})")
     if b.shape != (A.shape[0],):
         raise ValueError(f"bias shape {b.shape} != ({A.shape[0]},)")
-    mask = _window_mask(lengths, spec.ell, spec.r)
-    return sliding_windows(x, spec.ell, spec.r, mask), mask
+    return _window_mask(lengths, spec.ell, reach)
 
 
 def conv1d_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
                    b: np.ndarray, lengths=None) -> tuple[np.ndarray, ConvCache]:
     """out[t, u] = A[u] . window(x, t) + b[u], for A of shape (c, w, m); the
     rows of x are sentences of `lengths` (default: one sentence)."""
-    win, mask = _checked_windows(x, spec, A, b, lengths)
-    return _contract(win, A) + b, ConvCache(n=x.shape[0], spec=spec, windows=win, mask=mask)
+    mask = _checked_mask(x, spec, A, b, lengths, spec.r)
+    return _slot_sum(_kn2row(x, A, spec.ell), mask) + b, ConvCache(len(x), spec, x, mask)
 
 
 def conv1d_backward(cache: ConvCache, A: np.ndarray, upstream: np.ndarray):
     """Gradients of a conv1d_forward call: returns (dx, dA, db)."""
-    dA, dwin = _contract_backward(cache.windows, A, upstream)
-    dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
-    return dx, dA, upstream.sum(axis=0)
+    return _a_term_backward(cache.x, A, cache.spec.ell, cache.mask, upstream)[:3]
 
 
 def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -191,15 +193,21 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     sentences of `lengths` (default: one sentence); a masked-out window row is
     zero, and so is every interaction entry it takes part in.
     """
-    win, mask = _checked_windows(x, spec, A, b, lengths)
-    n, w, m = win.shape
-    if B.shape != (A.shape[0], w, w, m):
-        raise ValueError(f"B kernel shape {B.shape} != ({A.shape[0]}, {w}, {w}, {m})")
+    (n, m), c, w = x.shape, len(A), spec.width
+    # slots -ell .. w-1: the window's (n, w) mask, and from slot 0 on the bands'
+    reach = _checked_mask(x, spec, A, b, lengths, w - 1)
+    mask, bands = reach[:, :w], reach[:, spec.ell :]
+    if B.shape != (c, w, w, m):
+        raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
     folded = _fold(B) if folded is None else folded
-    out = _contract(win, A)
-    for i, Bs in enumerate(folded):  # the pairs (i, i .. w-1)
-        out += _contract(win[:, i : i + 1] * win[:, i:], Bs)
-    return out + b, AutoCorrCache(n=n, spec=spec, windows=win, mask=mask, folded=folded)
+    Q = np.empty((n, w, m))  # Q[a, d] = x[a] * x[a + d] within a's sentence
+    for d in range(min(w, n)):
+        np.multiply(x[: n - d], x[d:], out=Q[: n - d, d])
+    Q[~bands] = 0.0
+    Y = _kn2row(x, A, spec.ell)
+    for i, Bs in enumerate(folded):  # window row i's pairs are Q[:, :w-i]
+        Y[spec.ell : spec.ell + n, :, i] += Q[:, : w - i].reshape(n, -1) @ Bs.reshape(c, -1).T
+    return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, Q, folded)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
@@ -213,19 +221,21 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
-    win = cache.windows
-    dA, dwin = _contract_backward(win, A, upstream)
-    for i, Bs in enumerate(cache.folded):
-        dBs, drow = _contract_backward(win[:, i : i + 1] * win[:, i:], Bs, upstream)
+    x, Q, (n, w, m) = cache.x, cache.Q, cache.Q.shape
+    dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
+    dQ = np.zeros_like(Q)
+    for i, Bs in enumerate(cache.folded):  # window row i's upstream is dY[:, :, i]
         # adjoint of _fold, i <= j half: pair (i, j)'s gradient, which _mirror
         # later copies to B[j, i]
-        dB[:, i, i:] += dBs
-        # pair (i, j) = win[i] * win[j] sends drow * win[j] to row i and
-        # drow * win[i] to row j; for i == j both land on row i.
-        dwin[:, i] += np.einsum("njm,njm->nm", drow, win[:, i:])
-        dwin[:, i:] += drow * win[:, i : i + 1]
-    dx = _scatter_windows(dwin, cache.n, cache.spec.ell, cache.mask)
-    return dx, dA, upstream.sum(axis=0)
+        dB[:, i, i:] += (dY[:, :, i].T @ Q[:, : w - i].reshape(n, -1)).reshape(-1, w - i, m)
+        dQ[:, : w - i] += (dY[:, :, i] @ Bs.reshape(len(Bs), -1)).reshape(n, w - i, m)
+    dQ[~cache.bands] = 0.0
+    # Q[a, d] = x[a] * x[a + d] sends dQ * x[a + d] to row a and dQ * x[a] to
+    # row a + d; for d == 0 both land on row a.
+    for d in range(min(w, n)):
+        dx[: n - d] += dQ[: n - d, d] * x[d:]
+        dx[d:] += dQ[: n - d, d] * x[: n - d]
+    return dx, dA, db
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -273,9 +283,8 @@ def width1_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"weight shape {W.shape} incompatible with input {x.shape}")
     if b.shape != (W.shape[0],):
         raise ValueError(f"bias shape {b.shape} != ({W.shape[0]},)")
-    return _contract(x, W) + b
+    return x @ W.T + b
 
 
 def width1_backward(x: np.ndarray, W: np.ndarray, upstream: np.ndarray):
-    dW, dx = _contract_backward(x, W, upstream)
-    return dx, dW, upstream.sum(axis=0)
+    return upstream @ W, upstream.T @ x, upstream.sum(axis=0)

@@ -283,11 +283,9 @@ class Model:
             raise ValueError("token id out of vocabulary range")
         emb = self.params["embedding"].value[ids]
         x, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
-        pre_acts = []
-        group_caches = []
+        pre_acts, group_caches = [], []
         for k, lc in enumerate(self.config.layers, start=1):
-            cols = []
-            caches = []
+            cols, caches = [], []
             for g, (ell, r) in enumerate(lc.kernel_groups):
                 spec = L.ConvKernelSpec(ell, r)
                 prefix = f"layer{k}.group{g}"

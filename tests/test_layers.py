@@ -263,12 +263,39 @@ def pair_tensor(x, spec):
     return out.reshape(n, len(pairs), m)
 
 
+def gather_windows(x, spec, lengths=None):
+    """(n, w, m) windows and their (n, w) bool mask, by loops: slot k of row t
+    holds x[t - ell + k] when that row lies in t's sentence, zeros otherwise."""
+    n, m = x.shape
+    sentence = np.repeat(np.arange(len(lengths or [n])), lengths or [n])
+    win = np.zeros((n, spec.width, m))
+    mask = np.zeros((n, spec.width), dtype=bool)
+    for t in range(n):
+        for k in range(spec.width):
+            s = t - spec.ell + k
+            if 0 <= s < n and sentence[s] == sentence[t]:
+                win[t, k] = x[s]
+                mask[t, k] = True
+    return win, mask
+
+
+def scatter_windows(dwin, spec, mask):
+    """Adjoint of gather_windows: each unmasked slot's gradient onto its row."""
+    n, w, m = dwin.shape
+    dx = np.zeros((n, m))
+    for t in range(n):
+        for k in range(w):
+            if mask[t, k]:
+                dx[t - spec.ell + k] += dwin[t, k]
+    return dx
+
+
 def full_pair_forward(x, spec, A, B, b, lengths=None):
     """Reference autocorr over all w*w window pairs: the full interaction
-    tensor win[:, :, None] * win[:, None], contracted with the unfolded B."""
+    tensor win[:, :, None] * win[:, None] of loop-gathered windows, contracted
+    with the unfolded B."""
     n, m = x.shape
-    mask = L._window_mask([n] if lengths is None else lengths, spec.ell, spec.r)
-    win = L.sliding_windows(x, spec.ell, spec.r, mask)
+    win, mask = gather_windows(x, spec, lengths)
     pair = win[:, :, None] * win[:, None]
     out = (win.reshape(n, -1) @ A.reshape(len(A), -1).T
            + pair.reshape(n, -1) @ B.reshape(len(B), -1).T + b)
@@ -286,8 +313,7 @@ def full_pair_backward(x, spec, A, B, saved, up):
     dpair = (up @ B.reshape(len(B), -1)).reshape(pair.shape)
     dwin += np.einsum("nijm,njm->nim", dpair, win)
     dwin += np.einsum("njim,njm->nim", dpair, win)
-    dx = L._scatter_windows(dwin, n, spec.ell, mask)
-    return dx, dA, dB, up.sum(axis=0)
+    return scatter_windows(dwin, spec, mask), dA, dB, up.sum(axis=0)
 
 
 class TestAutocorrTensor:
@@ -698,3 +724,27 @@ class TestPacked:
         for lengths in ([2, 2], [5, 0], [3, 3]):
             with pytest.raises(ValueError):
                 L.conv1d_forward(x, spec, A, b, lengths)
+
+
+# Criterion 01 on every geometry above: ((ell, r), n, lengths, m, c).
+ZERO_B_CASES = ([((0, 1) if k == 0 else (2, 3), sum(lengths), lengths, 3, 2)
+                 for k, lengths in enumerate(PACKED_LENGTHS)]
+                + [(group, n, lengths, 290, 60) for group, n, lengths in FOLD_CASES])
+
+
+@pytest.mark.parametrize("case", range(len(ZERO_B_CASES)))
+def test_zero_B_is_conv_bitwise(case):
+    """With B = 0, autocorr's output and its dx, dA and db equal conv1d's bit
+    for bit, packed or not, with an ell = 0 group and one-token sentences."""
+    (ell, r), n, lengths, m, c = ZERO_B_CASES[case]
+    rng = Rng(7000 + case)
+    x, spec, A, b = rand_instance(rng, n, m, ell, r, c)
+    zero_B = np.zeros((c, spec.width, spec.width, m))
+    up = rng.uniform(-1, 1, (n, c))
+    conv_out, conv_cache = L.conv1d_forward(x, spec, A, b, lengths)
+    ac_out, ac_cache = L.autocorr_forward(x, spec, A, zero_B, b, lengths)
+    assert np.array_equal(conv_out, ac_out)
+    conv_grads = L.conv1d_backward(conv_cache, A, up)
+    ac_grads = L.autocorr_backward(ac_cache, A, up, np.zeros_like(zero_B))
+    for got, want in zip(ac_grads, conv_grads, strict=True):
+        assert np.array_equal(got, want)
