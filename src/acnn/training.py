@@ -101,11 +101,12 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
 
 
 # Token budget of one packed forward/backward pass. Larger chunks run fewer,
-# larger GEMMs but hold more windows and activations at once: one acnn-table1
-# step over 25 switchboard-like sentences peaks at 22.4 MB traced one sentence
-# at a time and 25.6 / 28.8 / 32.0 MB with 32 / 48 / 64-token chunks. On the
-# train-table1 benchmark workload, 48 kept the median peak RSS within 5% of one
-# sentence at a time, and 64 did not and was no faster.
+# larger GEMMs but hold more caches and activations at once: one acnn-table1
+# step over 25 switchboard-like sentences peaks at 19.7 MB traced one sentence
+# at a time and 21.3 / 22.9 / 24.6 MB with 32 / 48 / 64-token chunks. On the
+# train-table1 benchmark workload, while layer 1 still cached its windows, 48
+# kept the median peak RSS within 5% of one sentence at a time, and 64 did not
+# and was no faster.
 CHUNK_TOKENS = 48
 
 

@@ -602,10 +602,10 @@ class TestPackedTagging:
 class TestMemory:
     def test_table1_step_peak_memory_bounded(self):
         """Traced peak of one acnn-table1 training step on 25 switchboard-like
-        sentences. It is near 29 MB with CHUNK_TOKENS = 48, and the 40 MB bound
+        sentences. It is near 23 MB with CHUNK_TOKENS = 48, and the 32 MB bound
         fails both a chunk budget that packs the whole 198-token batch into one
-        pass (near 57 MB) and a layer 1 that holds each chunk's window pairs
-        and their gradient (near 54 MB)."""
+        pass (near 41 MB) and a layer 1 that holds each chunk's window pairs
+        and their gradient (near 54 MB with windows cached)."""
         gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=1, sentence_count=25)
         corpus = [preprocess(s) for s in generate_corpus(gen)]
         vocab = build_vocab(corpus)
@@ -618,7 +618,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("preset", ["cnn-table1", "acnn-table1"])
     def test_packed_tagging_peak_memory_bounded(self, preset):
