@@ -533,7 +533,7 @@ GENERATOR_PRESETS: dict[str, GeneratorConfig] = {
 
 
 # ---------------------------------------------------------------------------
-# Corpus statistics (used by tests and the generator's own checks)
+# Corpus statistics (used by tests)
 # ---------------------------------------------------------------------------
 
 def exact_copy_rate(seqs: list[TokenSequence]) -> float:

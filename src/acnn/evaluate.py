@@ -1,6 +1,5 @@
 """Scoring and diagnostics: token-level precision/recall/F over the disfluent
-class, per-disfluency-type F-scores, error listings, and the embedding
-cosine-similarity heatmap.
+class, per-disfluency-type F-scores and error listings.
 
 Undefined ratios (zero denominators) are reported as None, never silently as 0.
 """
@@ -12,7 +11,6 @@ from itertools import islice
 
 import numpy as np
 
-from .atomic import atomic_open
 from .data import TokenSequence, DisfluencySpan, KINDS
 
 
@@ -128,48 +126,6 @@ def score_by_kind(gold: list[TokenSequence], predicted: list) -> dict[str, EvalR
                 if span is not None:
                     reports[span.kind].fp += 1
     return {k: r for k, r in reports.items() if (r.tp + r.fn + r.fp) > 0}
-
-
-# ---------------------------------------------------------------------------
-# Embedding similarity heatmap
-# ---------------------------------------------------------------------------
-
-def similarity_heatmap(embeddings: np.ndarray, token_ids) -> tuple[np.ndarray, list[int]]:
-    """Pairwise cosine similarities between the embedding rows of a sentence.
-
-    Returns (matrix, flagged) where flagged lists positions with zero-norm
-    embeddings; any pair involving a flagged position gets similarity 0.
-    """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    vecs = embeddings[ids]
-    norms = np.linalg.norm(vecs, axis=1)
-    flagged = [int(i) for i in np.where(norms == 0)[0]]
-    safe = np.where(norms == 0, 1.0, norms)
-    unit = vecs / safe[:, None]
-    mat = unit @ unit.T
-    mat[flagged, :] = 0.0
-    mat[:, flagged] = 0.0
-    nz = norms > 0
-    np.fill_diagonal(mat, np.where(nz, 1.0, 0.0))
-    return mat, flagged
-
-
-def heatmap_text(matrix: np.ndarray, tokens: list[str] | None = None) -> str:
-    lines = []
-    if tokens is not None:
-        lines.append(" ".join(tokens))
-    for row in matrix:
-        lines.append(" ".join(f"{v:+.2f}" for v in row))
-    return "\n".join(lines)
-
-
-def write_heatmap_pgm(matrix: np.ndarray, path) -> None:
-    """Binary (P5) grayscale image; cosine -1..1 maps linearly to 0..255."""
-    scaled = np.clip(np.round((matrix + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    h, w = scaled.shape
-    with atomic_open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(scaled.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Cross-entropy loss, L2 on the width-1 layer, Adam, the minibatch training
-loop with dev-F early stopping, and a randomized hyperparameter search."""
+"""Cross-entropy loss, L2 on the width-1 layer, Adam, and the minibatch
+training loop with dev-F early stopping."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
 from .layers import softmax_xent_backward
-from .model import CLASS_DISFLUENT, LAYER1_KIND, LayerConfig, Model, ModelConfig, ParamStore
+from .model import CLASS_DISFLUENT, Model, ParamStore
 from .tensor import NumericError, Rng
 
 
@@ -159,14 +159,16 @@ def predict_masks(model: Model, seqs: list[TokenSequence],
                   vocab: Vocabulary) -> list[np.ndarray]:
     """Per-sentence disfluency masks (eval mode), packed as in training: one
     Model.forward per _chunks run, with each B folded once per call, or never
-    for a model that keeps its folds (Checkpoint.build_model)."""
+    for a model that keeps its folds (Checkpoint.build_model). A sentence with
+    no tokens gets an empty mask and takes no part in a pass."""
     folds = model._folded_kernels()
     masks = []
-    for lengths, ids in _chunks([(vocab.encode(seq.tokens),) for seq in seqs]):
+    for lengths, ids in _chunks([(vocab.encode(seq.tokens),) for seq in seqs if seq.tokens]):
         probs = model.forward(ids, training=False, lengths=lengths, folds=folds)
         disfluent = probs.argmax(axis=1) == CLASS_DISFLUENT
         masks += np.split(disfluent, np.cumsum(lengths[:-1]))
-    return masks
+    tagged = iter(masks)
+    return [next(tagged) if seq.tokens else np.zeros(0, dtype=bool) for seq in seqs]
 
 
 @dataclass(frozen=True)
@@ -245,75 +247,3 @@ def train(model: Model, train_seqs: list[TokenSequence],
             break
     model.params.load_values(best_values)
     return TrainResult(best_f1=best_f1, best_epoch=best_epoch, steps=t, log=log)
-
-
-# ---------------------------------------------------------------------------
-# Randomized hyperparameter search
-# ---------------------------------------------------------------------------
-
-# The ranges every trial draws from; only the architecture varies per search.
-SEARCH_EMBEDDING_DIMS = (16, 32)
-SEARCH_CHANNELS = (8, 16)
-SEARCH_DROPOUT = (0.1, 0.6)
-SEARCH_L2 = (0.0, 0.2)
-SEARCH_ELL = (0, 3)
-SEARCH_R = (1, 6)
-SEARCH_LEARNING_RATES = (0.001, 0.003)
-
-
-def _sample_trial(arch: str, rng: Rng, vocab_size: int,
-                  seed: int) -> tuple[ModelConfig, TrainConfig]:
-    def group() -> tuple[int, int]:
-        ell = int(rng.integers(SEARCH_ELL[0], SEARCH_ELL[1] + 1))
-        r = int(rng.integers(SEARCH_R[0], SEARCH_R[1] + 1))
-        return (ell, r)
-
-    channels = rng.choice(SEARCH_CHANNELS)
-    mcfg = ModelConfig(
-        vocab_size=vocab_size,
-        embedding_dim=rng.choice(SEARCH_EMBEDDING_DIMS),
-        dropout_rate=float(rng.uniform(*SEARCH_DROPOUT)),
-        l2_weight=float(rng.uniform(*SEARCH_L2)),
-        layers=(LayerConfig(LAYER1_KIND[arch], (group(),), channels),
-                LayerConfig("conv", (group(),), channels),
-                LayerConfig("conv", (group(),), channels)),
-        seed=seed)
-    return mcfg, TrainConfig(learning_rate=rng.choice(SEARCH_LEARNING_RATES))
-
-
-@dataclass(frozen=True)
-class Trial:
-    index: int
-    seed: int
-    model_config: ModelConfig
-    train_config: TrainConfig
-    dev_f1: float
-
-
-def random_search(arch: str, budget: int, runner, vocab_size: int,
-                  master_seed: int = 0) -> list[Trial]:
-    """Sample `budget` configurations, train each via `runner(model_cfg,
-    train_cfg) -> dev_f1`, and rank by dev F (descending). Reproducible from
-    the master seed; each trial records its own derived seed."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = Rng(master_seed)
-    trials = []
-    for i in range(budget):
-        trial_seed = int(rng.integers(0, 2 ** 31))
-        mcfg, tcfg = _sample_trial(arch, rng, vocab_size, trial_seed)
-        dev_f1 = runner(mcfg, tcfg)
-        trials.append(Trial(index=i, seed=trial_seed, model_config=mcfg,
-                            train_config=tcfg, dev_f1=dev_f1))
-    return sorted(trials, key=lambda tr: -tr.dev_f1)
-
-
-def trial_table(trials: list[Trial]) -> str:
-    header = "rank\ttrial\tseed\tarch\temb\tchannels\tdropout\tl2\tlr\tdev_f1"
-    rows = [header]
-    for rank, tr in enumerate(trials, start=1):
-        m, t = tr.model_config, tr.train_config
-        rows.append(f"{rank}\t{tr.index}\t{tr.seed}\t{m.arch}\t{m.embedding_dim}\t"
-                    f"{m.layers[0].channels}\t{m.dropout_rate:.3f}\t{m.l2_weight:.3f}\t"
-                    f"{t.learning_rate}\t{tr.dev_f1:.4f}")
-    return "\n".join(rows)

@@ -3,7 +3,6 @@ import pytest
 
 from acnn import evaluate as E
 from acnn.data import parse_annotated
-from acnn.tensor import Rng
 
 
 def seqs_and_masks():
@@ -115,48 +114,6 @@ class TestScoreByKind:
         # and "cat" sit in the outer correction's reparandum
         assert by_kind["repetition"].tp == 1
         assert by_kind["correction"].tp == 2
-
-
-class TestHeatmap:
-    def embeddings(self):
-        rng = Rng(0)
-        emb = rng.uniform(-1, 1, (6, 4))
-        emb[5] = 0.0  # zero-norm row for the flagging path
-        return emb
-
-    def test_symmetric_unit_diagonal(self):
-        mat, flagged = E.similarity_heatmap(self.embeddings(), [0, 1, 2, 3])
-        assert flagged == []
-        assert np.allclose(mat, mat.T)
-        assert np.allclose(np.diag(mat), 1.0)
-        assert np.all(mat <= 1.0 + 1e-12) and np.all(mat >= -1.0 - 1e-12)
-
-    def test_identical_tokens_have_similarity_one(self):
-        mat, _ = E.similarity_heatmap(self.embeddings(), [2, 0, 2])
-        assert mat[0, 2] == pytest.approx(1.0)
-
-    def test_zero_norm_flagged(self):
-        mat, flagged = E.similarity_heatmap(self.embeddings(), [0, 5, 1])
-        assert flagged == [1]
-        assert not mat[1, :].any() and not mat[:, 1].any()
-
-    def test_text_rendering(self):
-        mat, _ = E.similarity_heatmap(self.embeddings(), [0, 1])
-        text = E.heatmap_text(mat, tokens=["a", "b"])
-        lines = text.splitlines()
-        assert lines[0] == "a b"
-        assert len(lines) == 3
-        assert lines[1].split()[0] == "+1.00"
-
-    def test_pgm_output(self, tmp_path):
-        mat, _ = E.similarity_heatmap(self.embeddings(), [0, 1, 2])
-        path = tmp_path / "h.pgm"
-        E.write_heatmap_pgm(mat, path)
-        raw = path.read_bytes()
-        assert raw.startswith(b"P5\n3 3\n255\n")
-        pixels = np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8)
-        assert pixels.shape == (9,)
-        assert pixels.reshape(3, 3)[0, 0] == 255  # cosine 1.0 -> white
 
 
 class TestMarkedText:

@@ -315,57 +315,24 @@ class TestTrain:
         with pytest.raises(ValueError):
             TR.train(model, train, [], vocab, cfg)
 
+    def test_empty_dev_sentence_scores_nothing(self):
+        """An empty dev sentence has no tokens to tag, so training reads the
+        same dev scores with it as without it."""
+        train, dev, vocab = toy_data()
+        empty = TokenSequence(tokens=[], labels=[])
+        cfg = TR.TrainConfig(max_epochs=2, patience=5, learning_rate=0.005)
+        logs = []
+        for dev_seqs in (dev, [dev[0], empty] + dev[1:]):
+            model = tiny_model(vocab_size=len(vocab), dropout=0.1)
+            logs.append([e.format() for e in TR.train(model, train, dev_seqs, vocab, cfg).log])
+        assert logs[0] == logs[1]
+
     def test_all_fluent_dev_rejected(self):
         train, dev, vocab = toy_data()
         fluent_dev = [parse_annotated("a plain sentence")]
         model = tiny_model(vocab_size=len(vocab))
         with pytest.raises(ValueError, match="disfluent"):
             TR.train(model, train, fluent_dev, vocab, TR.TrainConfig(max_epochs=1))
-
-
-class TestRandomSearch:
-    def test_budget_one(self):
-        trials = TR.random_search("acnn", 1, lambda m, t: 0.5, vocab_size=20)
-        assert len(trials) == 1
-        assert trials[0].dev_f1 == 0.5
-
-    def test_reproducible_sampling(self):
-        a = TR.random_search("acnn", 4, lambda m, t: 0.0, 20, master_seed=3)
-        b = TR.random_search("acnn", 4, lambda m, t: 0.0, 20, master_seed=3)
-        assert [tr.model_config for tr in a] == [tr.model_config for tr in b]
-        assert [tr.seed for tr in a] == [tr.seed for tr in b]
-
-    def test_ranked_by_dev_f1(self):
-        scores = iter([0.2, 0.9, 0.5])
-        trials = TR.random_search("acnn", 3, lambda m, t: next(scores), 20)
-        assert [tr.dev_f1 for tr in trials] == [0.9, 0.5, 0.2]
-        assert trials[0].index == 1
-
-    def test_samples_within_space(self):
-        trials = TR.random_search("cnn", 8, lambda m, t: 0.0, 20, master_seed=1)
-        for tr in trials:
-            m = tr.model_config
-            assert m.arch == "cnn"
-            assert m.seed == tr.seed
-            assert m.embedding_dim in TR.SEARCH_EMBEDDING_DIMS
-            assert m.layers[0].channels in TR.SEARCH_CHANNELS
-            assert all(lc.channels == m.layers[0].channels for lc in m.layers)
-            assert TR.SEARCH_DROPOUT[0] <= m.dropout_rate <= TR.SEARCH_DROPOUT[1]
-            assert TR.SEARCH_L2[0] <= m.l2_weight <= TR.SEARCH_L2[1]
-            for lc in m.layers:
-                for ell, r in lc.kernel_groups:
-                    assert TR.SEARCH_ELL[0] <= ell <= TR.SEARCH_ELL[1]
-                    assert TR.SEARCH_R[0] <= r <= TR.SEARCH_R[1]
-            assert tr.train_config.learning_rate in TR.SEARCH_LEARNING_RATES
-
-    def test_trial_table_lists_all(self):
-        trials = TR.random_search("acnn", 3, lambda m, t: 0.1, 20)
-        table = TR.trial_table(trials)
-        assert len(table.splitlines()) == 4
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            TR.random_search("acnn", 0, lambda m, t: 0.0, 20)
 
 
 def packing_model(dropout):
@@ -597,6 +564,21 @@ class TestPackedTagging:
 
     def test_no_utterances_no_masks(self):
         assert TR.predict_masks(packing_model(0.0), [], packing_vocab()) == []
+
+    def test_empty_utterances_get_empty_masks(self):
+        vocab = packing_vocab()
+        model = packing_model(0.0)
+        empty = TokenSequence(tokens=[], labels=[])
+        s0, s1 = (TokenSequence(tokens=[f"w{i % 10 + 2}" for i in range(n)],
+                                labels=[FLUENT] * n) for n in (10, 8))
+        alone = {id(s): TR.predict_masks(model, [s], vocab)[0] for s in (s0, s1)}
+        for seqs in ([empty], [s0, empty, s1], [empty, s0, s1, empty]):
+            masks = TR.predict_masks(model, seqs, vocab)
+            assert len(masks) == len(seqs)
+            for mask, seq in zip(masks, seqs):
+                assert mask.dtype == bool
+                want = alone[id(seq)] if seq.tokens else np.zeros(0, dtype=bool)
+                assert np.array_equal(mask, want)
 
 
 class TestMemory:
