@@ -8,7 +8,7 @@ import numpy as np
 
 from acnn.atomic import atomic_open
 from acnn.data import CorpusFormatError, Vocabulary, parse_annotated, preprocess
-from acnn.model import load_checkpoint
+from acnn.model import CheckpointError, load_checkpoint
 
 
 def similarity_heatmap(embeddings: np.ndarray, token_ids) -> tuple[np.ndarray, list[int]]:
@@ -61,7 +61,10 @@ def main() -> None:
     except CorpusFormatError as e:
         ap.error(f"--sentence: {e}")
 
-    ckpt = load_checkpoint(args.checkpoint)
+    try:
+        ckpt = load_checkpoint(args.checkpoint)
+    except (OSError, CheckpointError) as e:
+        ap.exit(2, f"{ap.prog}: error: checkpoint {args.checkpoint}: {e}\n")
     vocab = Vocabulary(words=ckpt.vocab_words)
     ids = vocab.encode(seq.tokens)
     emb = ckpt.tensors["embedding"]

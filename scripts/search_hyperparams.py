@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from acnn import training
 from acnn.bench import preset_corpora
-from acnn.data import GENERATOR_PRESETS
+from acnn.data import DISFLUENT, GENERATOR_PRESETS
 from acnn.model import LAYER1_KIND, LayerConfig, Model, ModelConfig
 from acnn.tensor import Rng
 
@@ -96,6 +96,10 @@ def main() -> None:
             ap.error(f"--{flag.replace('_', '-')} must be >= {least}, got {getattr(args, flag)}")
 
     train_seqs, dev_seqs, vocab = preset_corpora(args.preset, args.train_count, args.dev_count)
+    # training.train refuses such a dev split too, but only once a trial starts
+    if not any(DISFLUENT in seq.labels for seq in dev_seqs):
+        ap.exit(2, f"{ap.prog}: error: the {args.dev_count}-sentence dev split has no "
+                   f"disfluent token, so dev F is undefined; raise --dev-count\n")
 
     def runner(mcfg, tcfg) -> float:
         model = Model.build(mcfg)

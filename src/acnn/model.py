@@ -215,9 +215,10 @@ def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
 class _ForwardCache:
     ids: np.ndarray
     dropout_mask: np.ndarray | None
-    pre_activations: list[np.ndarray]    # Y_k before ReLU
+    # per layer, its output after ReLU: the next layer's (or width-1's) input
+    # array itself, not a copy
+    activations: list[np.ndarray]
     group_caches: list[list]             # per layer, per group forward caches
-    final_features: np.ndarray           # input to the width-1 layer
 
 
 class Model:
@@ -283,7 +284,7 @@ class Model:
             raise ValueError("token id out of vocabulary range")
         emb = self.params["embedding"].value[ids]
         x, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
-        pre_acts, group_caches = [], []
+        activations, group_caches = [], []
         for k, lc in enumerate(self.config.layers, start=1):
             cols, caches = [], []
             for g, (ell, r) in enumerate(lc.kernel_groups):
@@ -300,17 +301,16 @@ class Model:
                     out, cache = L.conv1d_forward(x, spec, A, b, lengths)
                 cols.append(out)
                 caches.append(cache)
-            y = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
-            pre_acts.append(y)
+            x = L.relu(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1))
+            activations.append(x)
             group_caches.append(caches)
-            x = L.relu(y)
         scores = L.width1_forward(x, self.params["output.W"].value,
                                   self.params["output.b"].value)
         probs = L.softmax_rows(scores)
         T.ensure_finite(probs, "forward output")
         return probs, _ForwardCache(
-            ids=ids, dropout_mask=mask, pre_activations=pre_acts,
-            group_caches=group_caches, final_features=x)
+            ids=ids, dropout_mask=mask, activations=activations,
+            group_caches=group_caches)
 
     def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
         """Accumulate the parameter gradients of one forward_with_cache call
@@ -318,13 +318,14 @@ class Model:
         i <= j half (see layers.autocorr_backward); it is complete once
         _mirror_kernel_grads has run after the step's last pass, as
         training.batch_loss_and_grads does."""
-        dx, dW, db = L.width1_backward(cache.final_features,
+        dx, dW, db = L.width1_backward(cache.activations[-1],
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad += dW
         self.params["output.b"].grad += db
         for k in range(len(self.config.layers), 0, -1):
             lc = self.config.layers[k - 1]
-            dy = L.relu_backward(cache.pre_activations[k - 1], dx)
+            # relu(y) > 0 exactly where y > 0, NaN included
+            dy = L.relu_backward(cache.activations[k - 1], dx)
             gc = lc.group_channels
             dx_next = 0.0  # the layer's input gradient, summed over its groups
             for g in range(len(lc.kernel_groups)):

@@ -11,7 +11,7 @@ import numpy as np
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
 from .layers import softmax_xent_backward
-from .model import CLASS_DISFLUENT, Model, ParamStore
+from .model import CLASS_DISFLUENT, Model, ModelConfig, ParamStore
 from .tensor import NumericError, Rng
 
 
@@ -100,19 +100,28 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
             value -= step
 
 
-# Token budget of one packed forward/backward pass. Larger chunks run fewer,
-# larger GEMMs but hold more caches and activations at once: one acnn-table1
-# step over 25 switchboard-like sentences peaks at 19.7 MB traced one sentence
-# at a time and 21.3 / 22.9 / 24.6 MB with 32 / 48 / 64-token chunks. On the
-# train-table1 benchmark workload, while layer 1 still cached its windows, 48
-# kept the median peak RSS within 5% of one sentence at a time, and 64 did not
-# and was no faster.
-CHUNK_TOKENS = 48
+# Bytes of the float64s that _token_floats counts one packed forward/backward
+# pass may hold: 48 tokens of acnn-table1, the chunk size its train-table1
+# benchmark workload was measured at, 40 of cnn-table1, and over 700 of either
+# toy model, so that a toy batch runs as one pass.
+CHUNK_BYTES = 3_600_000
 
 
-def _chunks(sentences):
+def _token_floats(config: ModelConfig) -> int:
+    """The float64s one token adds to a pass: each layer's input and output,
+    every group's kn2row Y (c * w) and an autocorr group's Q (w * m)."""
+    floats, m = 0, config.embedding_dim
+    for lc in config.layers:
+        widths = sum(ell + r + 1 for ell, r in lc.kernel_groups)
+        floats += (m + lc.channels + lc.group_channels * widths
+                   + (widths * m if lc.kind == "autocorr" else 0))
+        m = lc.channels
+    return floats
+
+
+def _chunks(sentences, tokens: int):
     """The sentences in order, cut into runs of whole sentences of at most
-    CHUNK_TOKENS tokens; a longer sentence is a run of its own. A sentence is
+    `tokens` tokens; a longer sentence is a run of its own. A sentence is
     a tuple of per-token arrays, token ids first, such as (ids, label_ids).
     Each run is yielded as its sentence lengths followed by each of those
     arrays concatenated over the run: (lengths, ids, label_ids)."""
@@ -121,7 +130,7 @@ def _chunks(sentences):
                 *(np.concatenate(column) for column in zip(*run)))
     run, size = [], 0
     for sentence in sentences:
-        if run and size + len(sentence[0]) > CHUNK_TOKENS:
+        if run and size + len(sentence[0]) > tokens:
             yield joined(run)
             run, size = [], 0
         run.append(sentence)
@@ -134,14 +143,15 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
     """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
     penalty; gradients are accumulated into the model's parameter store.
-    The sentences run packed, one forward and backward pass per _chunks run;
-    each B is folded once for all of them, and its gradient, summed on the
-    i <= j half, is mirrored once after the last."""
+    The sentences run packed, one forward and backward pass per _chunks run
+    within CHUNK_BYTES; each B is folded once for all of them, and its
+    gradient, summed on the i <= j half, is mirrored once after the last."""
     model.params.zero_grads()
     total_tokens = sum(len(ids) for ids, _ in batch)
     folds = model._folded_kernels()
     loss = 0.0
-    for lengths, ids, label_ids in _chunks(batch):
+    tokens = CHUNK_BYTES // (8 * _token_floats(model.config))
+    for lengths, ids, label_ids in _chunks(batch, tokens):
         probs, cache = model.forward_with_cache(ids, training=training, rng=rng,
                                                 lengths=lengths, folds=folds)
         part, dscores = cross_entropy(probs, label_ids, normalizer=total_tokens)
@@ -163,7 +173,9 @@ def predict_masks(model: Model, seqs: list[TokenSequence],
     no tokens gets an empty mask and takes no part in a pass."""
     folds = model._folded_kernels()
     masks = []
-    for lengths, ids in _chunks([(vocab.encode(seq.tokens),) for seq in seqs if seq.tokens]):
+    tokens = CHUNK_BYTES // (8 * _token_floats(model.config))
+    encoded = [(vocab.encode(seq.tokens),) for seq in seqs if seq.tokens]
+    for lengths, ids in _chunks(encoded, tokens):
         probs = model.forward(ids, training=False, lengths=lengths, folds=folds)
         disfluent = probs.argmax(axis=1) == CLASS_DISFLUENT
         masks += np.split(disfluent, np.cumsum(lengths[:-1]))

@@ -89,6 +89,30 @@ def test_embedding_heatmap_malformed_sentence_is_usage_error(tmp_path, sentence)
     assert proc.stdout == ""
 
 
+def test_search_hyperparams_dev_split_without_disfluency_refused():
+    # the toy preset's first dev sentence is fluent; refused before any trial
+    proc = run_script("search_hyperparams.py", "--budget", "1", "--train-count", "30",
+                      "--dev-count", "1", "--max-epochs", "1")
+    assert proc.returncode == 2
+    assert "no disfluent token" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("content", [None, b"ACNNCKPT\x01\x00\x00\x00"],
+                         ids=["missing", "truncated"])
+def test_embedding_heatmap_unreadable_checkpoint_is_data_error(tmp_path, content):
+    ckpt = tmp_path / "m.ckpt"
+    if content is not None:
+        ckpt.write_bytes(content)
+    proc = run_script("embedding_heatmap.py", "--checkpoint", str(ckpt),
+                      "--sentence", "the [ big + big ] dog")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and str(ckpt) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestRandomSearch:
     def test_budget_one(self):
         trials = SH.random_search("acnn", 1, lambda m, t: 0.5, vocab_size=20)

@@ -10,8 +10,9 @@ from acnn import training as TR
 from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, TokenSequence,
                        Vocabulary, build_vocab, generate_corpus, parse_annotated,
                        preprocess)
-from acnn.model import (CLASS_DISFLUENT, Checkpoint, LayerConfig, Model, ModelConfig,
-                        ParamStore, load_checkpoint, model_preset, save_checkpoint)
+from acnn.model import (CLASS_DISFLUENT, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
+                        ModelConfig, ParamStore, load_checkpoint, model_preset,
+                        save_checkpoint)
 from acnn.tensor import Rng
 
 
@@ -346,6 +347,14 @@ def packing_model(dropout):
     return Model.build(cfg)
 
 
+def packs_48(monkeypatch, model):
+    """`model`, with the chunk budget set so that it packs 48 tokens a pass,
+    as acnn-table1 does: at CHUNK_BYTES a tiny model would take every batch
+    here in one pass, and these tests need several."""
+    monkeypatch.setattr(TR, "CHUNK_BYTES", 8 * 48 * TR._token_floats(model.config))
+    return model
+
+
 def random_batch(lengths, seed=0):
     rng = Rng(seed)
     return [(rng.integers(0, 12, size=n), rng.integers(0, 2, size=n)) for n in lengths]
@@ -358,9 +367,8 @@ PACKING_LENGTHS = [1, 20, 28, 48, 1, 1, 60, 5, 1, 30, 17, 1]
 
 class TestPacking:
     def test_chunks_are_whole_sentences_within_budget(self):
-        assert TR.CHUNK_TOKENS == 48
         batch = random_batch(PACKING_LENGTHS)
-        runs = list(TR._chunks(batch))
+        runs = list(TR._chunks(batch, 48))
         chunks = [lengths for lengths, _, _ in runs]
         assert chunks == [[1, 20], [28], [48], [1, 1], [60], [5, 1, 30], [17, 1]]
         assert [n for chunk in chunks for n in chunk] == PACKING_LENGTHS
@@ -369,13 +377,13 @@ class TestPacking:
                                   np.concatenate([s[column] for s in batch]))
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
-    def test_packed_equals_sum_of_single_sentence_batches(self, dropout):
+    def test_packed_equals_sum_of_single_sentence_batches(self, dropout, monkeypatch):
         """Loss and every gradient of a packed batch equal the token-weighted
         sum of one-sentence batches run in the same order (with dropout, on
         one shared stream: a chunk draws its sentences' masks back to back)."""
         batch = random_batch(PACKING_LENGTHS, seed=1)
         total = sum(PACKING_LENGTHS)
-        model = packing_model(dropout)
+        model = packs_48(monkeypatch, packing_model(dropout))
         loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(9))
         grads = {name: p.grad.copy() for name, p in model.params.items()}
         want_loss = 0.0
@@ -396,6 +404,46 @@ class TestPacking:
             TR.batch_loss_and_grads(packing_model(0.0), batch)
 
 
+class TestChunkBudget:
+    """One memory budget sizes every model's passes from its config."""
+
+    @staticmethod
+    def tokens(config):
+        return TR.CHUNK_BYTES // (8 * TR._token_floats(config))
+
+    def test_table1_presets_pack_at_most_48_tokens(self):
+        assert self.tokens(model_preset("acnn-table1", 3000)) == 48
+        assert self.tokens(model_preset("cnn-table1", 3000)) <= 48
+
+    @pytest.mark.parametrize("preset", ["acnn-toy", "cnn-toy"])
+    def test_toy_batch_is_one_pass(self, preset):
+        gen = replace(GENERATOR_PRESETS["rough-copy-hard"], sentence_count=25)
+        corpus = [preprocess(s) for s in generate_corpus(gen)]
+        vocab = build_vocab(corpus)
+        batch = [(vocab.encode(s.tokens), s.disfluent_mask().astype(np.int64)) for s in corpus]
+        model = Model.build(model_preset(preset, len(vocab), seed=1))
+        passes = []
+
+        def forward_with_cache(ids, **kwargs):
+            passes.append(len(ids))
+            return Model.forward_with_cache(model, ids, **kwargs)
+
+        model.forward_with_cache = forward_with_cache
+        TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(2))
+        TR.predict_masks(model, corpus, vocab)
+        assert passes == [sum(len(ids) for ids, _ in batch)] * 2
+
+    @pytest.mark.parametrize("preset", MODEL_PRESETS)
+    def test_depends_only_on_embedding_dim_and_layers(self, preset):
+        config = model_preset(preset, 3000, seed=1)
+        floats = TR._token_floats(config)
+        assert TR._token_floats(replace(config, vocab_size=12, seed=9, dropout_rate=0.0,
+                                        l2_weight=0.5)) == floats
+        assert TR._token_floats(replace(config, embedding_dim=config.embedding_dim + 1)) > floats
+        wider = replace(config.layers[-1], channels=2 * config.layers[-1].channels)
+        assert TR._token_floats(replace(config, layers=(*config.layers[:-1], wider))) > floats
+
+
 def step_fold_model():
     """A (5, 6) and an ell = 0 autocorr group, dropout and L2 on."""
     cfg = ModelConfig(
@@ -413,16 +461,16 @@ STEP_KERNELS = ("layer1.group0.B", "layer1.group1.B")
 
 
 class TestStepFold:
-    def test_equals_full_backward_per_chunk(self):
+    def test_equals_full_backward_per_chunk(self, monkeypatch):
         """Folding each B once per step and mirroring its gradient once after
         the last chunk gives the loss and every gradient, byte for byte, of
         per-chunk passes that each mirror B's gradient after their
         Model.backward: no pass reads the i > j half of B.grad."""
         batch = random_batch(STEP_LENGTHS, seed=2)
-        model = step_fold_model()
+        model = packs_48(monkeypatch, step_fold_model())
         loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(3))
         grads = {name: p.grad.copy() for name, p in model.params.items()}
-        chunks = list(TR._chunks(batch))
+        chunks = list(TR._chunks(batch, 48))
         assert [lengths for lengths, _, _ in chunks] == [[20, 1, 25], [60], [30, 10]]
         model.params.zero_grads()
         rng, want_loss = Rng(3), 0.0
@@ -443,8 +491,8 @@ class TestStepFold:
             assert g[:, 1, 0].any()
             assert np.array_equal(g, np.swapaxes(g, 1, 2)), name
 
-    def test_each_B_folded_once_per_call(self, folded):
-        model = step_fold_model()
+    def test_each_B_folded_once_per_call(self, folded, monkeypatch):
+        model = packs_48(monkeypatch, step_fold_model())
         shapes = [model.params[name].value.shape for name in STEP_KERNELS]
         TR.batch_loss_and_grads(model, random_batch(STEP_LENGTHS, seed=2),
                                 training=True, rng=Rng(3))
@@ -484,8 +532,8 @@ class TestKeptFold:
     keeps the fold; a Model.build model, whose B training writes, folds on
     every call. The naive path runs beside the kept one."""
 
-    def test_folds_once_at_build_and_tags_identically(self, tmp_path, folded):
-        fresh = step_fold_model()
+    def test_folds_once_at_build_and_tags_identically(self, tmp_path, folded, monkeypatch):
+        fresh = packs_48(monkeypatch, step_fold_model())
         shapes = [fresh.params[name].value.shape for name in STEP_KERNELS]
         kept = reloaded(fresh, tmp_path).build_model()
         assert folded == shapes
@@ -538,13 +586,13 @@ def packing_vocab():
 
 
 class TestPackedTagging:
-    def test_packed_masks_equal_per_utterance_forward(self):
+    def test_packed_masks_equal_per_utterance_forward(self, monkeypatch):
         vocab = packing_vocab()
         rng = Rng(5)
         seqs = [TokenSequence(tokens=[vocab.words[int(i)] for i in rng.integers(0, 12, size=n)],
                               labels=[FLUENT] * n)
                 for n in PACKING_LENGTHS]
-        model = packing_model(0.0)
+        model = packs_48(monkeypatch, packing_model(0.0))
         alone = [model.forward(vocab.encode(s.tokens), training=False) for s in seqs]
         packed = []  # the probabilities of predict_masks' own forward passes
 
@@ -584,7 +632,7 @@ class TestPackedTagging:
 class TestMemory:
     def test_table1_step_peak_memory_bounded(self):
         """Traced peak of one acnn-table1 training step on 25 switchboard-like
-        sentences. It is near 23 MB with CHUNK_TOKENS = 48, and the 32 MB bound
+        sentences. It is near 23 MB at 48 tokens a pass, and the 32 MB bound
         fails both a chunk budget that packs the whole 198-token batch into one
         pass (near 41 MB) and a layer 1 that holds each chunk's window pairs
         and their gradient (near 54 MB with windows cached)."""
