@@ -14,17 +14,17 @@ dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is one matmul over the
 rows themselves.
 
 Autocorr's B-term reads the sentence's auto-correlation bands. Window t's pair
-(i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so each
-call forms every distinct product once, Q[a, d] = x_a * x_{a+d} of shape
-(n, w, m), zero wherever row a + d leaves row a's sentence. The interaction
-tensor is symmetric, so only the pairs i <= j are used: window row i's pairs
-(i, i .. w-1) are Q[a, :w-i], a view, contracted with row i's block of the
-folded kernel, Bs[i][:, j - i] = B[i, j] + B[j, i] (i < j) and Bs[i][:, 0] =
-B[i, i], which equals the full w*w contraction with B. That is one matmul per
-window row over all of Q's rows, added onto Y's slot i before the slots are
-summed, so with B == 0 autocorr is conv1d bit for bit. No array of window
-pairs is formed, in the forward or the backward. B itself keeps its
-(c, w, w, m) shape.
+(i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so every
+window's pairs at offset d are rows of one band, q_d[a] = x_a * x_{a+d} of
+shape (n - d, m), zero wherever row a + d leaves row a's sentence. The
+interaction tensor is symmetric, so only the pairs i <= j are used, with B
+folded per offset: K_d[u, i] = B[u, i, i + d] + B[u, i + d, i] (d > 0) and
+K_0[u, i] = B[u, i, i], which equals the full w*w contraction with B. Each
+offset is then one matmul, q_d @ K_d.T, whose column (u, i) is added onto Y's
+slot i before the slots are summed, so with B == 0 autocorr is conv1d bit for
+bit. A band is formed, used and dropped inside the call, and the backward forms
+it again; no (n, w, m) array and no array of window pairs is formed. B itself
+keeps its (c, w, w, m) shape.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -123,21 +123,26 @@ class ConvCache:
 @dataclass
 class AutoCorrCache(ConvCache):
     bands: np.ndarray  # (n, w) bool: row a + d lies in row a's sentence
-    Q: np.ndarray  # (n, w, m) Q[a, d] = x[a] * x[a + d] where bands[a, d], else 0
-    folded: list[np.ndarray]  # _fold(B): row i's (c, w-i, m) kernel block
+    folded: list[np.ndarray]  # _fold(B): offset d's (c * (w-d), m) kernel block
+
+
+def _diagonal(pairs: np.ndarray, w: int, d: int) -> np.ndarray:
+    """The (c, w-d, m) view of the pairs (i, i + d) of a kernel viewed as
+    (c, w * w, m), pair (i, j) at i * w + j."""
+    return pairs[:, d :: w + 1][:, : w - d]
 
 
 def _fold(B: np.ndarray) -> list[np.ndarray]:
-    """B folded onto the window pairs i <= j, one (c, w-i, m) block per window
-    row i over its pairs (i, i .. w-1): their contraction equals B's over all
-    w*w pairs of a symmetric interaction tensor."""
+    """B folded onto the window pairs i <= j, one (c * (w-d), m) block per
+    offset d over the pairs (i, i + d), rows ordered (u, i): their
+    contraction equals B's over all w*w pairs of a symmetric interaction
+    tensor."""
     c, w, _, m = B.shape
-    folded = []
-    for i in range(w):
-        row = np.empty((c, w - i, m), dtype=B.dtype)
-        row[:, 0] = B[:, i, i]
-        np.add(B[:, i, i + 1 :], B[:, i + 1 :, i], out=row[:, 1:])
-        folded.append(row)
+    pairs = B.reshape(c, w * w, m)
+    folded = [_diagonal(pairs, w, 0).reshape(c * w, m)]
+    for d in range(1, w):  # pairs (i + d, i) sit at d * w + i * (w + 1)
+        folded.append(np.add(_diagonal(pairs, w, d), pairs[:, d * w :: w + 1])
+                      .reshape(c * (w - d), m))
     return folded
 
 
@@ -147,6 +152,17 @@ def _mirror(dB: np.ndarray) -> None:
     a gradient summed on the i <= j half is completed by one copy."""
     for i in range(dB.shape[1]):
         dB[:, i + 1 :, i] = dB[:, i, i + 1 :]
+
+
+def _bands(x: np.ndarray, bands: np.ndarray):
+    """Each offset d < min(w, n) with its band q[a] = x[a] * x[a + d] of shape
+    (n - d, m), set to 0 where not bands[a, d]; one buffer serves them all."""
+    n, w = bands.shape
+    buffer = np.empty_like(x)
+    for d in range(min(w, n)):
+        q = np.multiply(x[: n - d], x[d:], out=buffer[: n - d])
+        q[~bands[: n - d, d]] = 0.0
+        yield d, q
 
 
 def _checked_mask(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -200,14 +216,10 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     if B.shape != (c, w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
     folded = _fold(B) if folded is None else folded
-    Q = np.empty((n, w, m))  # Q[a, d] = x[a] * x[a + d] within a's sentence
-    for d in range(min(w, n)):
-        np.multiply(x[: n - d], x[d:], out=Q[: n - d, d])
-    Q[~bands] = 0.0
     Y = _kn2row(x, A, spec.ell)
-    for i, Bs in enumerate(folded):  # window row i's pairs are Q[:, :w-i]
-        Y[spec.ell : spec.ell + n, :, i] += Q[:, : w - i].reshape(n, -1) @ Bs.reshape(c, -1).T
-    return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, Q, folded)
+    for d, q in _bands(x, bands):  # slot i's pair (i, i + d) of row a is q[a]
+        Y[spec.ell : spec.ell + n - d, :, : w - d] += (q @ folded[d].T).reshape(n - d, c, w - d)
+    return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, folded)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
@@ -221,20 +233,21 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
-    x, Q, (n, w, m) = cache.x, cache.Q, cache.Q.shape
+    x, n, (c, w, _, m) = cache.x, cache.n, dB.shape
     dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
-    dQ = np.zeros_like(Q)
-    for i, Bs in enumerate(cache.folded):  # window row i's upstream is dY[:, :, i]
-        # adjoint of _fold, i <= j half: pair (i, j)'s gradient, which _mirror
-        # later copies to B[j, i]
-        dB[:, i, i:] += (dY[:, :, i].T @ Q[:, : w - i].reshape(n, -1)).reshape(-1, w - i, m)
-        dQ[:, : w - i] += (dY[:, :, i] @ Bs.reshape(len(Bs), -1)).reshape(n, w - i, m)
-    dQ[~cache.bands] = 0.0
-    # Q[a, d] = x[a] * x[a + d] sends dQ * x[a + d] to row a and dQ * x[a] to
-    # row a + d; for d == 0 both land on row a.
-    for d in range(min(w, n)):
-        dx[: n - d] += dQ[: n - d, d] * x[d:]
-        dx[d:] += dQ[: n - d, d] * x[: n - d]
+    pairs = dB.reshape(c, w * w, m, copy=False)
+    for d, q in _bands(x, cache.bands):  # slot i's upstream of q[a] is dY[a, :, i]
+        dY_d = dY[: n - d, :, : w - d].reshape(n - d, -1)
+        # adjoint of _fold, i <= j half: pair (i, i + d)'s gradient, which
+        # _mirror later copies to B[i + d, i]
+        diagonal = _diagonal(pairs, w, d)
+        diagonal += (dY_d.T @ q).reshape(c, w - d, m)
+        dq = dY_d @ cache.folded[d]
+        dq[~cache.bands[: n - d, d]] = 0.0
+        # q[a] = x[a] * x[a + d] sends dq * x[a + d] to row a and dq * x[a] to
+        # row a + d; for d == 0 both land on row a.
+        dx[: n - d] += dq * x[d:]
+        dx[d:] += dq * x[: n - d]
     return dx, dA, db
 
 

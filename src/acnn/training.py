@@ -101,20 +101,18 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
 
 
 # Bytes of the float64s that _token_floats counts one packed forward/backward
-# pass may hold: 48 tokens of acnn-table1, the chunk size its train-table1
-# benchmark workload was measured at, 40 of cnn-table1, and over 700 of either
-# toy model, so that a toy batch runs as one pass.
+# pass may hold: 119 tokens of acnn-table1, 40 of cnn-table1, and over 1,000
+# of either toy model, so that a toy batch runs as one pass.
 CHUNK_BYTES = 3_600_000
 
 
 def _token_floats(config: ModelConfig) -> int:
-    """The float64s one token adds to a pass: each layer's input and output,
-    every group's kn2row Y (c * w) and an autocorr group's Q (w * m)."""
+    """The float64s one token adds to a pass: each layer's input and output
+    and every group's kn2row Y (c * w)."""
     floats, m = 0, config.embedding_dim
     for lc in config.layers:
         widths = sum(ell + r + 1 for ell, r in lc.kernel_groups)
-        floats += (m + lc.channels + lc.group_channels * widths
-                   + (widths * m if lc.kind == "autocorr" else 0))
+        floats += m + lc.channels + lc.group_channels * widths
         m = lc.channels
     return floats
 

@@ -178,22 +178,30 @@ def test_criterion_07_data_round_trips():
 
 
 def test_criterion_08_training_determinism(tmp_path):
+    """The recipe trains a model that tags disfluencies, so the checkpoint
+    bytes it compares hold a model that uses its input."""
     d = tmp_path / "c"
     assert cli.main(["synth", "--preset", "toy", "--out", str(d),
-                     "--train-count", "60", "--dev-count", "25",
-                     "--test-count", "5"]) == 0
+                     "--train-count", "400", "--dev-count", "100",
+                     "--test-count", "100"]) == 0
     blobs, logs = [], []
     for sub in ("r1", "r2"):
         ckpt = tmp_path / sub / "m.ckpt"
         assert cli.main(["train", "--preset", "acnn-toy",
                          "--train", str(d / "train.bt"),
                          "--dev", str(d / "dev.bt"), "--out", str(ckpt),
-                         "--max-epochs", "2", "--seed", "5"]) == 0
+                         "--max-epochs", "6", "--seed", "5"]) == 0
         blobs.append(ckpt.read_bytes())
         logs.append(ckpt.with_suffix(".log").read_text())
-    ok = blobs[0] == blobs[1] and logs[0] == logs[1]
+    tagged = tmp_path / "dev.tsv"
+    assert cli.main(["tag", "--checkpoint", str(tmp_path / "r1" / "m.ckpt"),
+                     "--input", str(d / "dev.bt"), "--out", str(tagged)]) == 0
+    disfluent = sum(int(s.disfluent_mask().sum())
+                    for s in data.read_corpus(tagged, "tabular"))
+    ok = blobs[0] == blobs[1] and logs[0] == logs[1] and disfluent > 0
     report(8, ok, "two same-seed cmd_train runs give byte-identical "
-                  "checkpoints and identical metric logs")
+                  "checkpoints and identical metric logs; the model tags "
+                  f"{disfluent} dev tokens disfluent (need >= 1)")
 
 
 def test_criterion_09_parameter_count_report():

@@ -326,18 +326,23 @@ class TestAutocorrTensor:
 
     def test_folded_contraction_equals_full(self):
         """The i <= j pairs contracted with the folded kernel give the w*w
-        contraction with B, for a B with B[i, j] != B[j, i]."""
+        contraction with B, for a B with B[i, j] != B[j, i]; offset d's block
+        holds row (u, i) = B[u, i, i + d] + B[u, i + d, i]."""
         rng = Rng(5)
         x, spec, A, B, b = rand_instance(rng, 6, 3, 2, 2, 4, with_B=True)
         assert not np.allclose(B, np.swapaxes(B, 1, 2))
         out, cache = L.autocorr_forward(x, spec, np.zeros_like(A), B, np.zeros_like(b))
         want, _ = full_pair_forward(x, spec, np.zeros_like(A), B, np.zeros_like(b))
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
-        w = spec.width
-        for i in range(w):
-            for j in range(i, w):
-                fold = B[:, i, j] + B[:, j, i] if i < j else B[:, i, i]
-                assert np.array_equal(cache.folded[i][:, j - i], fold)
+        (c, w), m = B.shape[:2], x.shape[1]
+        assert len(cache.folded) == w
+        for d in range(w):
+            block = cache.folded[d]
+            assert block.shape == (c * (w - d), m)
+            for u in range(c):
+                for i in range(w - d):
+                    fold = B[u, i, i + d] + B[u, i + d, i] if d else B[u, i, i]
+                    assert np.array_equal(block[u * (w - d) + i], fold)
 
     def test_repeated_rows_give_identical_interactions(self):
         rng = Rng(6)
@@ -462,7 +467,9 @@ class TestAutocorrBackward:
 
 
 # acnn-table1's layer-1 groups at its embedding width, packed and unpacked,
-# with an ell = 0 group and one-token inputs.
+# with an ell = 0 group, one-token inputs, inputs shorter than and as long as
+# the window (some or no offsets skipped) and a 1-token sentence between
+# longer ones.
 FOLD_CASES = [
     ((5, 6), 48, None),
     ((5, 6), 48, [1, 20, 27]),
@@ -471,6 +478,9 @@ FOLD_CASES = [
     ((0, 6), 13, [1, 12]),
     ((5, 6), 1, None),
     ((3, 3), 1, None),
+    ((5, 6), 5, None),
+    ((5, 6), 12, None),
+    ((3, 3), 9, [4, 1, 4]),
 ]
 
 
@@ -523,6 +533,25 @@ class TestFoldedPairs:
         dB -= prior
         L._mirror(dB)
         assert np.abs(dB - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("lengths", [None, [1, 20, 27]])
+def test_autocorr_cache_holds_no_band_array(lengths):
+    """Apart from its input x and the folded kernel, an autocorr cache holds
+    less than one more (n, m) array in all, far from the n * w * m floats of
+    every band: the bands are formed inside each call, not kept from the
+    forward for the backward."""
+    n, m = 48, 290
+    x, spec, A, B, b = rand_instance(Rng(6200), n, m, 5, 6, 2, with_B=True)
+    folded = L._fold(B)
+    _, cache = L.autocorr_forward(x, spec, A, B, b, lengths, folded=folded)
+    assert cache.x is x and cache.folded is folded
+    held = 0
+    for name, value in vars(cache).items():
+        if name not in ("x", "folded"):
+            items = value if isinstance(value, (list, tuple)) else [value]
+            held += sum(a.nbytes for a in items if isinstance(a, np.ndarray))
+    assert held < 8 * n * m
 
 
 class TestElementwise:
