@@ -2,10 +2,7 @@
 auto-correlational first layer: from-scratch tensors and operators, a CNN
 baseline, a synthetic corpus generator, and a benchmark harness."""
 
-try:
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy 1.x names the module numpy.core
-    from numpy.core.multiarray import _set_madvise_hugepage
+from numpy._core.multiarray import _set_madvise_hugepage
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,9 @@ offset is then one matmul, q_d @ K_d.T, whose column (u, i) is added onto Y's
 slot i before the slots are summed, so with B == 0 autocorr is conv1d bit for
 bit. A band is formed, used and dropped inside the call, and the backward forms
 it again; no (n, w, m) array and no array of window pairs is formed. B itself
-keeps its (c, w, w, m) shape.
+keeps its (c, w, w, m) shape, and the backward, the adjoint of the fold, adds
+pair (i, j)'s kernel gradient onto both B[i, j] and B[j, i], so every call
+leaves a complete, symmetric gradient.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -126,10 +128,12 @@ class AutoCorrCache(ConvCache):
     folded: list[np.ndarray]  # _fold(B): offset d's (c * (w-d), m) kernel block
 
 
-def _diagonal(pairs: np.ndarray, w: int, d: int) -> np.ndarray:
-    """The (c, w-d, m) view of the pairs (i, i + d) of a kernel viewed as
-    (c, w * w, m), pair (i, j) at i * w + j."""
-    return pairs[:, d :: w + 1][:, : w - d]
+def _offset_pairs(pairs: np.ndarray, w: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (c, w-d, m) views of the pairs (i, i + d) and (i + d, i), i < w - d,
+    of a kernel viewed as (c, w * w, m), pair (i, j) at i * w + j: the upper
+    one starts at d, the lower one at d * w, each stepping w + 1. For d == 0
+    both are the diagonal."""
+    return pairs[:, d :: w + 1][:, : w - d], pairs[:, d * w :: w + 1]
 
 
 def _fold(B: np.ndarray) -> list[np.ndarray]:
@@ -139,19 +143,11 @@ def _fold(B: np.ndarray) -> list[np.ndarray]:
     tensor."""
     c, w, _, m = B.shape
     pairs = B.reshape(c, w * w, m)
-    folded = [_diagonal(pairs, w, 0).reshape(c * w, m)]
-    for d in range(1, w):  # pairs (i + d, i) sit at d * w + i * (w + 1)
-        folded.append(np.add(_diagonal(pairs, w, d), pairs[:, d * w :: w + 1])
-                      .reshape(c * (w - d), m))
+    folded = []
+    for d in range(w):
+        upper, lower = _offset_pairs(pairs, w, d)
+        folded.append((np.add(upper, lower) if d else upper).reshape(c * (w - d), m))
     return folded
-
-
-def _mirror(dB: np.ndarray) -> None:
-    """Copy the i < j half of a (c, w, w, m) kernel gradient onto its i > j
-    half: the adjoint of _fold sends pair (i, j)'s gradient to both entries, so
-    a gradient summed on the i <= j half is completed by one copy."""
-    for i in range(dB.shape[1]):
-        dB[:, i + 1 :, i] = dB[:, i, i + 1 :]
 
 
 def _bands(x: np.ndarray, bands: np.ndarray):
@@ -225,9 +221,9 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
                       dB: np.ndarray):
     """Gradients of an autocorr_forward call: returns (dx, dA, db). The kernel
-    gradient is added onto the i <= j half of the caller's (c, w, w, m) `dB`
-    in place, and its i > j half is neither read nor written: a caller
-    summing several calls into `dB` completes it once with _mirror.
+    gradient is added onto the caller's (c, w, w, m) `dB` in place, pair
+    (i, j)'s onto both B[i, j] and B[j, i] as the adjoint of _fold, so `dB`
+    holds complete, symmetric sums of the calls made into it.
 
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
@@ -238,10 +234,13 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     pairs = dB.reshape(c, w * w, m, copy=False)
     for d, q in _bands(x, cache.bands):  # slot i's upstream of q[a] is dY[a, :, i]
         dY_d = dY[: n - d, :, : w - d].reshape(n - d, -1)
-        # adjoint of _fold, i <= j half: pair (i, i + d)'s gradient, which
-        # _mirror later copies to B[i + d, i]
-        diagonal = _diagonal(pairs, w, d)
-        diagonal += (dY_d.T @ q).reshape(c, w - d, m)
+        # adjoint of _fold: pair (i, i + d)'s gradient goes to B[i, i + d]
+        # and, off the diagonal, to B[i + d, i]
+        grad = (dY_d.T @ q).reshape(c, w - d, m)
+        upper, lower = _offset_pairs(pairs, w, d)
+        upper += grad
+        if d:
+            lower += grad
         dq = dY_d @ cache.folded[d]
         dq[~cache.bands[: n - d, d]] = 0.0
         # q[a] = x[a] * x[a + d] sends dq * x[a + d] to row a and dq * x[a] to

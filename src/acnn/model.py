@@ -222,9 +222,10 @@ class _ForwardCache:
 
 
 class Model:
-    """A built network: config plus parameter store. A model whose B values
-    never change keeps their folds (see Checkpoint.build_model); any other
-    folds each B afresh for every batch or tagging call."""
+    """A built network: config plus parameter store. A model that keeps its
+    folds (with_kept_folds) contracts each B through the fold it took when it
+    was made; any other folds each B afresh in every forward call, so a
+    training step, one pass, folds each B once."""
 
     def __init__(self, config: ModelConfig, params: ParamStore):
         self.config = config
@@ -244,39 +245,30 @@ class Model:
                        else np.ones(shape))
         return Model(config, params)
 
-    def _folded_kernels(self) -> dict[str, list[np.ndarray]]:
-        """Each autocorr B folded (layers._fold), by parameter name, for the
-        `folds` of several forward calls over unchanged values: the kept
-        folds when the model has them, else folded now."""
+    def with_kept_folds(self) -> "Model":
+        """This model if it keeps its folds, else a Model over the same
+        ParamStore that keeps each B's fold (layers._fold) as it is now: for
+        several forward calls over values that do not change between them."""
         if self._kept_folds is not None:
-            return self._kept_folds
-        return {name: L._fold(p.value) for name, p in self.params.items()
-                if name.endswith(".B")}
-
-    def _mirror_kernel_grads(self) -> None:
-        """Complete the B gradients that backward calls summed on their i <= j
-        half (layers._mirror)."""
-        for name, p in self.params.items():
-            if name.endswith(".B"):
-                L._mirror(p.grad)
+            return self
+        model = Model(self.config, self.params)
+        model._kept_folds = {name: L._fold(p.value) for name, p in self.params.items()
+                             if name.endswith(".B")}
+        return model
 
     def forward(self, token_ids, training: bool = False,
-                rng: Rng | None = None, lengths=None, *, folds=None) -> np.ndarray:
+                rng: Rng | None = None, lengths=None) -> np.ndarray:
         """Class probabilities, one row per input token (see forward_with_cache
-        for `lengths` and `folds`)."""
+        for `lengths`)."""
         probs, _ = self.forward_with_cache(token_ids, training=training, rng=rng,
-                                           lengths=lengths, folds=folds)
+                                           lengths=lengths)
         return probs
 
     def forward_with_cache(self, token_ids, training: bool = False, rng: Rng | None = None,
-                           lengths=None, *, folds=None) -> tuple[np.ndarray, _ForwardCache]:
+                           lengths=None) -> tuple[np.ndarray, _ForwardCache]:
         """Probabilities and the cache for `backward`. `token_ids` may be several
         sentences stacked in order, of `lengths` tokens each (default: one
-        sentence); each row then equals that of its sentence run on its own.
-        `folds` is _folded_kernels() of the current values, or None for the
-        kept folds or, when the model keeps none, to fold each B in this call."""
-        if folds is None:
-            folds = self._kept_folds
+        sentence); each row then equals that of its sentence run on its own."""
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or len(ids) == 0:
             raise ValueError("token_ids must be a non-empty 1-d sequence")
@@ -284,6 +276,7 @@ class Model:
             raise ValueError("token id out of vocabulary range")
         emb = self.params["embedding"].value[ids]
         x, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
+        kept = self._kept_folds or {}  # an autocorr call without its B's fold folds it
         activations, group_caches = [], []
         for k, lc in enumerate(self.config.layers, start=1):
             cols, caches = [], []
@@ -294,9 +287,8 @@ class Model:
                 b = self.params[f"{prefix}.b"].value
                 if lc.kind == "autocorr":
                     B = self.params[f"{prefix}.B"].value
-                    folded = None if folds is None else folds[f"{prefix}.B"]
                     out, cache = L.autocorr_forward(x, spec, A, B, b, lengths,
-                                                    folded=folded)
+                                                    folded=kept.get(f"{prefix}.B"))
                 else:
                     out, cache = L.conv1d_forward(x, spec, A, b, lengths)
                 cols.append(out)
@@ -314,10 +306,8 @@ class Model:
 
     def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
         """Accumulate the parameter gradients of one forward_with_cache call
-        into the store: one pass of a step. Each B gradient gets only its
-        i <= j half (see layers.autocorr_backward); it is complete once
-        _mirror_kernel_grads has run after the step's last pass, as
-        training.batch_loss_and_grads does."""
+        into the store, each of them complete: a B gradient gets pair
+        (i, j)'s sum on both B[i, j] and B[j, i] (layers.autocorr_backward)."""
         dx, dW, db = L.width1_backward(cache.activations[-1],
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad += dW
@@ -457,16 +447,15 @@ class Checkpoint:
     def build_model(self) -> Model:
         """A model for tagging over this checkpoint's tensors. It takes over
         the arrays without drawing or copying, marks each B read-only and
-        folds it once, here, for the model's life. A write into a B (an Adam
-        step, load_values) then raises instead of leaving a stale fold."""
+        folds it once, here, for the model's life (Model.with_kept_folds). A
+        write into a B (an Adam step, load_values) then raises instead of
+        leaving a stale fold."""
         params = ParamStore()
         for name, value in self.tensors.items():
             params.add(name, value)
             if name.endswith(".B"):
                 params[name].value.flags.writeable = False
-        model = Model(self.config, params)
-        model._kept_folds = model._folded_kernels()
-        return model
+        return Model(self.config, params).with_kept_folds()
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -38,17 +38,17 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
-def cross_entropy(probs: np.ndarray, label_ids, normalizer: int | None = None):
+def cross_entropy(probs: np.ndarray, label_ids):
     """Mean negative log-likelihood over tokens, with the fused gradient
-    w.r.t. pre-softmax scores: (softmax - onehot) / normalizer. `label_ids`
-    are integer class ids, 0 (fluent) or 1 (disfluent)."""
+    w.r.t. pre-softmax scores: (softmax - onehot) / tokens. `label_ids` are
+    integer class ids, 0 (fluent) or 1 (disfluent)."""
     ids = np.asarray(label_ids)
     if ids.dtype.kind not in "iu" or ((ids < 0) | (ids > 1)).any():
         raise ValueError("labels must be integer class ids 0 or 1")
     if probs.shape != (len(ids), 2):
         raise ValueError(f"probs shape {probs.shape} vs {len(ids)} labels")
-    n = normalizer if normalizer is not None else len(ids)
-    picked = np.maximum(probs[np.arange(len(ids)), ids], 1e-300)
+    n = len(ids)
+    picked = np.maximum(probs[np.arange(n), ids], 1e-300)
     loss = float(-np.log(picked).sum() / n)
     return loss, softmax_xent_backward(probs, ids, n)
 
@@ -100,15 +100,15 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
             value -= step
 
 
-# Bytes of the float64s that _token_floats counts one packed forward/backward
-# pass may hold: 119 tokens of acnn-table1, 40 of cnn-table1, and over 1,000
-# of either toy model, so that a toy batch runs as one pass.
+# Bytes of the float64s that _token_floats counts one packed tagging pass may
+# hold: 119 tokens of acnn-table1, 40 of cnn-table1, and over 1,000 of either
+# toy model. A training step is one pass over its whole batch.
 CHUNK_BYTES = 3_600_000
 
 
 def _token_floats(config: ModelConfig) -> int:
-    """The float64s one token adds to a pass: each layer's input and output
-    and every group's kn2row Y (c * w)."""
+    """The float64s one token adds to a forward pass: each layer's input and
+    output and every group's kn2row Y (c * w)."""
     floats, m = 0, config.embedding_dim
     for lc in config.layers:
         widths = sum(ell + r + 1 for ell, r in lc.kernel_groups)
@@ -118,21 +118,19 @@ def _token_floats(config: ModelConfig) -> int:
 
 
 def _chunks(sentences, tokens: int):
-    """The sentences in order, cut into runs of whole sentences of at most
-    `tokens` tokens; a longer sentence is a run of its own. A sentence is
-    a tuple of per-token arrays, token ids first, such as (ids, label_ids).
-    Each run is yielded as its sentence lengths followed by each of those
-    arrays concatenated over the run: (lengths, ids, label_ids)."""
+    """The sentences' token-id arrays in order, cut into runs of whole
+    sentences of at most `tokens` tokens; a longer sentence is a run of its
+    own. Each run is yielded as (lengths, ids): its sentence lengths and its
+    ids concatenated."""
     def joined(run):
-        return ([len(s[0]) for s in run],
-                *(np.concatenate(column) for column in zip(*run)))
+        return [len(ids) for ids in run], np.concatenate(run)
     run, size = [], 0
-    for sentence in sentences:
-        if run and size + len(sentence[0]) > tokens:
+    for ids in sentences:
+        if run and size + len(ids) > tokens:
             yield joined(run)
             run, size = [], 0
-        run.append(sentence)
-        size += len(sentence[0])
+        run.append(ids)
+        size += len(ids)
     if run:
         yield joined(run)
 
@@ -140,22 +138,15 @@ def _chunks(sentences, tokens: int):
 def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
     """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
-    penalty; gradients are accumulated into the model's parameter store.
-    The sentences run packed, one forward and backward pass per _chunks run
-    within CHUNK_BYTES; each B is folded once for all of them, and its
-    gradient, summed on the i <= j half, is mirrored once after the last."""
+    penalty, with its gradients written into the model's parameter store. The
+    sentences run packed, in one forward and one backward pass, so a step
+    folds each B once."""
     model.params.zero_grads()
-    total_tokens = sum(len(ids) for ids, _ in batch)
-    folds = model._folded_kernels()
-    loss = 0.0
-    tokens = CHUNK_BYTES // (8 * _token_floats(model.config))
-    for lengths, ids, label_ids in _chunks(batch, tokens):
-        probs, cache = model.forward_with_cache(ids, training=training, rng=rng,
-                                                lengths=lengths, folds=folds)
-        part, dscores = cross_entropy(probs, label_ids, normalizer=total_tokens)
-        loss += part
-        model.backward(cache, dscores)
-    model._mirror_kernel_grads()
+    lengths = [len(ids) for ids, _ in batch]
+    ids, label_ids = (np.concatenate(column) for column in zip(*batch))
+    probs, cache = model.forward_with_cache(ids, training=training, rng=rng, lengths=lengths)
+    loss, dscores = cross_entropy(probs, label_ids)
+    model.backward(cache, dscores)
     loss += l2_penalty(model.params, model.config.l2_weight)
     add_l2_grad(model.params, model.config.l2_weight)
     if not math.isfinite(loss):
@@ -165,16 +156,17 @@ def batch_loss_and_grads(model: Model, batch, training: bool = False,
 
 def predict_masks(model: Model, seqs: list[TokenSequence],
                   vocab: Vocabulary) -> list[np.ndarray]:
-    """Per-sentence disfluency masks (eval mode), packed as in training: one
-    Model.forward per _chunks run, with each B folded once per call, or never
-    for a model that keeps its folds (Checkpoint.build_model). A sentence with
-    no tokens gets an empty mask and takes no part in a pass."""
-    folds = model._folded_kernels()
+    """Per-sentence disfluency masks (eval mode), packed: one Model.forward
+    per _chunks run within CHUNK_BYTES, over Model.with_kept_folds, so each B
+    is folded once per call, or never for a model that keeps its folds
+    (Checkpoint.build_model). A sentence with no tokens gets an empty mask and
+    takes no part in a pass."""
+    model = model.with_kept_folds()
     masks = []
     tokens = CHUNK_BYTES // (8 * _token_floats(model.config))
-    encoded = [(vocab.encode(seq.tokens),) for seq in seqs if seq.tokens]
+    encoded = [vocab.encode(seq.tokens) for seq in seqs if seq.tokens]
     for lengths, ids in _chunks(encoded, tokens):
-        probs = model.forward(ids, training=False, lengths=lengths, folds=folds)
+        probs = model.forward(ids, training=False, lengths=lengths)
         disfluent = probs.argmax(axis=1) == CLASS_DISFLUENT
         masks += np.split(disfluent, np.cumsum(lengths[:-1]))
     tagged = iter(masks)

@@ -234,12 +234,6 @@ class TestConv1dBackward:
         assert grad_check(lambda v: loss(x, A, v), b, db).ok
 
 
-def lower_half(w):
-    """(w, w) bool: True at the pairs i > j, which a (c, w, w, m) kernel
-    gradient indexed [:, mask] selects."""
-    return np.tril(np.ones((w, w), dtype=bool), k=-1)
-
-
 def pair_index(i, j, w):
     """Index of window pair (i, j), i <= j, in pair_tensor's layout: the pairs
     of row 0 (j = 0 .. w-1) first, then those of row 1, and so on."""
@@ -400,11 +394,9 @@ class TestAutocorrForward:
 
 def full_autocorr_backward(cache, A, up, B):
     """(dx, dA, dB, db) of one autocorr_forward call: autocorr_backward into a
-    zero kernel gradient, completed by _mirror as a training step completes
-    B.grad."""
+    zero kernel gradient."""
     dB = np.zeros_like(B)
     dx, dA, db = L.autocorr_backward(cache, A, up, dB)
-    L._mirror(dB)
     return dx, dA, dB, db
 
 
@@ -489,8 +481,7 @@ class TestFoldedPairs:
     def test_equals_full_pair_path(self, case):
         """The i <= j pairs with the folded kernel give the output and every
         gradient of the full w*w pair path, for an asymmetric B; the kernel
-        gradient is added onto the i <= j half of the buffer the caller
-        passes, and _mirror completes it."""
+        gradient is added onto both halves of the buffer the caller passes."""
         (ell, r), n, lengths = FOLD_CASES[case]
         rng = Rng(6000 + case)
         x, spec, A, B, b = rand_instance(rng, n, 290, ell, r, 60, with_B=True)
@@ -499,10 +490,7 @@ class TestFoldedPairs:
         prior = rng.uniform(-1, 1, B.shape)
         dB = prior.copy()
         dx, dA, db = L.autocorr_backward(cache, A, up, dB)
-        lower = lower_half(spec.width)
-        assert dB[:, lower].tobytes() == prior[:, lower].tobytes()
         dB -= prior
-        L._mirror(dB)
         want_out, saved = full_pair_forward(x, spec, A, B, b, lengths)
         got = (out, dx, dA, dB, db)
         want = (want_out, *full_pair_backward(x, spec, A, B, saved, up))
@@ -510,13 +498,12 @@ class TestFoldedPairs:
             assert g.shape == v.shape
             assert np.abs(g - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
-    def test_calls_add_upper_half_and_one_mirror_completes_their_sum(self):
-        """autocorr_backward leaves the i > j half of its kernel gradient
-        buffer as it was and adds the full-pair gradient's i <= j half; one
-        _mirror after two calls gives the sum of their full-pair gradients."""
+    def test_two_calls_into_one_buffer_add_both_full_pair_gradients(self):
+        """autocorr_backward adds each call's full-pair kernel gradient onto
+        both halves of the buffer it is given, so after two calls the buffer
+        holds its prior plus the sum of their gradients."""
         rng = Rng(6100)
         x, spec, A, B, b = rand_instance(rng, 9, 4, 2, 3, 3, with_B=True)
-        lower, upper = lower_half(spec.width), ~lower_half(spec.width)
         prior = rng.uniform(-1, 1, B.shape)
         dB = prior.copy()
         want = np.zeros_like(B)
@@ -527,12 +514,9 @@ class TestFoldedPairs:
             L.autocorr_backward(cache, A, up, dB)
             _, saved = full_pair_forward(x, spec, A, B, b, lengths)
             full = full_pair_backward(x, spec, A, B, saved, up)[2]
-            assert dB[:, lower].tobytes() == prior[:, lower].tobytes()
-            assert np.abs(dB[:, upper] - before[:, upper] - full[:, upper]).max() <= 1e-12
+            assert np.abs(dB - before - full).max() <= 1e-12
             want += full
-        dB -= prior
-        L._mirror(dB)
-        assert np.abs(dB - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(dB - prior - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("lengths", [None, [1, 20, 27]])
