@@ -100,8 +100,8 @@ def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
     The corpus is generated once from the preset (deterministic); the seeds
     vary parameter initialization, shuffling, and dropout.
     """
-    if len(seeds) < 3:
-        raise ValueError("ab_bench needs at least 3 seeds for a stable mean")
+    if len(seeds) < 3 or len(set(seeds)) < len(seeds):
+        raise ValueError("ab_bench needs at least 3 distinct seeds for a stable mean")
     train_seqs, dev_seqs, vocab = preset_corpora(preset, train_count, dev_count)
     result = BenchResult()
     for seed in seeds:

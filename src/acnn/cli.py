@@ -194,16 +194,6 @@ def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
     return cfg
 
 
-def _train_config_from_args(args) -> training.TrainConfig:
-    cfg = training.TrainConfig()
-    for attr, flag in (("batch_size", "batch_size"), ("learning_rate", "lr"),
-                       ("max_epochs", "max_epochs"), ("patience", "patience")):
-        v = getattr(args, flag)
-        if v is not None:
-            cfg = replace(cfg, **{attr: v})
-    return cfg
-
-
 def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(".log")
@@ -212,7 +202,8 @@ def cmd_train(args) -> int:
                         {"checkpoint": out, "log": log_path})
     with _flag_values():  # before any corpus is read; the vocabulary size comes after
         mcfg = _model_config_from_args(args, vocab_size=2)
-        tcfg = _train_config_from_args(args)
+        tcfg = training.TrainConfig(batch_size=args.batch_size, learning_rate=args.lr,
+                                    max_epochs=args.max_epochs, patience=args.patience)
     if args.min_freq < 1:
         raise UsageError(f"--min-freq must be >= 1, got {args.min_freq}")
     train_seqs = data.read_sentences(train_path, args.format)
@@ -373,8 +364,8 @@ def cmd_ab_bench(args) -> int:
             Rng(seed)
         tcfg = training.TrainConfig(learning_rate=args.lr, max_epochs=args.max_epochs,
                                     patience=args.patience)
-    if len(seeds) < 3:
-        raise UsageError("ab-bench needs at least 3 comma-separated seeds "
+    if len(seeds) < 3 or len(set(seeds)) < len(seeds):
+        raise UsageError("ab-bench needs at least 3 distinct comma-separated seeds "
                          "(e.g. --seeds 11,12,13)")
     record = _RunRecord("ab-bench", args.out, {}, {"report": args.out})
 
@@ -426,10 +417,11 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", type=int, default=None)
     p.add_argument("--dropout", type=float, default=None)
     p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
+    train_defaults = training.TrainConfig()
+    p.add_argument("--lr", type=float, default=train_defaults.learning_rate)
+    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
+    p.add_argument("--max-epochs", type=int, default=train_defaults.max_epochs)
+    p.add_argument("--patience", type=int, default=train_defaults.patience)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="label a file with a trained checkpoint")

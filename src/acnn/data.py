@@ -330,9 +330,9 @@ class GeneratorConfig:
     kind_mix: tuple[float, float, float] = (0.5, 0.4, 0.1)
     # distribution over reparandum chunk length
     reparandum_lengths: tuple[tuple[int, float], ...] = ((1, 0.3), (2, 0.3), (3, 0.25), (4, 0.15))
-    interregnum_prob: float = 0.5
-    # distribution over the token gap between reparandum and repair; the gap is
-    # filled by interregnum words when positive
+    # distribution over the token gap between reparandum and repair, 0 included:
+    # bucket 0 is the chance of no interregnum, and a positive gap is filled by
+    # interregnum words
     distance_histogram: tuple[tuple[int, float], ...] = ((0, 0.5), (1, 0.25), (2, 0.15), (3, 0.1))
 
     def __post_init__(self):
@@ -345,25 +345,10 @@ class GeneratorConfig:
         for dist in (self.reparandum_lengths, self.distance_histogram):
             if abs(sum(p for _, p in dist) - 1.0) > 1e-9 or any(p < 0 for _, p in dist):
                 raise ValueError("distribution must be normalized and non-negative")
-        if not 0.0 <= self.interregnum_prob <= 1.0:
-            raise ValueError("interregnum_prob must be in [0, 1]")
         if any(d < 0 or d > 12 for d, _ in self.distance_histogram):
             raise ValueError("distance buckets must be in 0..12")
         if any(l < 1 for l, _ in self.reparandum_lengths):
             raise ValueError("reparandum lengths must be >= 1")
-
-    def effective_distance_histogram(self) -> dict[int, float]:
-        """The gap distribution actually produced: with probability
-        interregnum_prob the gap is drawn from the positive buckets
-        (renormalized), otherwise it is 0."""
-        pos = {d: p for d, p in self.distance_histogram if d > 0}
-        z = sum(pos.values())
-        out = {d: 0.0 for d, _ in self.distance_histogram}
-        out[0] = out.get(0, 0.0) + (1.0 - self.interregnum_prob)
-        if z > 0:
-            for d, p in pos.items():
-                out[d] += self.interregnum_prob * p / z
-        return out
 
 
 # Small hand-written template grammar: enough structure to make fluent
@@ -435,12 +420,13 @@ def _sample_dist(rng: Rng, dist: tuple[tuple[int, float], ...]) -> int:
 
 
 def _interregnum(rng: Rng, cfg: GeneratorConfig) -> list[str]:
-    if rng.random() >= cfg.interregnum_prob:
+    """Filler words for a gap drawn from cfg.distance_histogram: none with
+    the probability of bucket 0, else a positive bucket's length."""
+    zero = sum(p for d, p in cfg.distance_histogram if d == 0)
+    pos = tuple((d, p) for d, p in cfg.distance_histogram if d > 0)
+    if rng.random() >= 1.0 - zero or not pos:
         return []
-    pos = [(d, p) for d, p in cfg.distance_histogram if d > 0]
-    if not pos:
-        return []
-    length = _sample_dist(rng, tuple(pos))
+    length = _sample_dist(rng, pos)
     out: list[str] = []
     while len(out) < length:
         if length - len(out) >= 2 and rng.random() < 0.4:
@@ -510,7 +496,6 @@ GENERATOR_PRESETS: dict[str, GeneratorConfig] = {
         sentence_count=4000, fluent_ratio=0.72,
         kind_mix=(0.42, 0.44, 0.14),
         reparandum_lengths=((1, 0.35), (2, 0.3), (3, 0.2), (4, 0.15)),
-        interregnum_prob=0.6,
         distance_histogram=((0, 0.4), (1, 0.3), (2, 0.2), (3, 0.1)),
     ),
     # Correction-heavy, copy distances bounded so an r=6 window covers them.
@@ -518,7 +503,6 @@ GENERATOR_PRESETS: dict[str, GeneratorConfig] = {
         sentence_count=2500, fluent_ratio=0.35,
         kind_mix=(0.3, 0.6, 0.1),
         reparandum_lengths=((1, 0.2), (2, 0.35), (3, 0.3), (4, 0.15)),
-        interregnum_prob=0.6,
         distance_histogram=((0, 0.4), (1, 0.35), (2, 0.25)),
     ),
     # Small and fast, for tests.
@@ -526,7 +510,6 @@ GENERATOR_PRESETS: dict[str, GeneratorConfig] = {
         sentence_count=300, fluent_ratio=0.4,
         kind_mix=(0.5, 0.4, 0.1),
         reparandum_lengths=((1, 0.35), (2, 0.35), (3, 0.3)),
-        interregnum_prob=0.5,
         distance_histogram=((0, 0.5), (1, 0.3), (2, 0.2)),
     ),
 }

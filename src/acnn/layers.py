@@ -266,13 +266,13 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_xent_backward(probs: np.ndarray, label_ids: np.ndarray,
-                          normalizer: int) -> np.ndarray:
+def softmax_xent_backward(probs: np.ndarray, label_ids: np.ndarray) -> np.ndarray:
     """Fused gradient of mean cross-entropy w.r.t. pre-softmax scores:
-    (softmax - onehot) / normalizer."""
+    (softmax - onehot) / tokens."""
+    n = len(label_ids)
     d = probs.copy()
-    d[np.arange(len(label_ids)), label_ids] -= 1.0
-    return d / normalizer
+    d[np.arange(n), label_ids] -= 1.0
+    return d / n
 
 
 def dropout(x: np.ndarray, rate: float, rng: Rng | None,

@@ -522,9 +522,12 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
         if not isinstance(meta, dict):
             raise CheckpointError("corrupt checkpoint metadata: not a JSON object")
         for key, typ in _META_TYPES.items():
-            if not isinstance(meta.get(key), typ):
+            # bool is an int subclass, but never a seed or a step
+            if isinstance(meta.get(key), bool) or not isinstance(meta.get(key), typ):
                 raise CheckpointError(
                     f"corrupt checkpoint metadata: {key!r} missing or not a {typ.__name__}")
+        if meta["step"] < 0:
+            raise CheckpointError(f"corrupt checkpoint metadata: negative step {meta['step']}")
         if not all(isinstance(word, str) for word in meta["vocab"]):
             raise CheckpointError("corrupt checkpoint metadata: non-string vocabulary entry")
         if len(set(meta["vocab"])) != len(meta["vocab"]):
@@ -537,6 +540,10 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             config = ModelConfig.from_dict(meta["config"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
+        # cmd_train writes the seed twice, and a tagging manifest records the metadata copy
+        if meta["seed"] != config.seed:
+            raise CheckpointError(f"corrupt checkpoint metadata: seed {meta['seed']} is not "
+                                  f"its config's {config.seed}")
         if len(meta["vocab"]) > config.vocab_size:
             raise CheckpointError(f"vocabulary longer than vocab_size {config.vocab_size}")
         layout = _layout(config)

@@ -50,7 +50,7 @@ def cross_entropy(probs: np.ndarray, label_ids):
     n = len(ids)
     picked = np.maximum(probs[np.arange(n), ids], 1e-300)
     loss = float(-np.log(picked).sum() / n)
-    return loss, softmax_xent_backward(probs, ids, n)
+    return loss, softmax_xent_backward(probs, ids)
 
 
 def l2_penalty(params: ParamStore, weight: float) -> float:
@@ -205,14 +205,14 @@ def train(model: Model, train_seqs: list[TokenSequence],
     stopping on dev F-score; returns with the model at its best epoch.
     Shuffling and dropout draw from the model config's seed, so that seed and
     the data fix the whole run."""
-    if not train_seqs or not dev_seqs:
-        raise CorpusFormatError("training and dev corpora must be non-empty")
+    data = [(vocab.encode(seq.tokens), seq.disfluent_mask().astype(np.int64))
+            for seq in train_seqs if seq.tokens]
+    if not data or not dev_seqs:
+        raise CorpusFormatError("training and dev corpora must hold at least one token each")
     if not any(DISFLUENT in seq.labels for seq in dev_seqs):
         raise CorpusFormatError(
             "dev set has no disfluent tokens, so F-score is undefined; "
             "add disfluent examples to the dev corpus")
-    data = [(vocab.encode(seq.tokens), seq.disfluent_mask().astype(np.int64))
-            for seq in train_seqs if seq.tokens]
     rng = Rng(model.config.seed)
     shuffle_rng = rng.spawn(1)
     dropout_rng = rng.spawn(2)

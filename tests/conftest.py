@@ -74,6 +74,12 @@ HOSTILE_CHECKPOINTS = {
     "dtype-code-1": (_VALID_META, None, _VALID_TENSORS[:4] + (("output.b", (2,), 1, bytes(8)),)),
     # a seed that no Rng takes, so the checkpoint could not have been built from it
     "seed-negative": (_config_changed(seed=-1), None, _VALID_TENSORS),
+    # JSON true is a Python int; config seed 1 equals it, so only its type is wrong
+    "seed-is-true": (_changed(_config_changed(seed=1), seed=True), None, _VALID_TENSORS),
+    "step-is-true": (_changed(_VALID_META, step=True), None, _VALID_TENSORS),
+    "step-negative": (_changed(_VALID_META, step=-1), None, _VALID_TENSORS),
+    # a tagging manifest records the metadata seed, which training writes equal to config.seed
+    "seed-not-config-seed": (_changed(_VALID_META, seed=1), None, _VALID_TENSORS),
 }
 
 

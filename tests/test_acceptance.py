@@ -146,7 +146,7 @@ def test_criterion_06_generator_statistics():
     seqs = data.generate_corpus(cfg)
     n_spans = sum(len(s.spans) for s in seqs)
     got = data.distance_histogram(seqs)
-    want = cfg.effective_distance_histogram()
+    want = dict(cfg.distance_histogram)
     hist_err = max(abs(got.get(d, 0.0) - p) for d, p in want.items())
     ok = (abs(copy - 0.60) <= 0.05 and 0.05 <= rate <= 0.08
           and n_spans >= 10000 and hist_err <= 0.03)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acnn import cli, data
+from acnn import bench, cli, data
 from acnn import layers as L
 from acnn.model import load_checkpoint, save_checkpoint
 from acnn.tensor import NumericError
@@ -346,6 +346,13 @@ class TestUsage:
         assert run("ab-bench", "--seeds", "1,2",
                    "--out", str(tmp_path / "b.tsv")) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("seeds", [[11, 11, 11], [11, 12, 13, 12]],
+                             ids=["all-repeated", "one-repeated-of-4"])
+    def test_ab_bench_repeated_seed(self, seeds):
+        """A repeated seed trains the same arms again and adds nothing to the mean."""
+        with pytest.raises(ValueError, match="distinct"):
+            bench.ab_bench("toy", seeds, train_count=30, dev_count=10)
+
     @pytest.mark.parametrize("argv", [
         ("train", "--preset", "cnn-toy", "--lr", "-1"),
         ("train", "--preset", "cnn-toy", "--batch-size", "0"),
@@ -367,12 +374,18 @@ class TestUsage:
         ("ab-bench", "--patience", "0"),
         ("train", "--preset", "cnn-toy", "--min-freq", "0"),
         ("train", "--preset", "cnn-toy", "--min-freq", "-3"),
+        # small runs, so that a check that lets them through fails quickly
+        ("ab-bench", "--seeds", "11,11,11", "--train-count", "30", "--dev-count", "10",
+         "--max-epochs", "1"),
+        ("ab-bench", "--seeds", "11,12,13,12", "--train-count", "30", "--dev-count", "10",
+         "--max-epochs", "1"),
     ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
             "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
             "ab-bench-train-count-0", "ab-bench-seeds-negative", "max-epochs-0",
             "max-epochs-negative", "lr-nan", "lr-inf", "ab-bench-max-epochs-0",
             "ab-bench-lr-nan", "patience-0", "patience-negative",
-            "ab-bench-patience-0", "min-freq-0", "min-freq-negative"])
+            "ab-bench-patience-0", "min-freq-0", "min-freq-negative",
+            "ab-bench-seed-repeated", "ab-bench-seed-repeated-of-4"])
     def test_rejected_flag_value_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         if argv[0] == "train":
             argv += ("--train", str(corpus_dir / "train.bt"),

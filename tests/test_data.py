@@ -309,18 +309,6 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             D.GeneratorConfig(distance_histogram=((0, 0.5), (1, 0.4)))
 
-    def test_effective_histogram_sums_to_one(self):
-        for cfg in D.GENERATOR_PRESETS.values():
-            eff = cfg.effective_distance_histogram()
-            assert abs(sum(eff.values()) - 1.0) < 1e-9
-
-    def test_effective_histogram_zero_bucket(self):
-        cfg = D.GeneratorConfig(interregnum_prob=0.25,
-                                distance_histogram=((0, 0.5), (1, 0.5)))
-        eff = cfg.effective_distance_histogram()
-        assert eff[0] == pytest.approx(0.75)
-        assert eff[1] == pytest.approx(0.25)
-
 
 class TestGenerator:
     def test_deterministic(self):
@@ -354,9 +342,16 @@ class TestGenerator:
                       sentence_count=4000, seed=17)
         seqs = D.generate_corpus(cfg)
         got = D.distance_histogram(seqs)
-        want = cfg.effective_distance_histogram()
-        for d, p in want.items():
+        for d, p in dict(cfg.distance_histogram).items():
             assert abs(got.get(d, 0.0) - p) < 0.03, (d, got.get(d), p)
+
+    def test_histogram_without_zero_bucket_gives_no_zero_gap(self):
+        """distance_histogram is the whole gap distribution: with no 0 bucket,
+        every repair follows an interregnum."""
+        cfg = D.GeneratorConfig(distance_histogram=((1, 0.5), (2, 0.5)),
+                                sentence_count=2000, fluent_ratio=0.0, seed=3)
+        got = D.distance_histogram(D.generate_corpus(cfg))
+        assert got and 0 not in got
 
     def test_disfluent_token_rate_switchboard_like(self):
         seqs = D.generate_corpus(D.GENERATOR_PRESETS["switchboard-like"])

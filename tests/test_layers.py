@@ -571,7 +571,7 @@ class TestElementwise:
             probs = L.softmax_rows(s)
             return float(-np.log(probs[np.arange(6), labels]).sum() / 6)
 
-        grad = L.softmax_xent_backward(L.softmax_rows(scores), labels, 6)
+        grad = L.softmax_xent_backward(L.softmax_rows(scores), labels)
         assert grad_check(loss, scores, grad).ok
 
 

@@ -186,7 +186,7 @@ class TestBackward:
         probs, cache = model.forward_with_cache(ids)
         from acnn.layers import softmax_xent_backward
         model.params.zero_grads()
-        model.backward(cache, softmax_xent_backward(probs, labels, len(ids)))
+        model.backward(cache, softmax_xent_backward(probs, labels))
         for name, p in model.params.items():
             report = grad_check(lambda _v: loss(), p.value, p.grad)
             assert report.ok, f"{name}: max rel err {report.max_rel_error:.2e}"
@@ -198,7 +198,7 @@ class TestBackward:
         probs, cache = model.forward_with_cache(ids)
         from acnn.layers import softmax_xent_backward
         model.params.zero_grads()
-        model.backward(cache, softmax_xent_backward(probs, labels, 3))
+        model.backward(cache, softmax_xent_backward(probs, labels))
         grad = model.params["embedding"].grad
         touched = {i for i in range(6) if grad[i].any()}
         # zero padding contributes nothing, so only id 2 can receive gradient

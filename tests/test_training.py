@@ -7,9 +7,9 @@ import pytest
 from acnn import evaluate
 from acnn import layers as L
 from acnn import training as TR
-from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, TokenSequence,
-                       Vocabulary, build_vocab, generate_corpus, parse_annotated,
-                       preprocess)
+from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, CorpusFormatError,
+                       TokenSequence, Vocabulary, build_vocab, generate_corpus,
+                       parse_annotated, preprocess)
 from acnn.model import (CLASS_DISFLUENT, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
                         ModelConfig, ParamStore, load_checkpoint, model_preset,
                         save_checkpoint)
@@ -309,6 +309,15 @@ class TestTrain:
             TR.train(model, [], dev, vocab, cfg)
         with pytest.raises(ValueError):
             TR.train(model, train, [], vocab, cfg)
+
+    def test_tokenless_training_corpus_rejected(self):
+        """Empty training sentences are dropped, so a corpus of them leaves no
+        step to take: a data error, not an untrained model with loss nan."""
+        _, dev, vocab = toy_data()
+        model = tiny_model(vocab_size=len(vocab))
+        empty = TokenSequence(tokens=[], labels=[])
+        with pytest.raises(CorpusFormatError, match="token"):
+            TR.train(model, [empty, empty], dev, vocab, TR.TrainConfig(max_epochs=1))
 
     def test_empty_dev_sentence_scores_nothing(self):
         """An empty dev sentence has no tokens to tag, so training reads the
