@@ -9,7 +9,9 @@ Each of them keeps its record in one _RunRecord.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
 (CorpusFormatError, AlignmentError, CheckpointError, ConfigError, OSError);
-any other exception is a program error and propagates.
+a numeric failure is a NumericError or a numpy float overflow, division by
+zero or invalid operation; any other exception is a program error and
+propagates.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def cmd_train(args) -> int:
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
 
     ckpt = Checkpoint(config=mcfg, vocab_words=vocab.words,
-                      rng_algorithm=Rng.ALGORITHM, seed=args.seed,
+                      rng_algorithm=Rng.ALGORITHM, seed=mcfg.seed,
                       step=result.steps,
                       tensors={name: p.value for name, p in model.params.items()})
     save_checkpoint(ckpt, out)
@@ -267,15 +269,18 @@ def cmd_eval(args) -> int:
     record = _RunRecord("eval", args.out, {"gold corpus": gold_path,
                                            "predicted corpus": predicted_path},
                         {"report": args.out}) if args.out else None
-    read = data.read_sentences if args.preprocess else data.read_corpus
-    gold = read(gold_path, args.gold_format)
+    gold = data.read_corpus(gold_path, args.gold_format)
     predicted = data.read_corpus(predicted_path, "tabular")
-    masks = [seq.disfluent_mask() for seq in predicted]
-    for g, pseq in zip(gold, predicted):
-        if g.tokens != pseq.tokens:
+    tokens = [seq.tokens for seq in predicted]
+    # The gold corpus as written, else as `acnn tag` reads its input. Both
+    # match only when preprocessing changes no token, and then they are alike.
+    if [seq.tokens for seq in gold] != tokens:
+        gold = data.read_sentences(gold_path, args.gold_format)
+        if [seq.tokens for seq in gold] != tokens:
             raise evaluate.AlignmentError(
-                "gold and predicted tokenizations differ; re-tag from the same "
-                "preprocessed input")
+                "gold tokens match the predicted file's neither as written nor "
+                "preprocessed; tag the gold corpus itself")
+    masks = [seq.disfluent_mask() for seq in predicted]
     report = evaluate.score(gold, masks)
     print(report.format())
     print(report.as_tsv())
@@ -437,8 +442,6 @@ def build_parser() -> _Parser:
     p.add_argument("--predicted", required=True)
     p.add_argument("--gold-format", choices=("bracket-text", "tabular"),
                    default="bracket-text")
-    p.add_argument("--preprocess", action="store_true",
-                   help="preprocess the gold corpus before aligning")
     p.add_argument("--errors", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -467,7 +470,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a float overflow, division by zero or invalid operation stops the
+        # command at once, as one numeric error rather than warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error:usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -475,7 +481,7 @@ def main(argv=None) -> int:
             CheckpointError, ConfigError) as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"error:numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -464,19 +464,22 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     u32 tensor count | per tensor: u16 name length, name utf-8, u8 dtype code
     (always 0 = float64), u8 rank, u32 dims..., raw row-major data.
     Writing is deterministic, so save -> load -> save is byte-identical, and
-    atomic (atomic_open): a failed write leaves `path` as it was."""
-    meta = json.dumps({
+    atomic (atomic_open): a failed write leaves `path` as it was. Metadata
+    that load_checkpoint would refuse is a CheckpointError before any write."""
+    meta = {
         "config": ckpt.config.to_dict(),
         "vocab": ckpt.vocab_words,
         "rng_algorithm": ckpt.rng_algorithm,
         "seed": ckpt.seed,
         "step": ckpt.step,
-    }, sort_keys=True).encode("utf-8")
+    }
+    _checked_config(meta)
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<Q", len(meta)))
-        fh.write(meta)
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
         fh.write(struct.pack("<I", len(ckpt.tensors)))
         for name, arr in ckpt.tensors.items():
             nb = name.encode("utf-8")
@@ -491,6 +494,43 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 # metadata key -> required JSON type
 _META_TYPES = {"config": dict, "vocab": list, "rng_algorithm": str, "seed": int, "step": int}
+
+
+def _checked_config(meta) -> ModelConfig:
+    """The config of checkpoint metadata `meta`, after checking every field:
+    the one check of what save_checkpoint writes and load_checkpoint reads."""
+    if not isinstance(meta, dict):
+        raise CheckpointError("bad checkpoint metadata: not a JSON object")
+    for key, typ in _META_TYPES.items():
+        # bool is an int subclass, but never a seed or a step
+        if isinstance(meta.get(key), bool) or not isinstance(meta.get(key), typ):
+            raise CheckpointError(
+                f"bad checkpoint metadata: {key!r} missing or not a {typ.__name__}")
+    # a tagging manifest records Rng.ALGORITHM beside the checkpoint's seed
+    if meta["rng_algorithm"] != Rng.ALGORITHM:
+        raise CheckpointError(f"bad checkpoint metadata: rng_algorithm "
+                              f"{meta['rng_algorithm']!r} is not {Rng.ALGORITHM!r}")
+    if meta["step"] < 0:
+        raise CheckpointError(f"bad checkpoint metadata: negative step {meta['step']}")
+    if not all(isinstance(word, str) for word in meta["vocab"]):
+        raise CheckpointError("bad checkpoint metadata: non-string vocabulary entry")
+    if len(set(meta["vocab"])) != len(meta["vocab"]):
+        raise CheckpointError("bad checkpoint metadata: a vocabulary word repeats")
+    # Vocabulary.encode sends unknown words to id 1
+    if meta["vocab"][:2] != [PAD_WORD, UNK_WORD]:
+        raise CheckpointError(f"bad checkpoint metadata: vocabulary does not start "
+                              f"with {PAD_WORD!r}, {UNK_WORD!r}")
+    try:
+        config = ModelConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint config: {exc!r}") from exc
+    # cmd_train writes the seed twice, and a tagging manifest records the metadata copy
+    if meta["seed"] != config.seed:
+        raise CheckpointError(f"bad checkpoint metadata: seed {meta['seed']} is not "
+                              f"its config's {config.seed}")
+    if len(meta["vocab"]) > config.vocab_size:
+        raise CheckpointError(f"vocabulary longer than vocab_size {config.vocab_size}")
+    return config
 
 
 def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoint:
@@ -519,33 +559,7 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             meta = json.loads(read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint metadata: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise CheckpointError("corrupt checkpoint metadata: not a JSON object")
-        for key, typ in _META_TYPES.items():
-            # bool is an int subclass, but never a seed or a step
-            if isinstance(meta.get(key), bool) or not isinstance(meta.get(key), typ):
-                raise CheckpointError(
-                    f"corrupt checkpoint metadata: {key!r} missing or not a {typ.__name__}")
-        if meta["step"] < 0:
-            raise CheckpointError(f"corrupt checkpoint metadata: negative step {meta['step']}")
-        if not all(isinstance(word, str) for word in meta["vocab"]):
-            raise CheckpointError("corrupt checkpoint metadata: non-string vocabulary entry")
-        if len(set(meta["vocab"])) != len(meta["vocab"]):
-            raise CheckpointError("corrupt checkpoint metadata: a vocabulary word repeats")
-        # Vocabulary.encode sends unknown words to id 1
-        if meta["vocab"][:2] != [PAD_WORD, UNK_WORD]:
-            raise CheckpointError(f"corrupt checkpoint metadata: vocabulary does not start "
-                                  f"with {PAD_WORD!r}, {UNK_WORD!r}")
-        try:
-            config = ModelConfig.from_dict(meta["config"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
-        # cmd_train writes the seed twice, and a tagging manifest records the metadata copy
-        if meta["seed"] != config.seed:
-            raise CheckpointError(f"corrupt checkpoint metadata: seed {meta['seed']} is not "
-                                  f"its config's {config.seed}")
-        if len(meta["vocab"]) > config.vocab_size:
-            raise CheckpointError(f"vocabulary longer than vocab_size {config.vocab_size}")
+        config = _checked_config(meta)
         layout = _layout(config)
         if unpack("<I") != len(layout):
             raise CheckpointError(f"checkpoint tensor count is not its config's {len(layout)}")

@@ -80,6 +80,9 @@ HOSTILE_CHECKPOINTS = {
     "step-negative": (_changed(_VALID_META, step=-1), None, _VALID_TENSORS),
     # a tagging manifest records the metadata seed, which training writes equal to config.seed
     "seed-not-config-seed": (_changed(_VALID_META, seed=1), None, _VALID_TENSORS),
+    # a tagging manifest would record pcg64 beside a seed of another generator
+    "rng-algorithm-mt19937": (_changed(_VALID_META, rng_algorithm="mt19937"), None,
+                              _VALID_TENSORS),
 }
 
 

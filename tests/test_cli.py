@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acnn import bench, cli, data
+from acnn import bench, cli, data, evaluate
 from acnn import layers as L
 from acnn.model import load_checkpoint, save_checkpoint
 from acnn.tensor import NumericError
@@ -127,6 +127,16 @@ class TestTrain:
                    "--dev", str(tmp_path / "missing.bt"),
                    "--out", str(tmp_path / "m.ckpt")) == cli.EXIT_DATA
 
+    def test_float_overflow_is_one_numeric_line(self, corpus_dir, tmp_path, capsys):
+        """numpy's overflow stops the run as one error line, with no
+        RuntimeWarning before it, and nothing is written."""
+        assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(tmp_path / "m.ckpt"),
+                   "--lr", "1e300", "--max-epochs", "1") == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error:numeric: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bt"
         bad.write_text("a [ broken\n")
@@ -145,7 +155,7 @@ class TestTagAndEval:
         assert (tmp_path / "test.tab.manifest.json").exists()
         out_tsv = tmp_path / "report.tsv"
         assert run("eval", "--gold", str(corpus_dir / "test.bt"),
-                   "--predicted", str(tagged), "--preprocess",
+                   "--predicted", str(tagged),
                    "--out", str(out_tsv)) == cli.EXIT_OK
         printed = capsys.readouterr().out
         assert "tp=" in printed
@@ -165,15 +175,34 @@ class TestTagAndEval:
         printed = capsys.readouterr().out.splitlines()
         assert printed[-2:] == ["#1: c/p d", "#2: e/g e f"]
 
-    def test_misaligned_eval_is_data_error(self, corpus_dir, trained, tmp_path):
+    def test_misaligned_eval_is_data_error(self, corpus_dir, trained, tmp_path, capsys):
         tagged = tmp_path / "dev.tab"
         assert run("tag", "--checkpoint", str(trained),
                    "--input", str(corpus_dir / "dev.bt"),
                    "--out", str(tagged)) == cli.EXIT_OK
         # gold from a different split than the tagged file: tokens differ
         assert run("eval", "--gold", str(corpus_dir / "test.bt"),
-                   "--predicted", str(tagged),
-                   "--preprocess") == cli.EXIT_DATA
+                   "--predicted", str(tagged)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:data: ") and err.count("\n") == 1
+
+    def test_gold_that_needs_preprocessing_scores_without_a_flag(self, trained, tmp_path,
+                                                                 capsys):
+        """A gold corpus with punctuation, capitals and a partial word is
+        scored against its own `acnn tag` output as `acnn tag` read it."""
+        gold = tmp_path / "gold.bt"
+        gold.write_text("[ The , + the ] dog Bos- barked .\nUh , [ I + I ] went home .\n")
+        tagged, report = tmp_path / "gold.tab", tmp_path / "r.tsv"
+        assert run("tag", "--checkpoint", str(trained), "--input", str(gold),
+                   "--out", str(tagged)) == cli.EXIT_OK
+        assert run("eval", "--gold", str(gold), "--predicted", str(tagged),
+                   "--out", str(report)) == cli.EXIT_OK
+        masks = [seq.disfluent_mask() for seq in data.read_corpus(tagged, "tabular")]
+        expected = evaluate.score(data.read_sentences(gold), masks)
+        printed = capsys.readouterr().out
+        assert printed.splitlines()[0] == expected.format()
+        assert "\nkind:repetition\t" in printed
+        assert report.read_text() == expected.as_tsv() + "\n"
 
     def test_missing_checkpoint_is_data_error(self, corpus_dir, tmp_path):
         assert run("tag", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -341,6 +370,12 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self):
         assert run("synth", "--bogus") == cli.EXIT_USAGE
+
+    def test_eval_preprocess_is_unknown_flag(self, corpus_dir, capsys):
+        gold = str(corpus_dir / "test.bt")
+        assert run("eval", "--gold", gold, "--predicted", gold,
+                   "--preprocess") == cli.EXIT_USAGE
+        assert "unrecognized arguments: --preprocess" in capsys.readouterr().err
 
     def test_ab_bench_too_few_seeds(self, tmp_path):
         assert run("ab-bench", "--seeds", "1,2",
@@ -530,7 +565,7 @@ class TestOutputDirectories:
                    "--out", str(tagged)) == cli.EXIT_OK
         report = tmp_path / "newdir" / "r.tsv"
         assert run("eval", "--gold", str(corpus_dir / "test.bt"), "--predicted", str(tagged),
-                   "--preprocess", "--out", str(report)) == cli.EXIT_OK
+                   "--out", str(report)) == cli.EXIT_OK
         assert report.read_text().startswith("tp\t")
         assert (tmp_path / "newdir" / "r.tsv.manifest.json").exists()
 
@@ -568,7 +603,7 @@ def run_records(tmp_path_factory):
                   "--dev", str(splits[1]), "--out", str(ckpt), "--max-epochs", "1"),
                  ("tag", "--checkpoint", str(ckpt), "--input", str(splits[2]),
                   "--out", str(tagged)),
-                 ("eval", "--gold", str(splits[2]), "--predicted", str(tagged), "--preprocess",
+                 ("eval", "--gold", str(splits[2]), "--predicted", str(tagged),
                   "--out", str(report)),
                  ("ab-bench", "--train-count", "12", "--dev-count", "6", "--max-epochs", "1",
                   "--patience", "1", "--out", str(bench))):

@@ -74,9 +74,9 @@ def test_tag_survives_hostile_inputs(valid_checkpoint, data):
 
 
 @fuzz_settings
-@given(corpus_bytes, corpus_bytes, formats, st.booleans(), st.integers(0, 3))
-def test_eval_survives_hostile_inputs(gold, predicted, gold_format, preprocess, errors):
+@given(corpus_bytes, corpus_bytes, formats, st.integers(0, 3))
+def test_eval_survives_hostile_inputs(gold, predicted, gold_format, errors):
     run_in({"gold.txt": gold, "pred.tab": predicted},
            ["eval", "--gold", "{dir}/gold.txt", "--predicted", "{dir}/pred.tab",
             "--gold-format", gold_format, "--errors", str(errors),
-            "--out", "{dir}/out/r.tsv"] + (["--preprocess"] if preprocess else []))
+            "--out", "{dir}/out/r.tsv"])

@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,6 +297,19 @@ class TestCheckpoint:
             M.save_checkpoint(ckpt, tmp_path / "dir")
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "m.ckpt"]
+
+    @pytest.mark.parametrize("changes", [{"seed": 1}, {"step": -1},
+                                         {"rng_algorithm": "mt19937"}],
+                             ids=["seed-not-config-seed", "step-negative", "rng-algorithm"])
+    def test_save_refuses_what_load_refuses(self, changes, tmp_path):
+        """Metadata that load_checkpoint rejects is never written: the old
+        file stays as it was and no temporary file is left."""
+        _, _, ckpt, path = self.make(tmp_path)
+        before = path.read_bytes()
+        with pytest.raises(M.CheckpointError):
+            M.save_checkpoint(replace(ckpt, **changes), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_rebuilt_model_predicts_identically(self, tmp_path):
         _, model, _, path = self.make(tmp_path)
