@@ -25,6 +25,7 @@ class ArmResult:
 
 @dataclass
 class BenchResult:
+    max_epochs: int  # the training recipe's
     cnn: list[ArmResult] = field(default_factory=list)
     acnn: list[ArmResult] = field(default_factory=list)
     # copy_pair_similarity of the last ACNN arm's embeddings on the dev set
@@ -51,10 +52,16 @@ class BenchResult:
 
     def report(self) -> str:
         """The per-seed table, each kind's mean F per arch and the copy-pair
-        diagnostic: the text `acnn ab-bench` prints and writes."""
-        lines = ["seed\tcnn_f1\tacnn_f1\tgap"]
+        diagnostic: the text `acnn ab-bench` prints and writes. A best epoch
+        is marked * where it is the recipe's last, max_epochs: that arm may
+        not have converged."""
+        def best(arm: ArmResult) -> str:
+            return f"{arm.best_epoch}{'*' if arm.best_epoch == self.max_epochs else ''}"
+
+        lines = ["seed\tcnn_f1\tacnn_f1\tgap\tcnn_best\tacnn_best"]
         for c, a in zip(self.cnn, self.acnn):
-            lines.append(f"{c.seed}\t{c.dev_f1:.4f}\t{a.dev_f1:.4f}\t{a.dev_f1 - c.dev_f1:+.4f}")
+            lines.append(f"{c.seed}\t{c.dev_f1:.4f}\t{a.dev_f1:.4f}\t{a.dev_f1 - c.dev_f1:+.4f}"
+                         f"\t{best(c)}\t{best(a)}")
         lines += [f"mean\t{self.mean_cnn_f1:.4f}\t{self.mean_acnn_f1:.4f}\t"
                   f"{self.mean_gap:+.4f}", ""]
         for kind in KINDS:
@@ -103,7 +110,7 @@ def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
     if len(seeds) < 3 or len(set(seeds)) < len(seeds):
         raise ValueError("ab_bench needs at least 3 distinct seeds for a stable mean")
     train_seqs, dev_seqs, vocab = preset_corpora(preset, train_count, dev_count)
-    result = BenchResult()
+    result = BenchResult(max_epochs=train_cfg.max_epochs)
     for seed in seeds:
         for arch in ("cnn", "acnn"):
             arm, model = _train_arm(arch, seed, train_seqs, dev_seqs, vocab, train_cfg)

@@ -132,7 +132,8 @@ def _offset_pairs(pairs: np.ndarray, w: int, d: int) -> tuple[np.ndarray, np.nda
     """The (c, w-d, m) views of the pairs (i, i + d) and (i + d, i), i < w - d,
     of a kernel viewed as (c, w * w, m), pair (i, j) at i * w + j: the upper
     one starts at d, the lower one at d * w, each stepping w + 1. For d == 0
-    both are the diagonal."""
+    both are the diagonal. _fold, autocorr_backward and Adam's steps of a B
+    (training._adam_blocks) all read the pairs through these views."""
     return pairs[:, d :: w + 1][:, : w - d], pairs[:, d * w :: w + 1]
 
 

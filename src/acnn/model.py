@@ -130,19 +130,29 @@ class ModelConfig:
 class Param:
     value: np.ndarray
     grad: np.ndarray
+    # the value's shape, except for a pair kernel (see `of`)
     adam_m: np.ndarray
     adam_v: np.ndarray
 
     @staticmethod
-    def of(value: np.ndarray) -> "Param":
+    def of(value: np.ndarray, pairs: bool = False) -> "Param":
         """Every array C-contiguous, so that flat views of it are views; a
-        C-contiguous value is taken over as it is, not copied."""
+        C-contiguous value is taken over as it is, not copied. A pair kernel
+        (`pairs`: an autocorr B of shape (c, w, w, m), whose gradient is
+        symmetric) keeps its Adam moments for its pairs i <= j only: one flat
+        array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block after
+        offset d-1's, in the order of layers._fold."""
         value = np.ascontiguousarray(value)
+        if pairs:
+            c, w, _, m = value.shape
+            moments = (c * w * (w + 1) // 2 * m,)
+        else:
+            moments = value.shape
         # np.zeros maps no page before its first write, so tagging never pays for these
         return Param(value=value,
                      grad=np.zeros(value.shape),
-                     adam_m=np.zeros(value.shape),
-                     adam_v=np.zeros(value.shape))
+                     adam_m=np.zeros(moments),
+                     adam_v=np.zeros(moments))
 
 
 class ParamStore:
@@ -153,9 +163,10 @@ class ParamStore:
         self._params: dict[str, Param] = {}
 
     def add(self, name: str, value: np.ndarray) -> None:
+        """Store `value` under `name`; a B (`layerK.groupG.B`) is a pair kernel."""
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._params[name] = Param.of(value)
+        self._params[name] = Param.of(value, pairs=name.endswith(".B"))
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
-from .layers import softmax_xent_backward
-from .model import CLASS_DISFLUENT, Model, ModelConfig, ParamStore
+from .layers import _offset_pairs, softmax_xent_backward
+from .model import CLASS_DISFLUENT, Model, ModelConfig, Param, ParamStore
 from .tensor import NumericError, Rng
 
 
@@ -68,22 +68,57 @@ def add_l2_grad(params: ParamStore, weight: float) -> None:
 ADAM_BLOCK = 1 << 15
 
 
+def _adam_blocks(p: Param):
+    """p's (value, grad, m, v, mirror) blocks of at most ADAM_BLOCK elements,
+    views all. A tensor whose moments have its value's shape is cut flat, with
+    no mirror. A pair kernel (a B, Param.of) is cut per offset d into channel
+    blocks of its pairs (i, i + d) and of their moments; for d > 0 the mirror
+    is the same block of the pairs (i + d, i). A block holds one channel at
+    least, even where that channel has more than ADAM_BLOCK elements."""
+    # views, since Param keeps every array C-contiguous
+    if p.adam_m.shape == p.value.shape:
+        flat = [a.reshape(-1) for a in (p.value, p.grad, p.adam_m, p.adam_v)]
+        for lo in range(0, p.value.size, ADAM_BLOCK):
+            yield *(a[lo:lo + ADAM_BLOCK] for a in flat), None
+        return
+    c, w, _, m = p.value.shape
+    value, grad = (a.reshape(c, w * w, m) for a in (p.value, p.grad))
+    lo = 0
+    for d in range(w):
+        upper, lower = _offset_pairs(value, w, d)
+        grad_d = _offset_pairs(grad, w, d)[0]
+        size = c * (w - d) * m
+        m_d, v_d = (a[lo:lo + size].reshape(c, w - d, m) for a in (p.adam_m, p.adam_v))
+        lo += size
+        channels = max(1, ADAM_BLOCK // ((w - d) * m))
+        for u in range(0, c, channels):
+            s = slice(u, u + channels)
+            yield upper[s], grad_d[s], m_d[s], v_d[s], lower[s] if d else None
+
+
 def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
     """Standard Adam with bias-corrected moments; t is 1-based.
 
-    Works in place over blocks of ADAM_BLOCK elements, with two block-sized
-    scratch arrays shared by every tensor, doing the textbook float operations
-    in the textbook order: value -= (lr * m_hat) / (sqrt(v_hat) + eps)."""
+    Works in place over blocks of ADAM_BLOCK elements (_adam_blocks), with two
+    block-sized scratch arrays shared by every tensor, doing the textbook float
+    operations in the textbook order: value -= (lr * m_hat) / (sqrt(v_hat) +
+    eps). Precondition: each B's gradient is symmetric bit for bit, as
+    Model.backward leaves it. Only its pairs i <= j are read, and each step is
+    subtracted from both B[i, j] and B[j, i]. All or nothing: a read-only
+    value is a ValueError before the first write."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
+    for name, p in params.items():
+        if not p.value.flags.writeable:
+            raise ValueError(f"parameter {name!r} is read-only")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    unbias1, unbias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     scratch = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for _, p in params.items():
-        # views, since Param keeps every array C-contiguous
-        flat = [a.reshape(-1) for a in (p.value, p.grad, p.adam_m, p.adam_v)]
-        for lo in range(0, p.value.size, ADAM_BLOCK):
-            value, grad, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
-            step, denom = (a[:len(value)] for a in scratch)
+        for value, grad, m, v, mirror in _adam_blocks(p):
+            if value.size > len(scratch[0]):  # a channel larger than ADAM_BLOCK
+                scratch = np.empty(value.size), np.empty(value.size)
+            step, denom = (a[:value.size].reshape(value.shape) for a in scratch)
             np.multiply(1.0 - b1, grad, out=step)
             m *= b1
             m += step
@@ -91,13 +126,15 @@ def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
             step *= grad
             v *= b2
             v += step
-            np.divide(m, 1.0 - b1 ** t, out=step)
+            np.divide(m, unbias1, out=step)
             step *= cfg.learning_rate
-            np.divide(v, 1.0 - b2 ** t, out=denom)
+            np.divide(v, unbias2, out=denom)
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
             step /= denom
             value -= step
+            if mirror is not None:
+                mirror -= step
 
 
 # Bytes of the float64s that _token_floats counts one packed tagging pass may

@@ -468,10 +468,27 @@ class TestAbBench:
                 assert re.search(rf"^{kind} +CNN +\S+ +ACNN +\S+$", text, re.M), kind
             assert re.search(r"^copy-pair embedding cosine \S+ vs random-pair \S+$",
                              text, re.M)
+        # --max-epochs 1: every arm's best epoch is the recipe's last
+        assert re.search(r"^11\t\S+\t\S+\t\S+\t1\*\t1\*$", written, re.M)
         manifest = json.loads((tmp_path / "bench.tsv.manifest.json").read_text())
         assert manifest["command"] == "ab-bench"
         assert manifest["config"]["seeds"] == [11, 12, 13]
         assert manifest["outputs"] == {str(out): cli._sha256(out)}
+
+    def test_report_has_best_epochs_marked_at_max_epochs(self):
+        def arm(arch, seed, f1, best):
+            return bench.ArmResult(arch=arch, seed=seed, dev_f1=f1,
+                                   per_kind_f1={}, best_epoch=best)
+
+        result = bench.BenchResult(
+            max_epochs=25,
+            cnn=[arm("cnn", 11, 0.88, 13), arm("cnn", 12, 0.86, 25)],
+            acnn=[arm("acnn", 11, 0.87, 25), arm("acnn", 12, 0.9, 24)])
+        table = result.report().splitlines()[:4]
+        assert table == ["seed\tcnn_f1\tacnn_f1\tgap\tcnn_best\tacnn_best",
+                         "11\t0.8800\t0.8700\t-0.0100\t13\t25*",
+                         "12\t0.8600\t0.9000\t+0.0400\t25*\t24",
+                         "mean\t0.8700\t0.8850\t+0.0150"]
 
 
 class TestAtomicOutputs:

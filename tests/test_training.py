@@ -184,6 +184,38 @@ class TestAdamInPlace:
         assert p.adam_m.tobytes() == m.tobytes()
         assert p.adam_v.tobytes() == v.tobytes()
 
+    @pytest.mark.parametrize("shape", [(16, 9, 9, 32), (60, 3, 3, 290), (2, 3, 3, 11000)],
+                             ids=["offsets-fit-a-block", "diagonal-over-a-block",
+                                  "channel-over-a-block"])
+    def test_pair_kernel_byte_identical_to_textbook(self, shape):
+        # a B keeps moments for its pairs i <= j only and steps both halves
+        # with them; the textbook runs on the full array
+        assert TR.ADAM_BLOCK == 2 ** 15
+        c, w, _, m = shape
+        rng = np.random.default_rng(1)
+        cfg = TR.TrainConfig(learning_rate=0.003)
+        grads = []
+        for _ in range(6):
+            g = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 2, shape)
+            grads.append(g + g.transpose(0, 2, 1, 3))  # symmetric bit for bit
+        start = rng.standard_normal(shape)  # not symmetric
+        store = ParamStore()
+        store.add("layer1.group0.B", start.copy())
+        p = store["layer1.group0.B"]
+        assert p.adam_m.size == p.adam_v.size == c * m * w * (w + 1) // 2
+        for t, g in enumerate(grads, start=1):
+            p.grad[...] = g
+            TR.adam_step(store, t, cfg)
+        value, m_full, v_full = textbook_adam(start, grads, cfg)
+        assert p.value.tobytes() == value.tobytes()
+
+        def upper_pairs(a):  # the i <= j entries in layers._fold's order
+            pairs = a.reshape(c, w * w, m)
+            return np.concatenate([L._offset_pairs(pairs, w, d)[0].ravel() for d in range(w)])
+
+        assert p.adam_m.tobytes() == upper_pairs(m_full).tobytes()
+        assert p.adam_v.tobytes() == upper_pairs(v_full).tobytes()
+
 
 class TestBatchLoss:
     def test_loss_is_log_two_when_scores_tied(self):
@@ -588,8 +620,15 @@ class TestKeptFold:
             model.params.load_values(model.params.values_copy())
         TR.batch_loss_and_grads(model, random_batch(STEP_LENGTHS, seed=2),
                                 training=True, rng=Rng(3))
-        with pytest.raises(ValueError):
+        values = model.params.values_copy()
+        moments = {name: (p.adam_m.copy(), p.adam_v.copy()) for name, p in model.params.items()}
+        with pytest.raises(ValueError, match="'layer1.group0.B' is read-only"):
             TR.adam_step(model.params, 1, TR.TrainConfig())
+        # refused before the first write: nothing moved, the tensors before B included
+        for name, p in model.params.items():
+            assert p.value.tobytes() == values[name].tobytes(), name
+            assert p.adam_m.tobytes() == moments[name][0].tobytes(), name
+            assert p.adam_v.tobytes() == moments[name][1].tobytes(), name
 
     def test_cnn_checkpoint_folds_nothing(self, tmp_path, folded):
         cfg = ModelConfig(vocab_size=12, embedding_dim=3, dropout_rate=0.0,
