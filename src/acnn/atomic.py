@@ -7,13 +7,18 @@ import os
 from contextlib import contextmanager, suppress
 
 
+def temporary_path(path) -> str:
+    """The file that atomic_open writes before it replaces `path`."""
+    return f"{path}.tmp"
+
+
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open `<path>.tmp` for writing, creating `path`'s missing parent
+    """Open temporary_path(path) for writing, creating `path`'s missing parent
     directories; on a clean exit it replaces `path`. If the block or the
     replace fails, the temporary file is removed and `path` is left as it was."""
     os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
+    tmp = temporary_path(path)
     fh = open(tmp, mode, **kwargs)
     try:
         with fh:

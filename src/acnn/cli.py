@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, data, evaluate, training
-from .atomic import atomic_open
+from .atomic import atomic_open, temporary_path
 from .model import (LAYER1_KIND, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
                     ModelConfig, CheckpointError, ConfigError, load_checkpoint,
                     model_preset, param_count, save_checkpoint)
@@ -83,10 +83,11 @@ def _write_text(path, text: str) -> None:
 
 def _check_outputs(inputs: dict, outputs: dict) -> None:
     """Refuse, before any work, an output that would replace a file the run
-    reads or writes. `inputs` and `outputs` map the role of each path, which
-    error messages name, to the path. An output that resolves to an input or
-    to another output is a usage error; one that is an existing directory, or
-    that lies under an existing file, is a data error."""
+    reads or writes, itself or through its temporary file (atomic_open).
+    `inputs` and `outputs` map the role of each path, which error messages
+    name, to the path. An output that resolves to an input or to another
+    output, or whose temporary file does, is a usage error; one that is an
+    existing directory, or that lies under an existing file, is a data error."""
     roles = {Path(path).resolve(): role for role, path in inputs.items()}
     for role, path in outputs.items():
         path = Path(path)
@@ -99,6 +100,11 @@ def _check_outputs(inputs: dict, outputs: dict) -> None:
         if key in roles:
             raise UsageError(f"{role} {path} is also the {roles[key]}")
         roles[key] = role
+    for role, path in outputs.items():
+        tmp = temporary_path(path)
+        key = Path(tmp).resolve()
+        if key in roles:
+            raise UsageError(f"{role} {path} is written through {tmp}, the {roles[key]}")
 
 
 class _RunRecord:
@@ -181,21 +187,6 @@ def cmd_synth(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
-    cfg = model_preset(args.preset, vocab_size=vocab_size, seed=args.seed)
-    if args.embedding_dim is not None:
-        cfg = replace(cfg, embedding_dim=args.embedding_dim)
-    if args.dropout is not None:
-        cfg = replace(cfg, dropout_rate=args.dropout)
-    if args.l2 is not None:
-        cfg = replace(cfg, l2_weight=args.l2)
-    if args.channels is not None:
-        cfg = replace(cfg, layers=tuple(
-            LayerConfig(lc.kind, lc.kernel_groups, args.channels)
-            for lc in cfg.layers))
-    return cfg
-
-
 def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(".log")
@@ -203,7 +194,7 @@ def cmd_train(args) -> int:
     record = _RunRecord("train", out, {"training corpus": train_path, "dev corpus": dev_path},
                         {"checkpoint": out, "log": log_path})
     with _flag_values():  # before any corpus is read; the vocabulary size comes after
-        mcfg = _model_config_from_args(args, vocab_size=2)
+        mcfg = model_preset(args.preset, vocab_size=2, seed=args.seed)
         tcfg = training.TrainConfig(batch_size=args.batch_size, learning_rate=args.lr,
                                     max_epochs=args.max_epochs, patience=args.patience)
     if args.min_freq < 1:
@@ -418,10 +409,6 @@ def build_parser() -> _Parser:
                    default="bracket-text")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--embedding-dim", type=int, default=None)
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--l2", type=float, default=None)
     train_defaults = training.TrainConfig()
     p.add_argument("--lr", type=float, default=train_defaults.learning_rate)
     p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)

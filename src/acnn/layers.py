@@ -24,9 +24,9 @@ offset is then one matmul, q_d @ K_d.T, whose column (u, i) is added onto Y's
 slot i before the slots are summed, so with B == 0 autocorr is conv1d bit for
 bit. A band is formed, used and dropped inside the call, and the backward forms
 it again; no (n, w, m) array and no array of window pairs is formed. B itself
-keeps its (c, w, w, m) shape, and the backward, the adjoint of the fold, adds
-pair (i, j)'s kernel gradient onto both B[i, j] and B[j, i], so every call
-leaves a complete, symmetric gradient.
+keeps its (c, w, w, m) shape, and the backward, the adjoint of the fold, writes
+pair (i, j)'s kernel gradient into both B[i, j] and B[j, i], so every call
+writes a complete, symmetric gradient over whatever its buffer held.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -152,13 +152,16 @@ def _fold(B: np.ndarray) -> list[np.ndarray]:
 
 
 def _bands(x: np.ndarray, bands: np.ndarray):
-    """Each offset d < min(w, n) with its band q[a] = x[a] * x[a + d] of shape
-    (n - d, m), set to 0 where not bands[a, d]; one buffer serves them all."""
+    """Each offset d < w with its band q[a] = x[a] * x[a + d] of shape
+    (max(n - d, 0), m), set to 0 where not bands[a, d]; one buffer serves them
+    all. An offset d >= n has an empty band, so that a pass shorter than the
+    window still visits, and its backward writes, every offset."""
     n, w = bands.shape
     buffer = np.empty_like(x)
-    for d in range(min(w, n)):
-        q = np.multiply(x[: n - d], x[d:], out=buffer[: n - d])
-        q[~bands[: n - d, d]] = 0.0
+    for d in range(w):
+        rows = max(n - d, 0)
+        q = np.multiply(x[:rows], x[d:], out=buffer[:rows])
+        q[~bands[:rows, d]] = 0.0
         yield d, q
 
 
@@ -215,39 +218,38 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     folded = _fold(B) if folded is None else folded
     Y = _kn2row(x, A, spec.ell)
     for d, q in _bands(x, bands):  # slot i's pair (i, i + d) of row a is q[a]
-        Y[spec.ell : spec.ell + n - d, :, : w - d] += (q @ folded[d].T).reshape(n - d, c, w - d)
+        Y[spec.ell : spec.ell + len(q), :, : w - d] += (q @ folded[d].T).reshape(len(q), c, w - d)
     return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, folded)
 
 
 def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
                       dB: np.ndarray):
     """Gradients of an autocorr_forward call: returns (dx, dA, db). The kernel
-    gradient is added onto the caller's (c, w, w, m) `dB` in place, pair
-    (i, j)'s onto both B[i, j] and B[j, i] as the adjoint of _fold, so `dB`
-    holds complete, symmetric sums of the calls made into it.
+    gradient is written into every entry of the caller's (c, w, w, m) `dB`,
+    pair (i, j)'s into both B[i, j] and B[j, i] as the adjoint of _fold, so
+    `dB` holds this call's complete, symmetric gradient, whatever it held
+    before.
 
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically.
     """
-    x, n, (c, w, _, m) = cache.x, cache.n, dB.shape
+    x, (c, w, _, m) = cache.x, dB.shape
     dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
     pairs = dB.reshape(c, w * w, m, copy=False)
     for d, q in _bands(x, cache.bands):  # slot i's upstream of q[a] is dY[a, :, i]
-        dY_d = dY[: n - d, :, : w - d].reshape(n - d, -1)
-        # adjoint of _fold: pair (i, i + d)'s gradient goes to B[i, i + d]
-        # and, off the diagonal, to B[i + d, i]
-        grad = (dY_d.T @ q).reshape(c, w - d, m)
+        rows = len(q)
+        dY_d = dY[:rows, :, : w - d].reshape(rows, c * (w - d))
+        # adjoint of _fold: pair (i, i + d)'s gradient goes to B[i, i + d] and
+        # B[i + d, i], one view for d == 0; an empty band's gradient is zero
         upper, lower = _offset_pairs(pairs, w, d)
-        upper += grad
-        if d:
-            lower += grad
+        upper[...] = lower[...] = (dY_d.T @ q).reshape(c, w - d, m)
         dq = dY_d @ cache.folded[d]
-        dq[~cache.bands[: n - d, d]] = 0.0
+        dq[~cache.bands[:rows, d]] = 0.0
         # q[a] = x[a] * x[a + d] sends dq * x[a + d] to row a and dq * x[a] to
         # row a + d; for d == 0 both land on row a.
-        dx[: n - d] += dq * x[d:]
-        dx[d:] += dq * x[: n - d]
+        dx[:rows] += dq * x[d:]
+        dx[d:] += dq * x[:rows]
     return dx, dA, db
 
 

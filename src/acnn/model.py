@@ -177,10 +177,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
-
     def values_copy(self) -> dict[str, np.ndarray]:
         return {k: p.value.copy() for k, p in self._params.items()}
 
@@ -316,13 +312,14 @@ class Model:
             group_caches=group_caches)
 
     def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
-        """Accumulate the parameter gradients of one forward_with_cache call
-        into the store, each of them complete: a B gradient gets pair
-        (i, j)'s sum on both B[i, j] and B[j, i] (layers.autocorr_backward)."""
+        """Write the parameter gradients of one forward_with_cache call into
+        the store, each of them complete and over whatever it held: a B
+        gradient gets pair (i, j)'s sum in both B[i, j] and B[j, i]
+        (layers.autocorr_backward)."""
         dx, dW, db = L.width1_backward(cache.activations[-1],
                                        self.params["output.W"].value, dscores)
-        self.params["output.W"].grad += dW
-        self.params["output.b"].grad += db
+        self.params["output.W"].grad[...] = dW
+        self.params["output.b"].grad[...] = db
         for k in range(len(self.config.layers), 0, -1):
             lc = self.config.layers[k - 1]
             # relu(y) > 0 exactly where y > 0, NaN included
@@ -339,13 +336,16 @@ class Model:
                         gcache, A, upstream, self.params[f"{prefix}.B"].grad)
                 else:
                     dxg, dA, dbg = L.conv1d_backward(gcache, A, upstream)
-                self.params[f"{prefix}.A"].grad += dA
-                self.params[f"{prefix}.b"].grad += dbg
+                self.params[f"{prefix}.A"].grad[...] = dA
+                self.params[f"{prefix}.b"].grad[...] = dbg
                 dx_next += dxg
             dx = dx_next
         if cache.dropout_mask is not None:
             dx = dx * cache.dropout_mask
-        np.add.at(self.params["embedding"].grad, cache.ids, dx)
+        # a repeated id sums its rows' gradients, and an absent id gets zero
+        demb = self.params["embedding"].grad
+        demb[...] = 0.0
+        np.add.at(demb, cache.ids, dx)
 
 
 @dataclass(frozen=True)

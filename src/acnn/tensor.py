@@ -94,6 +94,7 @@ def grad_check(f, p: np.ndarray, analytic: np.ndarray, eps: float = 1e-5,
             raise NumericError("non-finite objective during gradient check")
         numeric = (f_plus - f_minus) / (2.0 * eps)
         a = float(analytic[idx])
-        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+        # np.maximum keeps a NaN error, so a NaN analytic entry fails the check
+        worst = float(np.maximum(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)))
         it.iternext()
     return GradCheckReport(max_rel_error=worst, ok=worst <= tol, checked=p.size)

@@ -175,10 +175,9 @@ def _chunks(sentences, tokens: int):
 def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
     """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
-    penalty, with its gradients written into the model's parameter store. The
-    sentences run packed, in one forward and one backward pass, so a step
-    folds each B once."""
-    model.params.zero_grads()
+    penalty. Model.backward writes every gradient of the store, and the L2
+    gradient is then added onto output.W's. The sentences run packed, in one
+    forward and one backward pass, so a step folds each B once."""
     lengths = [len(ids) for ids, _ in batch]
     ids, label_ids = (np.concatenate(column) for column in zip(*batch))
     probs, cache = model.forward_with_cache(ids, training=training, rng=rng, lengths=lengths)

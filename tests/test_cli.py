@@ -391,7 +391,6 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ("train", "--preset", "cnn-toy", "--lr", "-1"),
         ("train", "--preset", "cnn-toy", "--batch-size", "0"),
-        ("train", "--preset", "cnn-table1", "--channels", "7"),
         ("train", "--preset", "cnn-toy", "--seed", "-1"),
         ("ab-bench", "--seeds", "a,b,c"),
         ("synth", "--train-count", "0"),
@@ -414,7 +413,7 @@ class TestUsage:
          "--max-epochs", "1"),
         ("ab-bench", "--seeds", "11,12,13,12", "--train-count", "30", "--dev-count", "10",
          "--max-epochs", "1"),
-    ], ids=["lr-negative", "batch-size-0", "channels-not-divisible", "seed-negative",
+    ], ids=["lr-negative", "batch-size-0", "seed-negative",
             "seeds-not-integers", "train-count-0", "ab-bench-unknown-preset",
             "ab-bench-train-count-0", "ab-bench-seeds-negative", "max-epochs-0",
             "max-epochs-negative", "lr-nan", "lr-inf", "ab-bench-max-epochs-0",
@@ -434,13 +433,8 @@ class TestUsage:
     @pytest.mark.parametrize("flags", [
         ("--preset", "cnn-toy", "--patience", "0"),
         ("--preset", "cnn-toy", "--seed", "-1"),
-        ("--preset", "acnn-toy", "--dropout", "1.5"),
-        ("--preset", "acnn-toy", "--l2", "-1"),
-        ("--preset", "cnn-toy", "--channels", "0"),
-        ("--preset", "cnn-toy", "--embedding-dim", "0"),
         ("--preset", "cnn-toy", "--min-freq", "0"),
-    ], ids=["patience-0", "seed-negative", "dropout-1.5",
-            "l2-negative", "channels-0", "embedding-dim-0", "min-freq-0"])
+    ], ids=["patience-0", "seed-negative", "min-freq-0"])
     def test_train_flags_checked_before_corpora(self, flags, tmp_path, monkeypatch,
                                                 capsys):
         def never(*_, **__):
@@ -527,8 +521,9 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tab"]
 
 
-# argv ("{d}" stands for a directory holding train.bt, dev.bt, test.bt, m.ckpt
-# and an empty outdir/), the exit code, and what stderr names
+# argv ("{d}" stands for a directory holding train.bt, dev.bt, test.bt, m.ckpt,
+# two more copies of test.bt, t.bt.tmp and o.tab.manifest.json.tmp, and an
+# empty outdir/), the exit code, and what stderr names
 OUTPUT_PATH_CASES = {
     "train-out-is-default-log": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
                                   "--dev", "{d}/dev.bt", "--out", "{d}/m.log"),
@@ -548,6 +543,15 @@ OUTPUT_PATH_CASES = {
     "train-out-under-a-file": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
                                 "--dev", "{d}/dev.bt", "--out", "{d}/m.ckpt/m.ckpt"),
                                cli.EXIT_DATA, "not a directory"),
+    # an output's temporary file (atomic_open) is an input or another output
+    "tag-out-tmp-is-input": (("tag", "--checkpoint", "{d}/m.ckpt", "--input", "{d}/t.bt.tmp",
+                              "--out", "{d}/t.bt"), cli.EXIT_USAGE, "the input"),
+    "train-log-tmp-is-out": (("train", "--preset", "cnn-toy", "--train", "{d}/train.bt",
+                              "--dev", "{d}/dev.bt", "--out", "{d}/mm.tmp", "--log", "{d}/mm"),
+                             cli.EXIT_USAGE, "the checkpoint"),
+    "tag-manifest-tmp-is-input": (("tag", "--checkpoint", "{d}/m.ckpt",
+                                   "--input", "{d}/o.tab.manifest.json.tmp",
+                                   "--out", "{d}/o.tab"), cli.EXIT_USAGE, "the input"),
 }
 
 
@@ -565,6 +569,8 @@ class TestOutputPaths:
         monkeypatch.setattr(cli.bench, "ab_bench", never)
         for split in ("train", "dev", "test"):
             (tmp_path / f"{split}.bt").write_bytes((corpus_dir / f"{split}.bt").read_bytes())
+        for name in ("t.bt.tmp", "o.tab.manifest.json.tmp"):
+            (tmp_path / name).write_bytes((corpus_dir / "test.bt").read_bytes())
         (tmp_path / "m.ckpt").write_bytes(b"a checkpoint that is never read")
         (tmp_path / "outdir").mkdir()
         before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}

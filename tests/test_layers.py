@@ -394,8 +394,8 @@ class TestAutocorrForward:
 
 def full_autocorr_backward(cache, A, up, B):
     """(dx, dA, dB, db) of one autocorr_forward call: autocorr_backward into a
-    zero kernel gradient."""
-    dB = np.zeros_like(B)
+    kernel gradient buffer of NaN, every entry of which it must write."""
+    dB = np.full_like(B, np.nan)
     dx, dA, db = L.autocorr_backward(cache, A, up, dB)
     return dx, dA, dB, db
 
@@ -459,9 +459,9 @@ class TestAutocorrBackward:
 
 
 # acnn-table1's layer-1 groups at its embedding width, packed and unpacked,
-# with an ell = 0 group, one-token inputs, inputs shorter than and as long as
-# the window (some or no offsets skipped) and a 1-token sentence between
-# longer ones.
+# with an ell = 0 group, one-token inputs, inputs shorter than the window
+# (offsets with an empty band), alone and packed, and as long as it, and a
+# 1-token sentence between longer ones.
 FOLD_CASES = [
     ((5, 6), 48, None),
     ((5, 6), 48, [1, 20, 27]),
@@ -473,6 +473,9 @@ FOLD_CASES = [
     ((5, 6), 5, None),
     ((5, 6), 12, None),
     ((3, 3), 9, [4, 1, 4]),
+    ((5, 6), 7, [3, 1, 3]),
+    ((3, 3), 5, [2, 3]),
+    ((0, 6), 4, [1, 1, 2]),
 ]
 
 
@@ -481,42 +484,35 @@ class TestFoldedPairs:
     def test_equals_full_pair_path(self, case):
         """The i <= j pairs with the folded kernel give the output and every
         gradient of the full w*w pair path, for an asymmetric B; the kernel
-        gradient is added onto both halves of the buffer the caller passes."""
+        gradient is written over every entry of the buffer the caller passes,
+        whatever that buffer held (random values, then NaN)."""
         (ell, r), n, lengths = FOLD_CASES[case]
         rng = Rng(6000 + case)
         x, spec, A, B, b = rand_instance(rng, n, 290, ell, r, 60, with_B=True)
         up = rng.uniform(-1, 1, (n, 60))
         out, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
-        prior = rng.uniform(-1, 1, B.shape)
-        dB = prior.copy()
-        dx, dA, db = L.autocorr_backward(cache, A, up, dB)
-        dB -= prior
         want_out, saved = full_pair_forward(x, spec, A, B, b, lengths)
-        got = (out, dx, dA, dB, db)
         want = (want_out, *full_pair_backward(x, spec, A, B, saved, up))
-        for g, v in zip(got, want, strict=True):
-            assert g.shape == v.shape
-            assert np.abs(g - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
+        for dB in (rng.uniform(-1, 1, B.shape), np.full(B.shape, np.nan)):
+            dx, dA, db = L.autocorr_backward(cache, A, up, dB)
+            for g, v in zip((out, dx, dA, dB, db), want, strict=True):
+                assert g.shape == v.shape
+                assert np.abs(g - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
-    def test_two_calls_into_one_buffer_add_both_full_pair_gradients(self):
-        """autocorr_backward adds each call's full-pair kernel gradient onto
-        both halves of the buffer it is given, so after two calls the buffer
-        holds its prior plus the sum of their gradients."""
+    def test_second_call_into_one_buffer_overwrites_the_first(self):
+        """autocorr_backward writes each call's full-pair kernel gradient over
+        the buffer it is given, so after a long call and then a call shorter
+        than the window the buffer holds the second call's gradient alone."""
         rng = Rng(6100)
         x, spec, A, B, b = rand_instance(rng, 9, 4, 2, 3, 3, with_B=True)
-        prior = rng.uniform(-1, 1, B.shape)
-        dB = prior.copy()
-        want = np.zeros_like(B)
-        for lengths in ([9], [4, 1, 4]):
-            up = rng.uniform(-1, 1, (9, 3))
-            before = dB.copy()
-            _, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
+        dB = rng.uniform(-1, 1, B.shape)
+        for rows, lengths in ((9, [9]), (9, [4, 1, 4]), (3, [3]), (4, [1, 3])):
+            up = rng.uniform(-1, 1, (rows, 3))
+            _, cache = L.autocorr_forward(x[:rows], spec, A, B, b, lengths)
             L.autocorr_backward(cache, A, up, dB)
-            _, saved = full_pair_forward(x, spec, A, B, b, lengths)
-            full = full_pair_backward(x, spec, A, B, saved, up)[2]
-            assert np.abs(dB - before - full).max() <= 1e-12
-            want += full
-        assert np.abs(dB - prior - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            _, saved = full_pair_forward(x[:rows], spec, A, B, b, lengths)
+            full = full_pair_backward(x[:rows], spec, A, B, saved, up)[2]
+            assert np.abs(dB - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
 
 
 @pytest.mark.parametrize("lengths", [None, [1, 20, 27]])

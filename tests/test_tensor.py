@@ -37,6 +37,14 @@ class TestGradCheck:
         report = grad_check(lambda q: float((q * q).sum()), p, 3.0 * p)
         assert not report.ok
 
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_detects_nan_gradient(self, at):
+        p = Rng(2).uniform(0.5, 2, 4)
+        analytic = 2.0 * p
+        analytic[at] = np.nan
+        report = grad_check(lambda q: float((q * q).sum()), p, analytic)
+        assert not report.ok
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             grad_check(lambda q: 0.0, np.zeros(3), np.zeros(4))

@@ -90,18 +90,26 @@ class TestL2:
         assert TR.l2_penalty(model.params, 0.3) == pytest.approx(before)
 
     def test_grad_is_two_lambda_w(self):
+        """add_l2_grad adds 2 * lambda * W onto output.W's gradient, the data
+        gradient that Model.backward wrote, and touches no other gradient."""
         model = tiny_model()
-        model.params.zero_grads()
+        rng = Rng(3)
+        for _, p in model.params.items():
+            p.grad[...] = rng.uniform(-1, 1, p.grad.shape)
+        before = {name: p.grad.copy() for name, p in model.params.items()}
         TR.add_l2_grad(model.params, 0.25)
         W = model.params["output.W"]
-        assert np.allclose(W.grad, 0.5 * W.value)
-        assert not model.params["embedding"].grad.any()
+        assert np.allclose(W.grad - before["output.W"], 0.5 * W.value)
+        for name, p in model.params.items():
+            if name != "output.W":
+                assert np.array_equal(p.grad, before[name]), name
 
 
 class TestAdam:
     def test_zero_grad_is_noop_on_first_step(self):
         model = tiny_model()
-        model.params.zero_grads()
+        for _, p in model.params.items():
+            p.grad[...] = 0.0
         before = model.params.values_copy()
         TR.adam_step(model.params, 1, TR.TrainConfig())
         after = model.params.values_copy()
@@ -504,7 +512,6 @@ class TestStepFold:
         model = step_fold_model()
         loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(3))
         grads = {name: p.grad.copy() for name, p in model.params.items()}
-        model.params.zero_grads()
         ids, labels = (np.concatenate(column) for column in zip(*batch))
         probs, cache = model.forward_with_cache(ids, training=True, rng=Rng(3),
                                                 lengths=STEP_LENGTHS)
