@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Render the pairwise embedding cosine-similarity matrix of a sentence under
-a trained checkpoint, as text and optionally as a PGM image."""
+a trained checkpoint, as text and optionally as a PGM image. The image path is
+checked as every acnn output is (atomic.check_outputs) before the checkpoint is
+read: one that would replace the checkpoint is a usage error, and one that is
+a directory or lies under a file is a data error; both exit 2."""
 
 import argparse
 
 import numpy as np
 
-from acnn.atomic import atomic_open
+from acnn.atomic import atomic_open, check_outputs
 from acnn.data import CorpusFormatError, Vocabulary, parse_annotated, preprocess
 from acnn.model import CheckpointError, load_checkpoint
 
@@ -60,6 +63,13 @@ def main() -> None:
         seq = preprocess(parse_annotated(args.sentence))
     except CorpusFormatError as e:
         ap.error(f"--sentence: {e}")
+    if args.pgm:
+        try:
+            check_outputs({"checkpoint": args.checkpoint}, {"image": args.pgm})
+        except ValueError as e:
+            ap.error(f"--pgm: {e}")
+        except OSError as e:
+            ap.exit(2, f"{ap.prog}: error: --pgm: {e}\n")
 
     try:
         ckpt = load_checkpoint(args.checkpoint)

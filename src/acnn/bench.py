@@ -98,6 +98,17 @@ def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
 AB_TRAIN = training.TrainConfig(learning_rate=0.002, max_epochs=25, patience=6)
 
 
+def check_seeds(seeds) -> None:
+    """Refuse, with a ValueError, fewer than 3 seeds, a repeated seed (it
+    trains the same arms again and adds nothing to the mean) or one that Rng
+    rejects."""
+    if len(seeds) < 3 or len(set(seeds)) < len(seeds):
+        raise ValueError("ab-bench needs at least 3 distinct seeds for a stable mean "
+                         "(e.g. --seeds 11,12,13)")
+    for seed in seeds:
+        Rng(seed)
+
+
 def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
              train_cfg: training.TrainConfig = AB_TRAIN,
              progress=None) -> BenchResult:
@@ -107,8 +118,7 @@ def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
     The corpus is generated once from the preset (deterministic); the seeds
     vary parameter initialization, shuffling, and dropout.
     """
-    if len(seeds) < 3 or len(set(seeds)) < len(seeds):
-        raise ValueError("ab_bench needs at least 3 distinct seeds for a stable mean")
+    check_seeds(seeds)
     train_seqs, dev_seqs, vocab = preset_corpora(preset, train_count, dev_count)
     result = BenchResult(max_epochs=train_cfg.max_epochs)
     for seed in seeds:

@@ -4,7 +4,9 @@ gradient checking, and the CNN-vs-ACNN benchmark.
 synth, train, tag and ab-bench write a run manifest (JSON, atomic) next to
 their primary output, and eval does with --out, so a run can be reproduced
 bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS); gradcheck writes nothing.
-Each of them keeps its record in one _RunRecord.
+Each of them keeps its record in one _RunRecord, which first refuses the
+outputs that atomic.check_outputs rejects. An input path names exactly the file
+given; the package reads no environment variable.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
@@ -18,11 +20,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, data, evaluate, training
-from .atomic import atomic_open, temporary_path
+from .atomic import atomic_open, check_outputs
 from .model import (LAYER1_KIND, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
                     ModelConfig, CheckpointError, ConfigError, load_checkpoint,
                     model_preset, param_count, save_checkpoint)
@@ -42,8 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-DATA_DIR_ENV = "ACNN_DATA_DIR"
 
 
 class UsageError(Exception):
@@ -57,7 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _flag_values():
-    """Configs built from flag values: a value they reject is a usage error."""
+    """Configs and output paths built from flag values: a value they reject
+    (a ValueError) is a usage error."""
     try:
         yield
     except ValueError as exc:  # ConfigError included
@@ -81,42 +80,17 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _check_outputs(inputs: dict, outputs: dict) -> None:
-    """Refuse, before any work, an output that would replace a file the run
-    reads or writes, itself or through its temporary file (atomic_open).
-    `inputs` and `outputs` map the role of each path, which error messages
-    name, to the path. An output that resolves to an input or to another
-    output, or whose temporary file does, is a usage error; one that is an
-    existing directory, or that lies under an existing file, is a data error."""
-    roles = {Path(path).resolve(): role for role, path in inputs.items()}
-    for role, path in outputs.items():
-        path = Path(path)
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
-        nearest = next((p for p in path.parents if p.exists()), None)
-        if nearest is not None and not nearest.is_dir():
-            raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(nearest))
-        key = path.resolve()
-        if key in roles:
-            raise UsageError(f"{role} {path} is also the {roles[key]}")
-        roles[key] = role
-    for role, path in outputs.items():
-        tmp = temporary_path(path)
-        key = Path(tmp).resolve()
-        if key in roles:
-            raise UsageError(f"{role} {path} is written through {tmp}, the {roles[key]}")
-
-
 class _RunRecord:
     """The run record of one command, made before any work. It refuses bad
-    outputs (_check_outputs, the manifest next to `primary` included) and
-    starts one clock. `lap` times a phase from the previous mark; `write`,
+    outputs (atomic.check_outputs, the manifest next to `primary` included)
+    and starts one clock. `lap` times a phase from the previous mark; `write`,
     once the outputs exist, writes the manifest: the command, its config and
     seed, the RNG algorithm, the sha256 of every input and output, and the
     timings in seconds, total_sec last."""
 
     def __init__(self, command: str, primary, inputs: dict, outputs: dict):
-        _check_outputs(inputs, {**outputs, "manifest": _manifest_path(primary)})
+        with _flag_values():  # an output that replaces another path is a usage error
+            check_outputs(inputs, {**outputs, "manifest": _manifest_path(primary)})
         self.command, self.primary = command, primary
         self.inputs, self.outputs = inputs, outputs
         self.timings: dict[str, float] = {}
@@ -138,15 +112,6 @@ class _RunRecord:
         manifest["timings"] = {**self.timings, "total_sec": time.perf_counter() - self._start}
         _write_text(_manifest_path(self.primary),
                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _resolve(path: str) -> Path:
-    p = Path(path)
-    if not p.is_absolute() and DATA_DIR_ENV in os.environ and not p.exists():
-        candidate = Path(os.environ[DATA_DIR_ENV]) / p
-        if candidate.exists():
-            return candidate
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +155,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = Path(args.log) if args.log else out.with_suffix(".log")
-    train_path, dev_path = _resolve(args.train), _resolve(args.dev)
+    train_path, dev_path = Path(args.train), Path(args.dev)
     record = _RunRecord("train", out, {"training corpus": train_path, "dev corpus": dev_path},
                         {"checkpoint": out, "log": log_path})
     with _flag_values():  # before any corpus is read; the vocabulary size comes after
@@ -229,7 +194,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tag(args) -> int:
-    ckpt_path, input_path = _resolve(args.checkpoint), _resolve(args.input)
+    ckpt_path, input_path = Path(args.checkpoint), Path(args.input)
     out = Path(args.out)
     record = _RunRecord("tag", out, {"checkpoint": ckpt_path, "input": input_path},
                         {"output": out})
@@ -256,7 +221,7 @@ def cmd_tag(args) -> int:
 def cmd_eval(args) -> int:
     if args.errors < 0:
         raise UsageError(f"--errors must be >= 0, got {args.errors}")
-    gold_path, predicted_path = _resolve(args.gold), _resolve(args.predicted)
+    gold_path, predicted_path = Path(args.gold), Path(args.predicted)
     record = _RunRecord("eval", args.out, {"gold corpus": gold_path,
                                            "predicted corpus": predicted_path},
                         {"report": args.out}) if args.out else None
@@ -356,13 +321,9 @@ def cmd_ab_bench(args) -> int:
         for count in (args.train_count, args.dev_count):
             replace(gen_cfg, sentence_count=count)
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        for seed in seeds:
-            Rng(seed)
+        bench.check_seeds(seeds)
         tcfg = training.TrainConfig(learning_rate=args.lr, max_epochs=args.max_epochs,
                                     patience=args.patience)
-    if len(seeds) < 3 or len(set(seeds)) < len(seeds):
-        raise UsageError("ab-bench needs at least 3 distinct comma-separated seeds "
-                         "(e.g. --seeds 11,12,13)")
     record = _RunRecord("ab-bench", args.out, {}, {"report": args.out})
 
     def progress(arm):

@@ -316,14 +316,6 @@ class TestTagAndEval:
                    "--errors", value) == cli.EXIT_USAGE
         assert "error:usage" in capsys.readouterr().err
 
-    def test_data_dir_env_resolution(self, corpus_dir, trained, tmp_path,
-                                     monkeypatch):
-        monkeypatch.setenv(cli.DATA_DIR_ENV, str(corpus_dir))
-        monkeypatch.chdir(tmp_path)
-        assert run("tag", "--checkpoint", str(trained),
-                   "--input", "test.bt",
-                   "--out", str(tmp_path / "o.tab")) == cli.EXIT_OK
-
 
 class TestGradcheck:
     @pytest.mark.parametrize("arch", ["cnn", "acnn"])

@@ -36,15 +36,21 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-def test_embedding_heatmap(tmp_path):
-    corpus = tmp_path / "corpus"
-    ckpt = tmp_path / "m.ckpt"
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A one-epoch acnn-toy checkpoint for the heatmap script to read."""
+    d = tmp_path_factory.mktemp("heatmap")
+    corpus, ckpt = d / "corpus", d / "m.ckpt"
     assert cli.main(["synth", "--preset", "toy", "--out", str(corpus), "--train-count", "30",
                      "--dev-count", "10", "--test-count", "1"]) == cli.EXIT_OK
     assert cli.main(["train", "--preset", "acnn-toy", "--train", str(corpus / "train.bt"),
                      "--dev", str(corpus / "dev.bt"), "--out", str(ckpt),
                      "--max-epochs", "1"]) == cli.EXIT_OK
-    proc = run_script("embedding_heatmap.py", "--checkpoint", str(ckpt),
+    return ckpt
+
+
+def test_embedding_heatmap(checkpoint):
+    proc = run_script("embedding_heatmap.py", "--checkpoint", str(checkpoint),
                       "--sentence", "the [ big + big ] dog")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -111,6 +117,37 @@ def test_embedding_heatmap_unreadable_checkpoint_is_data_error(tmp_path, content
     assert len(proc.stderr.splitlines()) == 1 and str(ckpt) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# the checkpoint's file name, --pgm, and whether the refusal is a usage error
+# (argparse's usage and message) or a data error (one stderr line)
+PGM_CASES = {
+    "is-the-checkpoint": ("h.pgm", "h.pgm", "usage"),
+    "tmp-is-the-checkpoint": ("h.pgm.tmp", "h.pgm", "usage"),
+    "is-a-directory": ("m.ckpt", "outdir", "data"),
+    "under-the-checkpoint": ("m.ckpt", "m.ckpt/h.pgm", "data"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PGM_CASES))
+def test_embedding_heatmap_pgm_refused(tmp_path, checkpoint, case):
+    """A --pgm that atomic.check_outputs refuses exits 2 before the checkpoint
+    is read, and leaves every file as it was."""
+    name, pgm, kind = PGM_CASES[case]
+    (tmp_path / name).write_bytes(checkpoint.read_bytes())
+    (tmp_path / "outdir").mkdir()
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    proc = run_script("embedding_heatmap.py", "--checkpoint", str(tmp_path / name),
+                      "--sentence", "the [ big + big ] dog", "--pgm", str(tmp_path / pgm))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    if kind == "usage":
+        assert "usage:" in proc.stderr and "the checkpoint" in proc.stderr
+    else:
+        assert len(proc.stderr.splitlines()) == 1 and "--pgm" in proc.stderr
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
 
 
 class TestRandomSearch:
