@@ -24,8 +24,10 @@ offset is then one matmul, q_d @ K_d.T, whose column (u, i) is added onto Y's
 slot i before the slots are summed, so with B == 0 autocorr is conv1d bit for
 bit. A band is formed, used and dropped inside the call, and the backward forms
 it again; no (n, w, m) array and no array of window pairs is formed. B itself
-keeps its (c, w, w, m) shape, and the backward, the adjoint of the fold, writes
-pair (i, j)'s kernel gradient into both B[i, j] and B[j, i], so every call
+keeps its (c, w, w, m) shape, and pair_views is the one reader of that layout:
+for each offset d it yields the views of the pairs (i, i + d) and (i + d, i).
+fold sums them, and the backward, the adjoint of the fold, writes pair (i, j)'s
+kernel gradient into both B[i, j] and B[j, i] through them, so every call
 writes a complete, symmetric gradient over whatever its buffer held.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
@@ -125,30 +127,31 @@ class ConvCache:
 @dataclass
 class AutoCorrCache(ConvCache):
     bands: np.ndarray  # (n, w) bool: row a + d lies in row a's sentence
-    folded: list[np.ndarray]  # _fold(B): offset d's (c * (w-d), m) kernel block
+    folded: list[np.ndarray]  # fold(B): offset d's (c * (w-d), m) kernel block
 
 
-def _offset_pairs(pairs: np.ndarray, w: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (c, w-d, m) views of the pairs (i, i + d) and (i + d, i), i < w - d,
-    of a kernel viewed as (c, w * w, m), pair (i, j) at i * w + j: the upper
-    one starts at d, the lower one at d * w, each stepping w + 1. For d == 0
-    both are the diagonal. _fold, autocorr_backward and Adam's steps of a B
-    (training._adam_blocks) all read the pairs through these views."""
-    return pairs[:, d :: w + 1][:, : w - d], pairs[:, d * w :: w + 1]
+def pair_views(B: np.ndarray):
+    """Each offset d < w of a pair kernel B of shape (c, w, w, m), in order,
+    as the (c, w-d, m) views of its pairs (i, i + d) and of its pairs
+    (i + d, i), i < w - d; for d == 0 both are the diagonal. B is reshaped
+    without a copy, so a write through a view lands in B, and a B whose
+    layout needs a copy raises ValueError. fold, autocorr_backward, Adam's
+    steps of a B and the size of its moments all read the pairs through
+    these views."""
+    c, w, _, m = B.shape
+    pairs = B.reshape(c, w * w, m, copy=False)  # pair (i, j) at i * w + j
+    for d in range(w):
+        yield pairs[:, d :: w + 1][:, : w - d], pairs[:, d * w :: w + 1]
 
 
-def _fold(B: np.ndarray) -> list[np.ndarray]:
+def fold(B: np.ndarray) -> list[np.ndarray]:
     """B folded onto the window pairs i <= j, one (c * (w-d), m) block per
     offset d over the pairs (i, i + d), rows ordered (u, i): their
     contraction equals B's over all w*w pairs of a symmetric interaction
     tensor."""
     c, w, _, m = B.shape
-    pairs = B.reshape(c, w * w, m)
-    folded = []
-    for d in range(w):
-        upper, lower = _offset_pairs(pairs, w, d)
-        folded.append((np.add(upper, lower) if d else upper).reshape(c * (w - d), m))
-    return folded
+    return [(np.add(upper, lower) if d else upper).reshape(c * (w - d), m)
+            for d, (upper, lower) in enumerate(pair_views(B))]
 
 
 def _bands(x: np.ndarray, bands: np.ndarray):
@@ -204,7 +207,7 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
     pairwise interaction tensor restricted to the window at t, computed over
     the pairs i <= j with B folded (see the module docstring). `folded` is
-    _fold(B) when the caller has it already, so that several calls over one B
+    fold(B) when the caller has it already, so that several calls over one B
     fold it once. With B == 0 this is exactly conv1d_forward. The rows of x are
     sentences of `lengths` (default: one sentence); a masked-out window row is
     zero, and so is every interaction entry it takes part in.
@@ -215,7 +218,7 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     mask, bands = reach[:, :w], reach[:, spec.ell :]
     if B.shape != (c, w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
-    folded = _fold(B) if folded is None else folded
+    folded = fold(B) if folded is None else folded
     Y = _kn2row(x, A, spec.ell)
     for d, q in _bands(x, bands):  # slot i's pair (i, i + d) of row a is q[a]
         Y[spec.ell : spec.ell + len(q), :, : w - d] += (q @ folded[d].T).reshape(len(q), c, w - d)
@@ -226,7 +229,7 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
                       dB: np.ndarray):
     """Gradients of an autocorr_forward call: returns (dx, dA, db). The kernel
     gradient is written into every entry of the caller's (c, w, w, m) `dB`,
-    pair (i, j)'s into both B[i, j] and B[j, i] as the adjoint of _fold, so
+    pair (i, j)'s into both B[i, j] and B[j, i] as the adjoint of fold, so
     `dB` holds this call's complete, symmetric gradient, whatever it held
     before.
 
@@ -236,13 +239,12 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     """
     x, (c, w, _, m) = cache.x, dB.shape
     dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
-    pairs = dB.reshape(c, w * w, m, copy=False)
-    for d, q in _bands(x, cache.bands):  # slot i's upstream of q[a] is dY[a, :, i]
+    # slot i's upstream of q[a] is dY[a, :, i]
+    for (d, q), (upper, lower) in zip(_bands(x, cache.bands), pair_views(dB)):
         rows = len(q)
         dY_d = dY[:rows, :, : w - d].reshape(rows, c * (w - d))
-        # adjoint of _fold: pair (i, i + d)'s gradient goes to B[i, i + d] and
+        # adjoint of fold: pair (i, i + d)'s gradient goes to B[i, i + d] and
         # B[i + d, i], one view for d == 0; an empty band's gradient is zero
-        upper, lower = _offset_pairs(pairs, w, d)
         upper[...] = lower[...] = (dY_d.T @ q).reshape(c, w - d, m)
         dq = dY_d @ cache.folded[d]
         dq[~cache.bands[:rows, d]] = 0.0

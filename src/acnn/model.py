@@ -12,6 +12,12 @@ channels/len(groups) output columns and the group outputs are stacked
 column-wise, so `channels` is the layer's total output width. Inside the
 auto-correlation operator the A-kernel and B-kernel terms are added
 element-wise.
+
+_groups is the one place a group's tensors are named: per layer, each group's
+spec and the names of the A, B and b it reads, no B in a conv group. _layout
+derives the stored tensors from it, and each Model builds that group table
+once and walks it in every pass. is_pair_kernel is the one rule for which
+parameters are pair kernels (the B's).
 """
 
 from __future__ import annotations
@@ -126,6 +132,14 @@ class ModelConfig:
         )
 
 
+def is_pair_kernel(value: np.ndarray) -> bool:
+    """Whether a parameter is a pair kernel: an autocorr B, the one tensor of
+    shape (c, w, w, m) in _layout. Its gradient is symmetric, its Adam moments
+    cover its pairs i <= j only (Param.of), and a checkpoint-built model keeps
+    it read-only (Checkpoint.build_model)."""
+    return value.ndim == 4
+
+
 @dataclass
 class Param:
     value: np.ndarray
@@ -135,19 +149,15 @@ class Param:
     adam_v: np.ndarray
 
     @staticmethod
-    def of(value: np.ndarray, pairs: bool = False) -> "Param":
+    def of(value: np.ndarray) -> "Param":
         """Every array C-contiguous, so that flat views of it are views; a
         C-contiguous value is taken over as it is, not copied. A pair kernel
-        (`pairs`: an autocorr B of shape (c, w, w, m), whose gradient is
-        symmetric) keeps its Adam moments for its pairs i <= j only: one flat
-        array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block after
-        offset d-1's, in the order of layers._fold."""
+        keeps its Adam moments for its pairs i <= j only: one flat array of
+        c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block after offset
+        d-1's, in the order of layers.pair_views."""
         value = np.ascontiguousarray(value)
-        if pairs:
-            c, w, _, m = value.shape
-            moments = (c * w * (w + 1) // 2 * m,)
-        else:
-            moments = value.shape
+        moments = ((sum(upper.size for upper, _ in L.pair_views(value)),)
+                   if is_pair_kernel(value) else value.shape)
         # np.zeros maps no page before its first write, so tagging never pays for these
         return Param(value=value,
                      grad=np.zeros(value.shape),
@@ -163,10 +173,9 @@ class ParamStore:
         self._params: dict[str, Param] = {}
 
     def add(self, name: str, value: np.ndarray) -> None:
-        """Store `value` under `name`; a B (`layerK.groupG.B`) is a pair kernel."""
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        self._params[name] = Param.of(value, pairs=name.endswith(".B"))
+        self._params[name] = Param.of(value)
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -199,22 +208,47 @@ def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -
     return rng.uniform(-bound, bound, shape)
 
 
+@dataclass(frozen=True)
+class _Group:
+    """One kernel group of an operator layer: its spec, its output columns in
+    the layer's output, and the names of the A, B and b it reads."""
+    spec: L.ConvKernelSpec
+    columns: slice
+    A: str
+    B: str | None  # None in a conv group
+    b: str
+
+
+def _groups(config: ModelConfig) -> list[list[_Group]]:
+    """The group table: per operator layer, its kernel groups in order. The
+    one place a group's tensors are named, `layerK.groupG.A` and so on."""
+    layers = []
+    for k, lc in enumerate(config.layers, start=1):
+        gc, groups = lc.group_channels, []
+        for g, (ell, r) in enumerate(lc.kernel_groups):
+            prefix = f"layer{k}.group{g}"
+            B = f"{prefix}.B" if lc.kind == "autocorr" else None
+            groups.append(_Group(L.ConvKernelSpec(ell, r), slice(g * gc, (g + 1) * gc),
+                                 f"{prefix}.A", B, f"{prefix}.b"))
+        layers.append(groups)
+    return layers
+
+
 def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
     """(name, shape, fan_in, fan_out) per tensor in store order; fan_in 0 marks a bias of ones."""
     table = [("embedding", (config.vocab_size, config.embedding_dim),
               config.vocab_size, config.embedding_dim)]
-    in_dim = config.embedding_dim
-    for k, lc in enumerate(config.layers, start=1):
+    # each operator layer's input width: the embedding's, then the layer before's
+    in_dims = (config.embedding_dim, *(lc.channels for lc in config.layers))
+    for lc, in_dim, groups in zip(config.layers, in_dims, _groups(config)):
         gc = lc.group_channels
-        for g, (ell, r) in enumerate(lc.kernel_groups):
-            w = ell + r + 1
-            prefix = f"layer{k}.group{g}"
-            table.append((f"{prefix}.A", (gc, w, in_dim), w * in_dim, gc))
-            if lc.kind == "autocorr":
-                table.append((f"{prefix}.B", (gc, w, w, in_dim), w * w * in_dim, gc))
-            table.append((f"{prefix}.b", (gc,), 0, 0))
-        in_dim = lc.channels
-    return table + [("output.W", (NUM_CLASSES, in_dim), in_dim, NUM_CLASSES),
+        for group in groups:
+            w = group.spec.width
+            table.append((group.A, (gc, w, in_dim), w * in_dim, gc))
+            if group.B:
+                table.append((group.B, (gc, w, w, in_dim), w * w * in_dim, gc))
+            table.append((group.b, (gc,), 0, 0))
+    return table + [("output.W", (NUM_CLASSES, in_dims[-1]), in_dims[-1], NUM_CLASSES),
                     ("output.b", (NUM_CLASSES,), 0, 0)]
 
 
@@ -229,14 +263,16 @@ class _ForwardCache:
 
 
 class Model:
-    """A built network: config plus parameter store. A model that keeps its
-    folds (with_kept_folds) contracts each B through the fold it took when it
-    was made; any other folds each B afresh in every forward call, so a
-    training step, one pass, folds each B once."""
+    """A built network: config plus parameter store. Its group table
+    (_groups) is built once, here, and the passes walk it. A model that keeps
+    its folds (with_kept_folds) contracts each B through the fold it took
+    when it was made; any other folds each B afresh in every forward call, so
+    a training step, one pass, folds each B once."""
 
     def __init__(self, config: ModelConfig, params: ParamStore):
         self.config = config
         self.params = params
+        self._groups = _groups(config)
         self._kept_folds: dict[str, list[np.ndarray]] | None = None
 
     @staticmethod
@@ -254,13 +290,13 @@ class Model:
 
     def with_kept_folds(self) -> "Model":
         """This model if it keeps its folds, else a Model over the same
-        ParamStore that keeps each B's fold (layers._fold) as it is now: for
+        ParamStore that keeps each B's fold (layers.fold) as it is now: for
         several forward calls over values that do not change between them."""
         if self._kept_folds is not None:
             return self
         model = Model(self.config, self.params)
-        model._kept_folds = {name: L._fold(p.value) for name, p in self.params.items()
-                             if name.endswith(".B")}
+        model._kept_folds = {group.B: L.fold(self.params[group.B].value)
+                             for groups in self._groups for group in groups if group.B}
         return model
 
     def forward(self, token_ids, training: bool = False,
@@ -285,19 +321,15 @@ class Model:
         x, mask = L.dropout(emb, self.config.dropout_rate, rng, training)
         kept = self._kept_folds or {}  # an autocorr call without its B's fold folds it
         activations, group_caches = [], []
-        for k, lc in enumerate(self.config.layers, start=1):
+        for groups in self._groups:
             cols, caches = [], []
-            for g, (ell, r) in enumerate(lc.kernel_groups):
-                spec = L.ConvKernelSpec(ell, r)
-                prefix = f"layer{k}.group{g}"
-                A = self.params[f"{prefix}.A"].value
-                b = self.params[f"{prefix}.b"].value
-                if lc.kind == "autocorr":
-                    B = self.params[f"{prefix}.B"].value
-                    out, cache = L.autocorr_forward(x, spec, A, B, b, lengths,
-                                                    folded=kept.get(f"{prefix}.B"))
+            for group in groups:
+                A, b = self.params[group.A].value, self.params[group.b].value
+                if group.B:
+                    out, cache = L.autocorr_forward(x, group.spec, A, self.params[group.B].value,
+                                                    b, lengths, folded=kept.get(group.B))
                 else:
-                    out, cache = L.conv1d_forward(x, spec, A, b, lengths)
+                    out, cache = L.conv1d_forward(x, group.spec, A, b, lengths)
                 cols.append(out)
                 caches.append(cache)
             x = L.relu(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1))
@@ -320,26 +352,21 @@ class Model:
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad[...] = dW
         self.params["output.b"].grad[...] = db
-        for k in range(len(self.config.layers), 0, -1):
-            lc = self.config.layers[k - 1]
+        for groups, activation, caches in zip(self._groups[::-1], cache.activations[::-1],
+                                              cache.group_caches[::-1]):
             # relu(y) > 0 exactly where y > 0, NaN included
-            dy = L.relu_backward(cache.activations[k - 1], dx)
-            gc = lc.group_channels
-            dx_next = 0.0  # the layer's input gradient, summed over its groups
-            for g in range(len(lc.kernel_groups)):
-                upstream = dy[:, g * gc : (g + 1) * gc]
-                prefix = f"layer{k}.group{g}"
-                A = self.params[f"{prefix}.A"].value
-                gcache = cache.group_caches[k - 1][g]
-                if lc.kind == "autocorr":
-                    dxg, dA, dbg = L.autocorr_backward(
-                        gcache, A, upstream, self.params[f"{prefix}.B"].grad)
+            dy = L.relu_backward(activation, dx)
+            dx = 0.0  # the layer's input gradient, summed over its groups
+            for group, gcache in zip(groups, caches):
+                upstream, A = dy[:, group.columns], self.params[group.A].value
+                if group.B:
+                    dxg, dA, dbg = L.autocorr_backward(gcache, A, upstream,
+                                                       self.params[group.B].grad)
                 else:
                     dxg, dA, dbg = L.conv1d_backward(gcache, A, upstream)
-                self.params[f"{prefix}.A"].grad[...] = dA
-                self.params[f"{prefix}.b"].grad[...] = dbg
-                dx_next += dxg
-            dx = dx_next
+                self.params[group.A].grad[...] = dA
+                self.params[group.b].grad[...] = dbg
+                dx += dxg
         if cache.dropout_mask is not None:
             dx = dx * cache.dropout_mask
         # a repeated id sums its rows' gradients, and an absent id gets zero
@@ -464,7 +491,7 @@ class Checkpoint:
         params = ParamStore()
         for name, value in self.tensors.items():
             params.add(name, value)
-            if name.endswith(".B"):
+            if is_pair_kernel(value):
                 params[name].value.flags.writeable = False
         return Model(self.config, params).with_kept_folds()
 

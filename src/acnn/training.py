@@ -10,8 +10,8 @@ import numpy as np
 
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
-from .layers import _offset_pairs, softmax_xent_backward
-from .model import CLASS_DISFLUENT, Model, ModelConfig, Param, ParamStore
+from .layers import pair_views, softmax_xent_backward
+from .model import CLASS_DISFLUENT, Model, ModelConfig, Param, ParamStore, is_pair_kernel
 from .tensor import NumericError, Rng
 
 
@@ -70,30 +70,25 @@ ADAM_BLOCK = 1 << 15
 
 def _adam_blocks(p: Param):
     """p's (value, grad, m, v, mirror) blocks of at most ADAM_BLOCK elements,
-    views all. A tensor whose moments have its value's shape is cut flat, with
-    no mirror. A pair kernel (a B, Param.of) is cut per offset d into channel
+    views all. Any tensor but a pair kernel is cut flat, with no mirror. A
+    pair kernel (a B, model.is_pair_kernel) is cut per offset d into channel
     blocks of its pairs (i, i + d) and of their moments; for d > 0 the mirror
     is the same block of the pairs (i + d, i). A block holds one channel at
     least, even where that channel has more than ADAM_BLOCK elements."""
     # views, since Param keeps every array C-contiguous
-    if p.adam_m.shape == p.value.shape:
+    if not is_pair_kernel(p.value):
         flat = [a.reshape(-1) for a in (p.value, p.grad, p.adam_m, p.adam_v)]
         for lo in range(0, p.value.size, ADAM_BLOCK):
             yield *(a[lo:lo + ADAM_BLOCK] for a in flat), None
         return
-    c, w, _, m = p.value.shape
-    value, grad = (a.reshape(c, w * w, m) for a in (p.value, p.grad))
     lo = 0
-    for d in range(w):
-        upper, lower = _offset_pairs(value, w, d)
-        grad_d = _offset_pairs(grad, w, d)[0]
-        size = c * (w - d) * m
-        m_d, v_d = (a[lo:lo + size].reshape(c, w - d, m) for a in (p.adam_m, p.adam_v))
-        lo += size
-        channels = max(1, ADAM_BLOCK // ((w - d) * m))
-        for u in range(0, c, channels):
+    for d, ((upper, lower), (grad, _)) in enumerate(zip(pair_views(p.value), pair_views(p.grad))):
+        m_d, v_d = (a[lo:lo + upper.size].reshape(upper.shape) for a in (p.adam_m, p.adam_v))
+        lo += upper.size
+        channels = max(1, ADAM_BLOCK // upper[0].size)
+        for u in range(0, len(upper), channels):
             s = slice(u, u + channels)
-            yield upper[s], grad_d[s], m_d[s], v_d[s], lower[s] if d else None
+            yield upper[s], grad[s], m_d[s], v_d[s], lower[s] if d else None
 
 
 def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:

@@ -317,6 +317,31 @@ class TestTagAndEval:
         assert "error:usage" in capsys.readouterr().err
 
 
+def test_tabular_corpus_runs_like_bracket_text(tmp_path):
+    """Training, tagging and scoring a corpus written as tabular give the
+    checkpoint, log, tagged file and report of the same corpus in bracket
+    text, byte for byte."""
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--preset", "toy", "--out", str(corpus), "--train-count", "150",
+               "--dev-count", "40", "--test-count", "10") == cli.EXIT_OK
+    for split in ("train", "dev"):
+        data.write_corpus(data.read_corpus(corpus / f"{split}.bt"), corpus / f"{split}.tab",
+                          "tabular")
+    outputs = {}
+    for fmt, suffix in (("bracket-text", "bt"), ("tabular", "tab")):
+        train, dev = (corpus / f"{split}.{suffix}" for split in ("train", "dev"))
+        ckpt, tagged, report = (tmp_path / fmt / name for name in ("m.ckpt", "dev.tab", "r.tsv"))
+        assert run("train", "--preset", "acnn-toy", "--format", fmt, "--train", str(train),
+                   "--dev", str(dev), "--out", str(ckpt), "--max-epochs", "2") == cli.EXIT_OK
+        assert run("tag", "--checkpoint", str(ckpt), "--format", fmt, "--input", str(dev),
+                   "--out", str(tagged)) == cli.EXIT_OK
+        assert run("eval", "--gold", str(dev), "--gold-format", fmt, "--predicted",
+                   str(tagged), "--out", str(report)) == cli.EXIT_OK
+        outputs[fmt] = [path.read_bytes()
+                        for path in (ckpt, ckpt.with_suffix(".log"), tagged, report)]
+    assert outputs["tabular"] == outputs["bracket-text"]
+
+
 class TestGradcheck:
     @pytest.mark.parametrize("arch", ["cnn", "acnn"])
     def test_passes_for_both_archs(self, arch, capsys):

@@ -515,6 +515,46 @@ class TestFoldedPairs:
             assert np.abs(dB - full).max() <= 1e-12 * max(1.0, np.abs(full).max())
 
 
+class TestPairViews:
+    @pytest.mark.parametrize("w", [1, 2, 7, 12])
+    def test_views_cover_each_half_once(self, w):
+        """Offset d's views hold the pairs (i, i + d) and (i + d, i), so over
+        all offsets the upper views hold each pair i <= j once and the lower
+        views each pair i >= j once."""
+        c, m = 3, 2
+        i, j = np.indices((w, w))
+        pair_id = i * w + j
+        B = np.broadcast_to(pair_id[None, :, :, None], (c, w, w, m)).astype(float)
+        uppers, lowers = [], []
+        for d, (upper, lower) in enumerate(L.pair_views(B)):
+            assert upper.shape == lower.shape == (c, w - d, m)
+            rows = np.arange(w - d)
+            assert (upper == (rows * w + rows + d)[None, :, None]).all()
+            assert (lower == ((rows + d) * w + rows)[None, :, None]).all()
+            uppers += upper[0, :, 0].tolist()
+            lowers += lower[0, :, 0].tolist()
+        assert d == w - 1
+        assert sorted(uppers) == sorted(pair_id[i <= j].tolist())
+        assert sorted(lowers) == sorted(pair_id[i >= j].tolist())
+
+    def test_write_through_a_view_lands_in_the_array(self):
+        B = np.zeros((2, 4, 4, 3))
+        for upper, lower in L.pair_views(B):
+            upper += 1.0
+            lower += 10.0  # for d == 0 the same diagonal as upper
+        i, j = np.indices((4, 4))
+        want = np.where(i < j, 1.0, np.where(i > j, 10.0, 11.0))
+        assert (B == want[None, :, :, None]).all()
+
+    @pytest.mark.parametrize("layout", ["pair-axes-swapped", "fortran-order"])
+    def test_array_that_is_not_c_contiguous_raises(self, layout):
+        B = np.zeros((2, 4, 4, 3))
+        B = B.swapaxes(1, 2) if layout == "pair-axes-swapped" else np.asfortranarray(B)
+        assert not B.flags.c_contiguous
+        with pytest.raises(ValueError):
+            next(L.pair_views(B))
+
+
 @pytest.mark.parametrize("lengths", [None, [1, 20, 27]])
 def test_autocorr_cache_holds_no_band_array(lengths):
     """Apart from its input x and the folded kernel, an autocorr cache holds
@@ -523,7 +563,7 @@ def test_autocorr_cache_holds_no_band_array(lengths):
     forward for the backward."""
     n, m = 48, 290
     x, spec, A, B, b = rand_instance(Rng(6200), n, m, 5, 6, 2, with_B=True)
-    folded = L._fold(B)
+    folded = L.fold(B)
     _, cache = L.autocorr_forward(x, spec, A, B, b, lengths, folded=folded)
     assert cache.x is x and cache.folded is folded
     held = 0

@@ -95,6 +95,22 @@ class TestBuild:
         assert "layer2.group0.B" not in names
         assert names[-2:] == ["output.W", "output.b"]
 
+    @pytest.mark.parametrize("preset", M.MODEL_PRESETS)
+    def test_pair_moments_exactly_for_the_pair_kernels(self, preset):
+        """The parameters whose Adam moments cover pairs only are exactly the
+        (c, w, w, m) tensors, the B's, each with c * m * w(w+1)/2 floats."""
+        model = M.Model.build(M.model_preset(preset, vocab_size=20))
+        kernels = 0
+        for name, p in model.params.items():
+            pairs = p.adam_m.shape != p.value.shape
+            assert pairs == (p.value.ndim == 4), name
+            if pairs:
+                c, w, w2, m = p.value.shape
+                assert w2 == w and name.endswith(".B"), name
+                assert p.adam_m.shape == p.adam_v.shape == (c * m * w * (w + 1) // 2,), name
+                kernels += 1
+        assert kernels == {"acnn-table1": 2, "acnn-toy": 1}.get(preset, 0)
+
     def test_param_count_closed_form(self):
         # single autocorr layer, one group: A w*m per channel, B w*w*m, bias 1
         cfg = M.ModelConfig(vocab_size=10, embedding_dim=3,

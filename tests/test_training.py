@@ -217,9 +217,8 @@ class TestAdamInPlace:
         value, m_full, v_full = textbook_adam(start, grads, cfg)
         assert p.value.tobytes() == value.tobytes()
 
-        def upper_pairs(a):  # the i <= j entries in layers._fold's order
-            pairs = a.reshape(c, w * w, m)
-            return np.concatenate([L._offset_pairs(pairs, w, d)[0].ravel() for d in range(w)])
+        def upper_pairs(a):  # the i <= j entries in layers.pair_views's order
+            return np.concatenate([upper.ravel() for upper, _ in L.pair_views(a)])
 
         assert p.adam_m.tobytes() == upper_pairs(m_full).tobytes()
         assert p.adam_v.tobytes() == upper_pairs(v_full).tobytes()
@@ -567,15 +566,15 @@ class TestStepFold:
 
 @pytest.fixture
 def folded(monkeypatch):
-    """The shape of every B that layers._fold folds, in call order."""
+    """The shape of every B that layers.fold folds, in call order."""
     shapes = []
-    fold = L._fold
+    fold = L.fold
 
     def counted(B):
         shapes.append(B.shape)
         return fold(B)
 
-    monkeypatch.setattr(L, "_fold", counted)
+    monkeypatch.setattr(L, "fold", counted)
     return shapes
 
 
@@ -646,6 +645,12 @@ class TestKeptFold:
         seqs = [TokenSequence(tokens=["w2"] * n, labels=[FLUENT] * n) for n in STEP_LENGTHS]
         assert len(TR.predict_masks(model, seqs, packing_vocab())) == len(seqs)
         assert folded == []
+        # no tensor of a cnn is a pair kernel, so none is read-only and it can be stepped
+        before = model.params.values_copy()
+        TR.batch_loss_and_grads(model, random_batch(STEP_LENGTHS, seed=2))
+        TR.adam_step(model.params, 1, TR.TrainConfig())
+        assert all(not np.array_equal(p.value, before[name]) for name, p in model.params.items()
+                   if name != "embedding")
 
 
 def packing_vocab():
