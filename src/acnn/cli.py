@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
                       tensors={name: p.value for name, p in model.params.items()})
     save_checkpoint(ckpt, out)
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
-    best = next(l for l in result.log if l.epoch == result.best_epoch)
+    best = result.log[result.best_epoch - 1]
     fmt = evaluate.format_percent
     print(f"best epoch {result.best_epoch}: dev P {fmt(best.dev_precision)} "
           f"R {fmt(best.dev_recall)} F {fmt(best.dev_f1)}")

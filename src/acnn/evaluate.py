@@ -84,47 +84,34 @@ def score(gold: list[TokenSequence], predicted: list) -> EvalReport:
     return EvalReport(tp=tp, fp=fp, fn=fn)
 
 
-def _innermost_span(spans: list[DisfluencySpan], idx: int) -> DisfluencySpan | None:
-    """Smallest reparandum range containing idx; ties go to the earlier span."""
-    best = None
-    for s in spans:
+def _span_of(spans: list[DisfluencySpan], idx: int) -> DisfluencySpan | None:
+    """The innermost span whose reparandum holds idx, or else the span whose
+    reparandum is nearest to it; ties go to the earlier span."""
+    def rank(s: DisfluencySpan) -> tuple[int, int]:
         a, b = s.reparandum
-        if a <= idx < b and (best is None or (b - a) < (best.reparandum[1] - best.reparandum[0])):
-            best = s
-    return best
-
-
-def _nearest_span(spans: list[DisfluencySpan], idx: int) -> DisfluencySpan | None:
-    """Span whose reparandum is closest to idx; ties go to the earlier span."""
-    best = None
-    best_dist = None
-    for s in spans:
-        a, b = s.reparandum
-        d = 0 if a <= idx < b else min(abs(idx - a), abs(idx - (b - 1)))
-        if best_dist is None or d < best_dist:
-            best, best_dist = s, d
-    return best
+        distance = max(a - idx, idx - (b - 1), 0)
+        return distance, (b - a) if distance == 0 else 0
+    return min(spans, key=rank, default=None)
 
 
 def score_by_kind(gold: list[TokenSequence], predicted: list) -> dict[str, EvalReport]:
-    """F restricted to reparandum tokens of each disfluency kind. Gold
-    disfluent tokens are attributed to the innermost containing span; false
-    positives to the nearest gold span in the sentence."""
+    """F restricted to reparandum tokens of each disfluency kind. A token
+    counts for the kind of one gold span, by one rule (_span_of): the
+    innermost span whose reparandum holds it, or else the nearest. A gold
+    disfluent token outside every reparandum counts for no kind."""
     reports = {k: EvalReport(tp=0, fp=0, fn=0) for k in KINDS}
     for seq, g, p in _mask_pairs(gold, predicted):
-        for idx in range(len(seq.tokens)):
-            if g[idx]:
-                span = _innermost_span(seq.spans, idx)
-                if span is None:
-                    continue
-                if p[idx]:
-                    reports[span.kind].tp += 1
-                else:
-                    reports[span.kind].fn += 1
+        for idx in np.flatnonzero(g | p):
+            span = _span_of(seq.spans, idx)
+            if span is None or g[idx] and not span.reparandum[0] <= idx < span.reparandum[1]:
+                continue
+            report = reports[span.kind]
+            if not g[idx]:
+                report.fp += 1
             elif p[idx]:
-                span = _nearest_span(seq.spans, idx)
-                if span is not None:
-                    reports[span.kind].fp += 1
+                report.tp += 1
+            else:
+                report.fn += 1
     return {k: r for k, r in reports.items() if (r.tp + r.fn + r.fp) > 0}
 
 

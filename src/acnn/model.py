@@ -72,7 +72,10 @@ class LayerConfig:
         for ell, r in self.kernel_groups:
             _check_type("ell", ell, int)
             _check_type("r", r, int)
-            L.ConvKernelSpec(ell, r)  # validates ell >= 0, r >= 1
+            try:
+                L.ConvKernelSpec(ell, r)  # validates ell >= 0, r >= 1
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     @property
     def group_channels(self) -> int:
@@ -377,9 +380,15 @@ class Model:
 
 @dataclass(frozen=True)
 class ParamCountReport:
-    entries: tuple[tuple[str, tuple[int, ...], int], ...]
-    embedding: int
-    network: int
+    entries: tuple[tuple[str, tuple[int, ...], int], ...]  # (name, shape, count) in store order
+
+    @property
+    def embedding(self) -> int:
+        return sum(count for name, _, count in self.entries if name == "embedding")
+
+    @property
+    def network(self) -> int:
+        return sum(count for name, _, count in self.entries if name != "embedding")
 
     @property
     def total(self) -> int:
@@ -396,17 +405,8 @@ class ParamCountReport:
 
 
 def param_count(params: ParamStore) -> ParamCountReport:
-    entries = []
-    embedding = 0
-    network = 0
-    for name, p in params.items():
-        count = int(p.value.size)
-        entries.append((name, p.value.shape, count))
-        if name == "embedding":
-            embedding += count
-        else:
-            network += count
-    return ParamCountReport(entries=tuple(entries), embedding=embedding, network=network)
+    return ParamCountReport(tuple((name, p.value.shape, int(p.value.size))
+                                  for name, p in params.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +496,27 @@ class Checkpoint:
         return Model(self.config, params).with_kept_folds()
 
 
+def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes before a tensor's data: u16 name length, name utf-8, u8 dtype
+    code (always 0 = float64), u8 rank, u32 dims..., all little-endian."""
+    nb = name.encode("utf-8")
+    try:
+        return struct.pack(f"<H{len(nb)}sBB{len(shape)}I", len(nb), nb, _FLOAT64,
+                           len(shape), *shape)
+    except struct.error as exc:  # a dim of 2**32 or more
+        raise CheckpointError(f"tensor {name!r} {shape} has no v1 header: {exc}") from None
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary layout (all integers little-endian):
     magic "ACNNCKPT" | u32 version | u64 metadata length | metadata JSON |
-    u32 tensor count | per tensor: u16 name length, name utf-8, u8 dtype code
-    (always 0 = float64), u8 rank, u32 dims..., raw row-major data.
+    u32 tensor count | per tensor: _tensor_header, raw row-major data.
+    The tensors must be exactly those of _layout (names in order, shapes),
+    the one header rule that load_checkpoint checks too.
     Writing is deterministic, so save -> load -> save is byte-identical, and
-    atomic (atomic_open): a failed write leaves `path` as it was. Metadata
-    that load_checkpoint would refuse is a CheckpointError before any write."""
+    atomic (atomic_open): a failed write leaves `path` as it was. Metadata or
+    tensors that load_checkpoint would refuse are a CheckpointError before any
+    write."""
     meta = {
         "config": ckpt.config.to_dict(),
         "vocab": ckpt.vocab_words,
@@ -511,22 +524,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "seed": ckpt.seed,
         "step": ckpt.step,
     }
-    _checked_config(meta)
+    layout = [(name, shape) for name, shape, _, _ in _layout(_checked_config(meta))]
+    if [(name, arr.shape) for name, arr in ckpt.tensors.items()] != layout:
+        raise CheckpointError("checkpoint tensors are not its config's (names in order, shapes)")
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(ckpt.tensors)))
+        fh.write(struct.pack("<I", len(layout)))
         for name, arr in ckpt.tensors.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", _FLOAT64))
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
+            fh.write(_tensor_header(name, arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)  # no copy
 
 
@@ -602,19 +611,11 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
         if unpack("<I") != len(layout):
             raise CheckpointError(f"checkpoint tensor count is not its config's {len(layout)}")
         tensors: dict[str, np.ndarray] = {}
-        for want_name, want_shape, _, _ in layout:
-            try:
-                name = read(unpack("<H")).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointError(f"corrupt checkpoint tensor name: {exc}") from exc
-            if name != want_name:
-                raise CheckpointError(f"checkpoint tensor {name!r}, its config's {want_name!r}")
-            code = unpack("<B")
-            if code != _FLOAT64:
-                raise CheckpointError(f"corrupt checkpoint: unknown dtype code {code}")
-            shape = tuple(unpack("<I") for _ in range(unpack("<B")))
-            if shape != want_shape:
-                raise CheckpointError(f"{name!r} has shape {shape}, its config's {want_shape}")
+        for name, shape, _, _ in layout:
+            header = _tensor_header(name, shape)
+            if read(len(header)) != header:
+                raise CheckpointError(f"checkpoint tensor header is not its config's "
+                                      f"{name!r} {shape}")
             n = guard(8 * math.prod(shape))
             tensors[name] = np.empty(shape)
             # read straight into the array, with no bytes object beside it

@@ -223,10 +223,18 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    best_f1: float
-    best_epoch: int
     steps: int
     log: list[EpochLog] = field(default_factory=list)
+
+    @property
+    def best_epoch(self) -> int:
+        """The last epoch marked best, 0 before the first epoch."""
+        return max((e.epoch for e in self.log if e.best), default=0)
+
+    @property
+    def best_f1(self) -> float:
+        """The best epoch's dev F, 0.0 when it is absent."""
+        return (self.log[self.best_epoch - 1].dev_f1 or 0.0) if self.best_epoch else 0.0
 
 
 def train(model: Model, train_seqs: list[TokenSequence],
@@ -247,36 +255,26 @@ def train(model: Model, train_seqs: list[TokenSequence],
     rng = Rng(model.config.seed)
     shuffle_rng = rng.spawn(1)
     dropout_rng = rng.spawn(2)
-    best_values = None  # set by epoch 1, whose F always beats -1
-    best_f1 = -1.0
-    best_epoch = 0
-    without_improvement = 0
-    t = 0
-    log: list[EpochLog] = []
+    best_values = None  # set by epoch 1, the first best
+    result = TrainResult(steps=0)
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(len(data))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [data[i] for i in order[start:start + cfg.batch_size]]
             loss = batch_loss_and_grads(model, batch, training=True, rng=dropout_rng)
-            t += 1
-            adam_step(model.params, t, cfg)
+            result.steps += 1
+            adam_step(model.params, result.steps, cfg)
             losses.append(loss)
         report = evaluate.score(dev_seqs, predict_masks(model, dev_seqs, vocab))
-        f1 = report.f1 if report.f1 is not None else 0.0
-        improved = f1 > best_f1
+        improved = epoch == 1 or (report.f1 or 0.0) > result.best_f1
         if improved:
-            best_f1 = f1
-            best_epoch = epoch
             best_values = model.params.values_copy()
-            without_improvement = 0
-        else:
-            without_improvement += 1
-        log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
-                            dev_precision=report.precision,
-                            dev_recall=report.recall, dev_f1=report.f1,
-                            best=improved))
-        if without_improvement >= cfg.patience:
+        result.log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
+                                   dev_precision=report.precision,
+                                   dev_recall=report.recall, dev_f1=report.f1,
+                                   best=improved))
+        if epoch - result.best_epoch >= cfg.patience:
             break
     model.params.load_values(best_values)
-    return TrainResult(best_f1=best_f1, best_epoch=best_epoch, steps=t, log=log)
+    return result

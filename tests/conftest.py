@@ -29,8 +29,9 @@ def _config_changed(**changes) -> dict:
 
 
 
-def _tensor(name: str, shape: tuple[int, ...], code: int = 0) -> tuple:
-    """(name, shape, dtype code, data): float64 zeros filling the shape."""
+def _tensor(name: str | bytes, shape: tuple[int, ...], code: int = 0) -> tuple:
+    """(name, shape, dtype code, data): float64 zeros filling the shape. A
+    name given as bytes is written as it is, not encoded."""
     return (name, shape, code, bytes(8 * math.prod(shape)))
 
 
@@ -83,6 +84,14 @@ HOSTILE_CHECKPOINTS = {
     # a tagging manifest would record pcg64 beside a seed of another generator
     "rng-algorithm-mt19937": (_changed(_VALID_META, rng_algorithm="mt19937"), None,
                               _VALID_TENSORS),
+    "vocab-entry-not-string": (_changed(_VALID_META, vocab=["<pad>", "<unk>", 3]), None,
+                               _VALID_TENSORS),
+    # the right count and shapes, but a name that is not UTF-8 or not its config's
+    "tensor-name-not-utf8": (_VALID_META, None,
+                             _VALID_TENSORS[:4] + (_tensor(b"output.\xff", (2,)),)),
+    "tensor-renamed": (_VALID_META, None, _VALID_TENSORS[:4] + (_tensor("output.c", (2,)),)),
+    # an embedding dim that no u32 header field holds
+    "vocab-size-2**32": (_config_changed(vocab_size=2 ** 32), None, _VALID_TENSORS),
 }
 
 
@@ -92,7 +101,8 @@ def _write_checkpoint(path, meta, meta_len, tensors):
              struct.pack("<Q", len(blob) if meta_len is None else meta_len), blob,
              struct.pack("<I", len(tensors))]
     for name, shape, code, raw in tensors:
-        parts += [struct.pack("<H", len(name)), name.encode("utf-8"),
+        name = name if isinstance(name, bytes) else name.encode("utf-8")
+        parts += [struct.pack("<H", len(name)), name,
                   struct.pack("<BB", code, len(shape))]
         parts += [struct.pack("<I", d) for d in shape]
         parts.append(raw)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acnn import evaluate as E
-from acnn.data import parse_annotated
+from acnn.data import DISFLUENT, FLUENT, DisfluencySpan, TokenSequence, parse_annotated
 
 
 def seqs_and_masks():
@@ -114,6 +114,14 @@ class TestScoreByKind:
         # and "cat" sit in the outer correction's reparandum
         assert by_kind["repetition"].tp == 1
         assert by_kind["correction"].tp == 2
+
+    def test_gold_token_outside_every_reparandum_counts_for_no_kind(self):
+        # "b" is labelled disfluent, but no span's reparandum holds it
+        seq = TokenSequence(tokens=["a", "x", "b"], labels=[DISFLUENT, FLUENT, DISFLUENT],
+                            spans=[DisfluencySpan((0, 1), None, None, "restart")])
+        for mask in ([True, False, True], [True, False, False]):
+            by_kind = E.score_by_kind([seq], [np.array(mask)])
+            assert {k: (r.tp, r.fp, r.fn) for k, r in by_kind.items()} == {"restart": (1, 0, 0)}
 
 
 class TestMarkedText:

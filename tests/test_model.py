@@ -46,8 +46,13 @@ class TestConfig:
         (((0.5, 1),), 4), (((0, 1.0),), 4), (((True, 1),), 4),
         (((0, 1),), 4.0), (((0, 1),), True)])
     def test_layer_integers_are_ints(self, kernel_groups, channels):
-        with pytest.raises(ValueError):
+        with pytest.raises(M.ConfigError):
             M.LayerConfig("conv", kernel_groups, channels)
+
+    @pytest.mark.parametrize("kernel_groups", [((-1, 1),), ((0, 0),)])
+    def test_kernel_group_bounds(self, kernel_groups):
+        with pytest.raises(M.ConfigError):
+            M.LayerConfig("conv", kernel_groups, 4)
 
     @pytest.mark.parametrize("field,value", [
         ("vocab_size", 12.0), ("embedding_dim", True), ("seed", 1.5),
@@ -322,10 +327,11 @@ class TestCheckpoint:
     def test_failed_save_keeps_old_file_and_no_tmp(self, tmp_path):
         _, _, ckpt, path = self.make(tmp_path)
         before = path.read_bytes()
-        broken = M.Checkpoint(config=ckpt.config, vocab_words=ckpt.vocab_words,
-                              rng_algorithm="pcg64", seed=0, step=0,
-                              tensors={"embedding": None})
-        with pytest.raises(AttributeError):
+        # the right names and shapes, but the last tensor fails its float64
+        # conversion after the rest of the file is written
+        broken = replace(ckpt, tensors={**ckpt.tensors,
+                                        "output.b": np.array(["x", "y"], dtype=object)})
+        with pytest.raises(ValueError, match="could not convert"):
             M.save_checkpoint(broken, path)
         (tmp_path / "dir").mkdir()
         with pytest.raises(IsADirectoryError):
@@ -333,16 +339,28 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "m.ckpt"]
 
-    @pytest.mark.parametrize("changes", [{"seed": 1}, {"step": -1},
-                                         {"rng_algorithm": "mt19937"}],
-                             ids=["seed-not-config-seed", "step-negative", "rng-algorithm"])
+    @pytest.mark.parametrize("changes", [
+        lambda ckpt: {"seed": 1},
+        lambda ckpt: {"step": -1},
+        lambda ckpt: {"rng_algorithm": "mt19937"},
+        lambda ckpt: {"tensors": dict(list(ckpt.tensors.items())[:-1])},
+        lambda ckpt: {"tensors": {**ckpt.tensors, "extra": np.zeros(1)}},
+        lambda ckpt: {"tensors": dict([*list(ckpt.tensors.items())[1::-1],
+                                       *list(ckpt.tensors.items())[2:]])},
+        # the embedding's values, with its dims swapped
+        lambda ckpt: {"tensors": {**ckpt.tensors, "embedding":
+                                  ckpt.tensors["embedding"].reshape(5, 12)}},
+    ], ids=["seed-not-config-seed", "step-negative", "rng-algorithm", "tensor-missing",
+            "tensor-extra", "tensors-swapped", "embedding-reshaped"])
     def test_save_refuses_what_load_refuses(self, changes, tmp_path):
-        """Metadata that load_checkpoint rejects is never written: the old
-        file stays as it was and no temporary file is left."""
+        """A checkpoint that load_checkpoint rejects is never written: the old
+        file stays as it was, no new file appears and no temporary file is
+        left."""
         _, _, ckpt, path = self.make(tmp_path)
         before = path.read_bytes()
-        with pytest.raises(M.CheckpointError):
-            M.save_checkpoint(replace(ckpt, **changes), path)
+        for target in (path, tmp_path / "new.ckpt"):
+            with pytest.raises(M.CheckpointError):
+                M.save_checkpoint(replace(ckpt, **changes(ckpt)), target)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
