@@ -25,28 +25,23 @@ class ArmResult:
 
 @dataclass
 class BenchResult:
+    """The arms of one A/B run, per arch ("cnn", "acnn") in seed order, and
+    the copy-pair diagnostic."""
     max_epochs: int  # the training recipe's
-    cnn: list[ArmResult] = field(default_factory=list)
-    acnn: list[ArmResult] = field(default_factory=list)
+    arms: dict[str, list[ArmResult]] = field(default_factory=lambda: {"cnn": [], "acnn": []})
     # copy_pair_similarity of the last ACNN arm's embeddings on the dev set
     copy_cosine: float = float("nan")
     random_cosine: float = float("nan")
 
-    @property
-    def mean_cnn_f1(self) -> float:
-        return float(np.mean([a.dev_f1 for a in self.cnn]))
-
-    @property
-    def mean_acnn_f1(self) -> float:
-        return float(np.mean([a.dev_f1 for a in self.acnn]))
+    def mean_f1(self, arch: str) -> float:
+        return float(np.mean([a.dev_f1 for a in self.arms[arch]]))
 
     @property
     def mean_gap(self) -> float:
-        return self.mean_acnn_f1 - self.mean_cnn_f1
+        return self.mean_f1("acnn") - self.mean_f1("cnn")
 
     def mean_kind_f1(self, arch: str, kind: str) -> float:
-        arms = self.cnn if arch == "cnn" else self.acnn
-        vals = [a.per_kind_f1.get(kind) for a in arms]
+        vals = [a.per_kind_f1.get(kind) for a in self.arms[arch]]
         vals = [v for v in vals if v is not None]
         return float(np.mean(vals)) if vals else float("nan")
 
@@ -59,10 +54,10 @@ class BenchResult:
             return f"{arm.best_epoch}{'*' if arm.best_epoch == self.max_epochs else ''}"
 
         lines = ["seed\tcnn_f1\tacnn_f1\tgap\tcnn_best\tacnn_best"]
-        for c, a in zip(self.cnn, self.acnn):
+        for c, a in zip(self.arms["cnn"], self.arms["acnn"]):
             lines.append(f"{c.seed}\t{c.dev_f1:.4f}\t{a.dev_f1:.4f}\t{a.dev_f1 - c.dev_f1:+.4f}"
                          f"\t{best(c)}\t{best(a)}")
-        lines += [f"mean\t{self.mean_cnn_f1:.4f}\t{self.mean_acnn_f1:.4f}\t"
+        lines += [f"mean\t{self.mean_f1('cnn'):.4f}\t{self.mean_f1('acnn'):.4f}\t"
                   f"{self.mean_gap:+.4f}", ""]
         for kind in KINDS:
             lines.append(f"{kind:<12} CNN {100 * self.mean_kind_f1('cnn', kind):6.2f}  "
@@ -126,7 +121,7 @@ def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
             arm, model = _train_arm(arch, seed, train_seqs, dev_seqs, vocab, train_cfg)
             if progress is not None:
                 progress(arm)
-            getattr(result, arch).append(arm)
+            result.arms[arch].append(arm)
     # each seed trains its ACNN arm last, so `model` is the last ACNN arm
     result.copy_cosine, result.random_cosine = copy_pair_similarity(
         model.params["embedding"].value, vocab, dev_seqs, Rng(99))

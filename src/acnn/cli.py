@@ -178,9 +178,7 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt, out)
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
     best = result.log[result.best_epoch - 1]
-    fmt = evaluate.format_percent
-    print(f"best epoch {result.best_epoch}: dev P {fmt(best.dev_precision)} "
-          f"R {fmt(best.dev_recall)} F {fmt(best.dev_f1)}")
+    print(f"best epoch {best.epoch}: dev {best.dev.format_prf()}")
     print(param_count(model.params).format())
     record.write({"model": mcfg.to_dict(), "train": dataclasses.asdict(tcfg),
                   "preset": args.preset,

@@ -48,6 +48,12 @@ class EvalReport:
         return (f"tp={self.tp} fp={self.fp} fn={self.fn} P={format_percent(self.precision)} "
                 f"R={format_percent(self.recall)} F={format_percent(self.f1)}")
 
+    def format_prf(self) -> str:
+        """"P x R y F z", each a format_percent: the dev figures of a training
+        log line and of `acnn train`'s best-epoch line."""
+        return (f"P {format_percent(self.precision)} R {format_percent(self.recall)} "
+                f"F {format_percent(self.f1)}")
+
     def as_tsv(self) -> str:
         rows = [("tp", self.tp), ("fp", self.fp), ("fn", self.fn),
                 ("precision", self.precision), ("recall", self.recall),

@@ -169,16 +169,12 @@ class Param:
 
 
 class ParamStore:
-    """Named parameters with paired gradient and Adam moment buffers.
-    Iteration order is insertion order and therefore deterministic."""
+    """Named parameters with paired gradient and Adam moment buffers, made
+    from a name -> value dict in one step (Param.of per value). Iteration
+    order is the dict's and therefore deterministic."""
 
-    def __init__(self):
-        self._params: dict[str, Param] = {}
-
-    def add(self, name: str, value: np.ndarray) -> None:
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        self._params[name] = Param.of(value)
+    def __init__(self, values: dict[str, np.ndarray]):
+        self._params = {name: Param.of(value) for name, value in values.items()}
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -285,11 +281,9 @@ class Model:
         U(-b, b) with b = sqrt(6 / (fan_in + fan_out)) per tensor; biases start
         at 1."""
         rng = Rng(config.seed)
-        params = ParamStore()
-        for name, shape, fan_in, fan_out in _layout(config):
-            params.add(name, _uniform_init(rng, shape, fan_in, fan_out) if fan_in
-                       else np.ones(shape))
-        return Model(config, params)
+        return Model(config, ParamStore({
+            name: _uniform_init(rng, shape, fan_in, fan_out) if fan_in else np.ones(shape)
+            for name, shape, fan_in, fan_out in _layout(config)}))
 
     def with_kept_folds(self) -> "Model":
         """This model if it keeps its folds, else a Model over the same
@@ -488,11 +482,10 @@ class Checkpoint:
         folds it once, here, for the model's life (Model.with_kept_folds). A
         write into a B (an Adam step, load_values) then raises instead of
         leaving a stale fold."""
-        params = ParamStore()
-        for name, value in self.tensors.items():
-            params.add(name, value)
-            if is_pair_kernel(value):
-                params[name].value.flags.writeable = False
+        params = ParamStore(self.tensors)
+        for _, p in params.items():
+            if is_pair_kernel(p.value):
+                p.value.flags.writeable = False
         return Model(self.config, params).with_kept_folds()
 
 

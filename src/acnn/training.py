@@ -206,23 +206,23 @@ def predict_masks(model: Model, seqs: list[TokenSequence],
 
 @dataclass(frozen=True)
 class EpochLog:
+    """One epoch of training: its mean batch loss, the dev set's scores after
+    it, and whether its dev F is the best so far (its values are kept)."""
     epoch: int
     train_loss: float
-    dev_precision: float | None
-    dev_recall: float | None
-    dev_f1: float | None
+    dev: evaluate.EvalReport
     best: bool
 
     def format(self) -> str:
-        fmt = evaluate.format_percent
         star = " *" if self.best else ""
         return (f"epoch {self.epoch:3d}  loss {self.train_loss:.4f}  "
-                f"dev P {fmt(self.dev_precision)} R {fmt(self.dev_recall)} "
-                f"F {fmt(self.dev_f1)}{star}")
+                f"dev {self.dev.format_prf()}{star}")
 
 
 @dataclass
 class TrainResult:
+    """The steps taken and one EpochLog per epoch run; the best epoch and its
+    dev F are read from the log."""
     steps: int
     log: list[EpochLog] = field(default_factory=list)
 
@@ -234,7 +234,7 @@ class TrainResult:
     @property
     def best_f1(self) -> float:
         """The best epoch's dev F, 0.0 when it is absent."""
-        return (self.log[self.best_epoch - 1].dev_f1 or 0.0) if self.best_epoch else 0.0
+        return (self.log[self.best_epoch - 1].dev.f1 or 0.0) if self.best_epoch else 0.0
 
 
 def train(model: Model, train_seqs: list[TokenSequence],
@@ -271,9 +271,7 @@ def train(model: Model, train_seqs: list[TokenSequence],
         if improved:
             best_values = model.params.values_copy()
         result.log.append(EpochLog(epoch=epoch, train_loss=float(np.mean(losses)),
-                                   dev_precision=report.precision,
-                                   dev_recall=report.recall, dev_f1=report.f1,
-                                   best=improved))
+                                   dev=report, best=improved))
         if epoch - result.best_epoch >= cfg.patience:
             break
     model.params.load_values(best_values)

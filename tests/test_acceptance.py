@@ -117,10 +117,10 @@ def test_criterion_03_operator_oracles():
 @pytest.mark.slow
 def test_criterion_04_ab_gap(ab_result):
     gap = ab_result.mean_gap
-    acnn = ab_result.mean_acnn_f1
+    acnn = ab_result.mean_f1("acnn")
     ok = gap >= 0.03 and acnn >= 0.85
     report(4, ok, f"rough-copy-hard 3-seed mean dev F: CNN "
-                  f"{100 * ab_result.mean_cnn_f1:.2f}, ACNN {100 * acnn:.2f}, "
+                  f"{100 * ab_result.mean_f1('cnn'):.2f}, ACNN {100 * acnn:.2f}, "
                   f"gap {100 * gap:+.2f} (need gap >= +3 and ACNN >= 85)")
 
 

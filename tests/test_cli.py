@@ -121,6 +121,17 @@ class TestTrain:
         assert (outs[0].with_suffix(".log").read_text()
                 == outs[1].with_suffix(".log").read_text())
 
+    def test_best_epoch_line_repeats_the_logs_best(self, corpus_dir, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(ckpt),
+                   "--max-epochs", "3", "--seed", "4") == cli.EXIT_OK
+        best = [line for line in ckpt.with_suffix(".log").read_text().splitlines()
+                if line.endswith(" *")][-1]
+        epoch, prf = re.fullmatch(r"epoch +(\d+)  loss \S+  (dev P \S+ R \S+ F \S+) \*",
+                                  best).groups()
+        assert f"best epoch {epoch}: {prf}" in capsys.readouterr().out.splitlines()
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert run("train", "--preset", "cnn-toy",
                    "--train", str(tmp_path / "missing.bt"),
@@ -493,8 +504,8 @@ class TestAbBench:
 
         result = bench.BenchResult(
             max_epochs=25,
-            cnn=[arm("cnn", 11, 0.88, 13), arm("cnn", 12, 0.86, 25)],
-            acnn=[arm("acnn", 11, 0.87, 25), arm("acnn", 12, 0.9, 24)])
+            arms={"cnn": [arm("cnn", 11, 0.88, 13), arm("cnn", 12, 0.86, 25)],
+                  "acnn": [arm("acnn", 11, 0.87, 25), arm("acnn", 12, 0.9, 24)]})
         table = result.report().splitlines()[:4]
         assert table == ["seed\tcnn_f1\tacnn_f1\tgap\tcnn_best\tacnn_best",
                          "11\t0.8800\t0.8700\t-0.0100\t13\t25*",

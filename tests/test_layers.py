@@ -361,9 +361,10 @@ class TestAutocorrForward:
     def test_zero_B_reduces_to_conv_bitwise(self):
         rng = Rng(11)
         x, spec, A, B, b = rand_instance(rng, 7, 3, 2, 2, 4, with_B=True)
-        conv_out, _ = L.conv1d_forward(x, spec, A, b)
-        ac_out, _ = L.autocorr_forward(x, spec, A, np.zeros_like(B), b)
-        assert np.array_equal(conv_out, ac_out)
+        for lengths in (None, [2, 5], [1, 3, 1, 2]):  # one sentence, then packed
+            conv_out, _ = L.conv1d_forward(x, spec, A, b, lengths)
+            ac_out, _ = L.autocorr_forward(x, spec, A, np.zeros_like(B), b, lengths)
+            assert np.array_equal(conv_out, ac_out)
 
     def test_zero_input_gives_bias(self):
         rng = Rng(12)
@@ -794,6 +795,8 @@ def test_zero_B_is_conv_bitwise(case):
     ac_out, ac_cache = L.autocorr_forward(x, spec, A, zero_B, b, lengths)
     assert np.array_equal(conv_out, ac_out)
     conv_grads = L.conv1d_backward(conv_cache, A, up)
-    ac_grads = L.autocorr_backward(ac_cache, A, up, np.zeros_like(zero_B))
+    dB = np.full_like(zero_B, np.nan)  # autocorr_backward writes every entry
+    ac_grads = L.autocorr_backward(ac_cache, A, up, dB)
+    assert np.isfinite(dB).all()
     for got, want in zip(ac_grads, conv_grads, strict=True):
         assert np.array_equal(got, want)

@@ -119,8 +119,7 @@ class TestAdam:
     def test_first_step_closed_form(self):
         # with bias correction, step 1 moves each coordinate by
         # lr * g / (|g| + eps) regardless of gradient magnitude
-        store = ParamStore()
-        store.add("p", np.array([1.0, -2.0, 3.0]))
+        store = ParamStore({"p": np.array([1.0, -2.0, 3.0])})
         store["p"].grad[...] = np.array([0.5, -4.0, 1e-3])
         cfg = TR.TrainConfig(learning_rate=0.01)
         TR.adam_step(store, 1, cfg)
@@ -129,8 +128,7 @@ class TestAdam:
         assert np.allclose(store["p"].value, want, atol=1e-10)
 
     def test_optimizes_quadratic(self):
-        store = ParamStore()
-        store.add("p", np.array([5.0]))
+        store = ParamStore({"p": np.array([5.0])})
         cfg = TR.TrainConfig(learning_rate=0.1)
         for t in range(1, 101):
             store["p"].grad[...] = 2.0 * store["p"].value
@@ -138,8 +136,7 @@ class TestAdam:
         assert abs(float(store["p"].value[0])) < 0.5
 
     def test_step_index_validated(self):
-        store = ParamStore()
-        store.add("p", np.zeros(1))
+        store = ParamStore({"p": np.zeros(1)})
         with pytest.raises(ValueError):
             TR.adam_step(store, 0, TR.TrainConfig())
 
@@ -181,8 +178,7 @@ class TestAdamInPlace:
         grads = [rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 2, shape)
                  for _ in range(6)]
         start = rng.standard_normal(shape)
-        store = ParamStore()
-        store.add("p", start.copy())
+        store = ParamStore({"p": start.copy()})
         for t, g in enumerate(grads, start=1):
             store["p"].grad[...] = g
             TR.adam_step(store, t, cfg)
@@ -207,8 +203,7 @@ class TestAdamInPlace:
             g = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 2, shape)
             grads.append(g + g.transpose(0, 2, 1, 3))  # symmetric bit for bit
         start = rng.standard_normal(shape)  # not symmetric
-        store = ParamStore()
-        store.add("layer1.group0.B", start.copy())
+        store = ParamStore({"layer1.group0.B": start.copy()})
         p = store["layer1.group0.B"]
         assert p.adam_m.size == p.adam_v.size == c * m * w * (w + 1) // 2
         for t, g in enumerate(grads, start=1):
@@ -276,11 +271,20 @@ class TestTrain:
         for e in result.log:
             assert "epoch" in e.format()
 
+    def test_log_line_golden(self):
+        # P 3/4, R 3/5; then no token predicted disfluent: P and F undefined
+        best = TR.EpochLog(epoch=3, train_loss=0.123456,
+                           dev=evaluate.EvalReport(tp=3, fp=1, fn=2), best=True)
+        absent = TR.EpochLog(epoch=12, train_loss=0.69314718,
+                             dev=evaluate.EvalReport(tp=0, fp=0, fn=4), best=False)
+        assert best.format() == "epoch   3  loss 0.1235  dev P 75.00 R 60.00 F 66.67 *"
+        assert absent.format() == "epoch  12  loss 0.6931  dev P absent R 0.00 F absent"
+
     def test_best_epoch_tracks_max_f1(self):
         _, result = self.run()
-        f1s = [e.dev_f1 if e.dev_f1 is not None else 0.0 for e in result.log]
+        f1s = [e.dev.f1 if e.dev.f1 is not None else 0.0 for e in result.log]
         assert result.best_f1 == pytest.approx(max(f1s))
-        assert result.log[result.best_epoch - 1].dev_f1 == pytest.approx(result.best_f1)
+        assert result.log[result.best_epoch - 1].dev.f1 == pytest.approx(result.best_f1)
 
     @pytest.mark.parametrize("patience", [0, -4])
     def test_patience_below_one_rejected(self, patience):
