@@ -267,14 +267,15 @@ def _gradcheck_config(arch: str, seed: int) -> ModelConfig:
 def gradcheck_model(arch: str, seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
                     ) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference check of every parameter tensor of a small 3-layer
-    model (vocabulary 16, embedding 5, 4 channels), on a batch containing both
-    a 6-token and a 1-token sentence. The layer geometry includes an ell=0
+    model (vocabulary 16, embedding 5, 4 channels), on one packed batch of a
+    6-token, a 1-token and a 4-token sentence, so that autocorr's bands gather
+    rows that do not start the pass. The layer geometry includes an ell=0
     group."""
     cfg = _gradcheck_config(arch, seed)
     model = Model.build(cfg)
     rng = Rng(seed + 1)
     batch = []
-    for n in (6, 1):
+    for n in (6, 1, 4):
         ids = rng.integers(2, cfg.vocab_size, size=n)
         labels = rng.integers(0, 2, size=n)
         batch.append((np.asarray(ids), np.asarray(labels)))

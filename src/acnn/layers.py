@@ -13,22 +13,25 @@ spreads the upstream gradient the same shifted way into dY, and then dA =
 dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is one matmul over the
 rows themselves.
 
-Autocorr's B-term reads the sentence's auto-correlation bands. Window t's pair
-(i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so every
-window's pairs at offset d are rows of one band, q_d[a] = x_a * x_{a+d} of
-shape (n - d, m), zero wherever row a + d leaves row a's sentence. The
-interaction tensor is symmetric, so only the pairs i <= j are used, with B
-folded per offset: K_d[u, i] = B[u, i, i + d] + B[u, i + d, i] (d > 0) and
-K_0[u, i] = B[u, i, i], which equals the full w*w contraction with B. Each
-offset is then one matmul, q_d @ K_d.T, whose column (u, i) is added onto Y's
-slot i before the slots are summed, so with B == 0 autocorr is conv1d bit for
-bit. A band is formed, used and dropped inside the call, and the backward forms
-it again; no (n, w, m) array and no array of window pairs is formed. B itself
-keeps its (c, w, w, m) shape, and pair_views is the one reader of that layout:
-for each offset d it yields the views of the pairs (i, i + d) and (i + d, i).
-fold sums them, and the backward, the adjoint of the fold, writes pair (i, j)'s
-kernel gradient into both B[i, j] and B[j, i] through them, so every call
-writes a complete, symmetric gradient over whatever its buffer held.
+Autocorr's B-term reads the sentences' auto-correlation bands. Window t's
+pair (i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so
+every window's pairs at offset d are rows of one band, q_d[a] = x_a * x_{a+d}.
+A pair whose row a + d leaves row a's sentence is zero under the window rule,
+so the band holds only the rows a whose row a + d lies in a's sentence: a slice
+when they are the leading run 0 .. k-1, as in every one-sentence pass, and
+gathered by index otherwise. The interaction tensor is symmetric, so only the
+pairs i <= j are used, with B folded per offset: K_d[u, i] = B[u, i, i + d] +
+B[u, i + d, i] (d > 0) and K_0[u, i] = B[u, i, i], which equals the full w*w
+contraction with B. Each offset is then one matmul over the band's rows,
+q_d @ K_d.T, whose column (u, i) is added onto slot i of those rows of Y before
+the slots are summed, so with B == 0 autocorr is conv1d bit for bit. A band is
+formed, used and dropped inside the call, and the backward forms it again; no
+(n, w, m) array and no array of window pairs is formed. B itself keeps its
+(c, w, w, m) shape, and pair_views is the one reader of that layout: for each
+offset d it yields the views of the pairs (i, i + d) and (i + d, i). fold sums
+them, and the backward, the adjoint of the fold, writes pair (i, j)'s kernel
+gradient into both B[i, j] and B[j, i] through them, so every call writes a
+complete, symmetric gradient over whatever its buffer held.
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width
@@ -126,7 +129,8 @@ class ConvCache:
 
 @dataclass
 class AutoCorrCache(ConvCache):
-    bands: np.ndarray  # (n, w) bool: row a + d lies in row a's sentence
+    bands: np.ndarray  # (n, w) bool: row a + d lies in row a's sentence, so
+                       # column d marks the rows of offset d's band
     folded: list[np.ndarray]  # fold(B): offset d's (c * (w-d), m) kernel block
 
 
@@ -155,17 +159,20 @@ def fold(B: np.ndarray) -> list[np.ndarray]:
 
 
 def _bands(x: np.ndarray, bands: np.ndarray):
-    """Each offset d < w with its band q[a] = x[a] * x[a + d] of shape
-    (max(n - d, 0), m), set to 0 where not bands[a, d]; one buffer serves them
-    all. An offset d >= n has an empty band, so that a pass shorter than the
-    window still visits, and its backward writes, every offset."""
-    n, w = bands.shape
+    """Each offset d < w of the (n, w) `bands` as (d, a, b, q): a indexes the
+    rows whose row a + d lies in their own sentence (bands[:, d]), b the rows
+    d below them, and q = x[a] * x[b] is the band over those rows alone. a and
+    b are slices when the rows are the leading run 0 .. k-1, as in every
+    one-sentence pass, since a view costs less than a gather, and index arrays
+    otherwise; one buffer serves every band. An offset with no such row has an
+    empty band, so that a pass whose sentences are all shorter than the window
+    still visits, and its backward writes, every offset."""
     buffer = np.empty_like(x)
-    for d in range(w):
-        rows = max(n - d, 0)
-        q = np.multiply(x[:rows], x[d:], out=buffer[:rows])
-        q[~bands[:rows, d]] = 0.0
-        yield d, q
+    for d in range(bands.shape[1]):
+        a = np.flatnonzero(bands[:, d])
+        k = len(a)
+        a, b = (slice(k), slice(d, d + k)) if k == 0 or a[-1] == k - 1 else (a, a + d)
+        yield d, a, b, np.multiply(x[a], x[b], out=buffer[:k])
 
 
 def _checked_mask(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
@@ -210,7 +217,8 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     fold(B) when the caller has it already, so that several calls over one B
     fold it once. With B == 0 this is exactly conv1d_forward. The rows of x are
     sentences of `lengths` (default: one sentence); a masked-out window row is
-    zero, and so is every interaction entry it takes part in.
+    zero, and so is every interaction entry it takes part in, so each offset
+    multiplies only its pairs inside one sentence.
     """
     (n, m), c, w = x.shape, len(A), spec.width
     # slots -ell .. w-1: the window's (n, w) mask, and from slot 0 on the bands'
@@ -220,8 +228,8 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
         raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
     folded = fold(B) if folded is None else folded
     Y = _kn2row(x, A, spec.ell)
-    for d, q in _bands(x, bands):  # slot i's pair (i, i + d) of row a is q[a]
-        Y[spec.ell : spec.ell + len(q), :, : w - d] += (q @ folded[d].T).reshape(len(q), c, w - d)
+    for d, a, _, q in _bands(x, bands):  # slot i's pair (i, i + d) of row a[j] is q[j]
+        Y[spec.ell :][a, :, : w - d] += (q @ folded[d].T).reshape(len(q), c, w - d)
     return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, folded)
 
 
@@ -235,23 +243,22 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
 
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
-    entries contribute the doubled 2 * B_diag * x term automatically.
+    entries contribute the doubled 2 * B_diag * x term automatically. Each
+    offset's GEMMs run over the same in-sentence band rows as the forward's.
     """
     x, (c, w, _, m) = cache.x, dB.shape
     dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
-    # slot i's upstream of q[a] is dY[a, :, i]
-    for (d, q), (upper, lower) in zip(_bands(x, cache.bands), pair_views(dB)):
-        rows = len(q)
-        dY_d = dY[:rows, :, : w - d].reshape(rows, c * (w - d))
+    # slot i's upstream of q[j] is dY[a[j], :, i]
+    for (d, a, b, q), (upper, lower) in zip(_bands(x, cache.bands), pair_views(dB)):
+        dY_d = dY[a, :, : w - d].reshape(len(q), c * (w - d))
         # adjoint of fold: pair (i, i + d)'s gradient goes to B[i, i + d] and
         # B[i + d, i], one view for d == 0; an empty band's gradient is zero
         upper[...] = lower[...] = (dY_d.T @ q).reshape(c, w - d, m)
         dq = dY_d @ cache.folded[d]
-        dq[~cache.bands[:rows, d]] = 0.0
-        # q[a] = x[a] * x[a + d] sends dq * x[a + d] to row a and dq * x[a] to
-        # row a + d; for d == 0 both land on row a.
-        dx[:rows] += dq * x[d:]
-        dx[d:] += dq * x[:rows]
+        # q = x[a] * x[b] sends dq * x[b] to rows a and dq * x[a] to rows b;
+        # for d == 0 both land on rows a.
+        dx[a] += dq * x[b]
+        dx[b] += dq * x[a]
     return dx, dA, db
 
 

@@ -54,8 +54,9 @@ def test_criterion_02_gradient_correctness():
         for name, rep in cli.gradcheck_model(arch, tol=1e-4, eps=1e-5):
             ok = ok and rep.ok
             worst = max(worst, rep.max_rel_error)
-    report(2, ok, f"every tensor of toy CNN and ACNN passes grad_check "
-                  f"(incl. ell=0 group and n=1 input); max rel err {worst:.2e}")
+    report(2, ok, f"every tensor of toy CNN and ACNN passes grad_check on one "
+                  f"packed 6+1+4-token batch (incl. ell=0 group, a 1-token "
+                  f"sentence and gathered band rows); max rel err {worst:.2e}")
 
 
 def _padded_row(x, t):

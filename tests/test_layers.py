@@ -459,10 +459,18 @@ class TestAutocorrBackward:
         assert grad_check(lambda v: loss(x, A, B, v), b, db).ok
 
 
+# the token counts of the first 25 sentences that generate_corpus draws from
+# the switchboard-like preset at seed 35: one training batch's length mix
+SWITCHBOARD_BATCH = [9, 8, 9, 8, 8, 13, 5, 13, 8, 9, 5, 8, 6, 6, 10, 8, 9, 6,
+                     8, 8, 8, 8, 7, 9, 8]
+
 # acnn-table1's layer-1 groups at its embedding width, packed and unpacked,
 # with an ell = 0 group, one-token inputs, inputs shorter than the window
 # (offsets with an empty band), alone and packed, and as long as it, and a
-# 1-token sentence between longer ones.
+# 1-token sentence between longer ones; then a 25-sentence training batch, a
+# pass that opens with a 1-token sentence, so that no offset d > 0 has a row
+# 0, and a pass whose sentences are all shorter than offsets 5 .. 11, which
+# have no rows at all.
 FOLD_CASES = [
     ((5, 6), 48, None),
     ((5, 6), 48, [1, 20, 27]),
@@ -477,6 +485,9 @@ FOLD_CASES = [
     ((5, 6), 7, [3, 1, 3]),
     ((3, 3), 5, [2, 3]),
     ((0, 6), 4, [1, 1, 2]),
+    ((5, 6), sum(SWITCHBOARD_BATCH), SWITCHBOARD_BATCH),
+    ((3, 3), 17, [1, 6, 2, 8]),
+    ((5, 6), 14, [4, 3, 5, 2]),
 ]
 
 
@@ -554,6 +565,27 @@ class TestPairViews:
         assert not B.flags.c_contiguous
         with pytest.raises(ValueError):
             next(L.pair_views(B))
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 5, 2], [11]])
+def test_bands_hold_only_rows_inside_a_sentence(lengths):
+    """Offset d's band holds exactly the rows a whose row a + d lies in a's
+    sentence, as x[a] * x[a + d], for every d < w in order; a pass whose rows
+    are the leading run 0 .. k-1, as in one sentence, reads them as slices."""
+    n, w = sum(lengths), 7
+    x, spec, A, B, b = rand_instance(Rng(6300), n, 3, 2, 4, 2, with_B=True)
+    _, cache = L.autocorr_forward(x, spec, A, B, b, lengths)
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    offsets = []
+    for d, a, b_rows, q in L._bands(x, cache.bands):
+        want = [i for i in range(n - d) if sentence[i + d] == sentence[i]]
+        assert np.arange(n)[a].tolist() == want
+        assert np.arange(n)[b_rows].tolist() == [i + d for i in want]
+        assert np.array_equal(q, x[want] * x[[i + d for i in want]])
+        if want == list(range(len(want))):
+            assert isinstance(a, slice) and isinstance(b_rows, slice)
+        offsets.append(d)
+    assert offsets == list(range(w))
 
 
 @pytest.mark.parametrize("lengths", [None, [1, 20, 27]])
