@@ -238,7 +238,9 @@ class Vocabulary:
 def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
     """Frequency-ordered vocabulary with lexicographic tie-break; words below
     min_freq are left out and map to <unk> at encode time. The reserved
-    <pad> and <unk> are never counted, so no word appears twice."""
+    <pad> and <unk> are never counted, so no word appears twice. A corpus in
+    which no word reaches min_freq is a CorpusFormatError: every token would
+    read as <unk>."""
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if not corpus:
@@ -246,6 +248,8 @@ def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
     counts = Counter(t for seq in corpus for t in seq.tokens if t not in (PAD_WORD, UNK_WORD))
     ordered = sorted((w for w, c in counts.items() if c >= min_freq),
                      key=lambda w: (-counts[w], w))
+    if not ordered:
+        raise CorpusFormatError(f"no word of the corpus reaches min_freq={min_freq}")
     return Vocabulary(words=[PAD_WORD, UNK_WORD] + ordered)
 
 

@@ -139,9 +139,9 @@ def pair_views(B: np.ndarray):
     as the (c, w-d, m) views of its pairs (i, i + d) and of its pairs
     (i + d, i), i < w - d; for d == 0 both are the diagonal. B is reshaped
     without a copy, so a write through a view lands in B, and a B whose
-    layout needs a copy raises ValueError. fold, autocorr_backward, Adam's
-    steps of a B and the size of its moments all read the pairs through
-    these views."""
+    layout needs a copy raises ValueError. fold, autocorr_backward and
+    model.Param (the size of a B's moments and the parts an optimizer step
+    updates) all read the pairs through these views."""
     c, w, _, m = B.shape
     pairs = B.reshape(c, w * w, m, copy=False)  # pair (i, j) at i * w + j
     for d in range(w):
@@ -276,15 +276,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax_xent_backward(probs: np.ndarray, label_ids: np.ndarray) -> np.ndarray:
-    """Fused gradient of mean cross-entropy w.r.t. pre-softmax scores:
-    (softmax - onehot) / tokens."""
-    n = len(label_ids)
-    d = probs.copy()
-    d[np.arange(n), label_ids] -= 1.0
-    return d / n
 
 
 def dropout(x: np.ndarray, rate: float, rng: Rng | None,

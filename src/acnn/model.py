@@ -16,8 +16,10 @@ element-wise.
 _groups is the one place a group's tensors are named: per layer, each group's
 spec and the names of the A, B and b it reads, no B in a conv group. _layout
 derives the stored tensors from it, and each Model builds that group table
-once and walks it in every pass. is_pair_kernel is the one rule for which
-parameters are pair kernels (the B's).
+once and walks it in every pass. _is_pair_kernel is the one rule for which
+parameters are pair kernels (the B's), and Param.parts is the one place an
+optimizer step's views of a parameter are cut: a B's pairs i <= j, their
+moment blocks and their mirrored pairs.
 """
 
 from __future__ import annotations
@@ -135,11 +137,11 @@ class ModelConfig:
         )
 
 
-def is_pair_kernel(value: np.ndarray) -> bool:
+def _is_pair_kernel(value: np.ndarray) -> bool:
     """Whether a parameter is a pair kernel: an autocorr B, the one tensor of
     shape (c, w, w, m) in _layout. Its gradient is symmetric, its Adam moments
-    cover its pairs i <= j only (Param.of), and a checkpoint-built model keeps
-    it read-only (Checkpoint.build_model)."""
+    cover its pairs i <= j only (Param.of, Param.parts), and a checkpoint-built
+    model keeps it read-only (Checkpoint.build_model)."""
     return value.ndim == 4
 
 
@@ -153,19 +155,35 @@ class Param:
 
     @staticmethod
     def of(value: np.ndarray) -> "Param":
-        """Every array C-contiguous, so that flat views of it are views; a
-        C-contiguous value is taken over as it is, not copied. A pair kernel
+        """Every array C-contiguous, so that the views of `parts` are views;
+        a C-contiguous value is taken over as it is, not copied. A pair kernel
         keeps its Adam moments for its pairs i <= j only: one flat array of
         c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block after offset
         d-1's, in the order of layers.pair_views."""
         value = np.ascontiguousarray(value)
         moments = ((sum(upper.size for upper, _ in L.pair_views(value)),)
-                   if is_pair_kernel(value) else value.shape)
+                   if _is_pair_kernel(value) else value.shape)
         # np.zeros maps no page before its first write, so tagging never pays for these
         return Param(value=value,
                      grad=np.zeros(value.shape),
                      adam_m=np.zeros(moments),
                      adam_v=np.zeros(moments))
+
+    def parts(self):
+        """The (value, grad, m, v, mirror) views that an optimizer step
+        updates, a part's step also moving its mirror: the whole tensor with
+        no mirror, or for a pair kernel one part per offset d in
+        layers.pair_views' order, its pairs (i, i + d) with their moment
+        block and, for d > 0, the mirrored pairs (i + d, i)."""
+        if not _is_pair_kernel(self.value):
+            yield self.value, self.grad, self.adam_m, self.adam_v, None
+            return
+        lo = 0
+        for d, ((upper, lower), (grad, _)) in enumerate(zip(L.pair_views(self.value),
+                                                            L.pair_views(self.grad))):
+            m, v = (a[lo:lo + upper.size].reshape(upper.shape) for a in (self.adam_m, self.adam_v))
+            lo += upper.size
+            yield upper, grad, m, v, lower if d else None
 
 
 class ParamStore:
@@ -484,7 +502,7 @@ class Checkpoint:
         leaving a stale fold."""
         params = ParamStore(self.tensors)
         for _, p in params.items():
-            if is_pair_kernel(p.value):
+            if _is_pair_kernel(p.value):
                 p.value.flags.writeable = False
         return Model(self.config, params).with_kept_folds()
 

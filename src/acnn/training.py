@@ -1,5 +1,7 @@
-"""Cross-entropy loss, L2 on the width-1 layer, Adam, and the minibatch
-training loop with dev-F early stopping."""
+"""The training step and loop: cross-entropy with its gradient w.r.t. the
+scores, L2 on the width-1 layer with its gradient, in-place Adam over what
+each parameter's Param.parts yields (nothing here knows a pair kernel's
+layout), and the minibatch loop with dev-F early stopping."""
 
 from __future__ import annotations
 
@@ -10,8 +12,7 @@ import numpy as np
 
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
-from .layers import pair_views, softmax_xent_backward
-from .model import CLASS_DISFLUENT, Model, ModelConfig, Param, ParamStore, is_pair_kernel
+from .model import CLASS_DISFLUENT, Model, ModelConfig, ParamStore
 from .tensor import NumericError, Rng
 
 
@@ -38,10 +39,19 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
+def softmax_xent_backward(probs: np.ndarray, label_ids: np.ndarray) -> np.ndarray:
+    """Fused gradient of mean cross-entropy w.r.t. pre-softmax scores:
+    (softmax - onehot) / tokens."""
+    n = len(label_ids)
+    d = probs.copy()
+    d[np.arange(n), label_ids] -= 1.0
+    return d / n
+
+
 def cross_entropy(probs: np.ndarray, label_ids):
-    """Mean negative log-likelihood over tokens, with the fused gradient
-    w.r.t. pre-softmax scores: (softmax - onehot) / tokens. `label_ids` are
-    integer class ids, 0 (fluent) or 1 (disfluent)."""
+    """Mean negative log-likelihood over tokens, with its gradient w.r.t.
+    pre-softmax scores (softmax_xent_backward). `label_ids` are integer class
+    ids, 0 (fluent) or 1 (disfluent)."""
     ids = np.asarray(label_ids)
     if ids.dtype.kind not in "iu" or ((ids < 0) | (ids > 1)).any():
         raise ValueError("labels must be integer class ids 0 or 1")
@@ -53,14 +63,18 @@ def cross_entropy(probs: np.ndarray, label_ids):
     return loss, softmax_xent_backward(probs, ids)
 
 
-def l2_penalty(params: ParamStore, weight: float) -> float:
-    """Penalty on the width-1 layer weights only (bias excluded)."""
-    W = params["output.W"].value
-    return float(weight * (W * W).sum())
-
-
+# apart from add_l2 so that perfbench's step check can drop the gradient alone
 def add_l2_grad(params: ParamStore, weight: float) -> None:
     params["output.W"].grad += 2.0 * weight * params["output.W"].value
+
+
+def add_l2(params: ParamStore, weight: float) -> float:
+    """The L2 penalty on the width-1 layer's weights (bias excluded),
+    weight * sum(W**2), after adding its gradient 2 * weight * W onto
+    output.W's (add_l2_grad)."""
+    add_l2_grad(params, weight)
+    W = params["output.W"].value
+    return float(weight * (W * W).sum())
 
 
 # Elements per Adam block: its two float64 scratch blocks (256 KiB each) and
@@ -68,39 +82,28 @@ def add_l2_grad(params: ParamStore, weight: float) -> None:
 ADAM_BLOCK = 1 << 15
 
 
-def _adam_blocks(p: Param):
-    """p's (value, grad, m, v, mirror) blocks of at most ADAM_BLOCK elements,
-    views all. Any tensor but a pair kernel is cut flat, with no mirror. A
-    pair kernel (a B, model.is_pair_kernel) is cut per offset d into channel
-    blocks of its pairs (i, i + d) and of their moments; for d > 0 the mirror
-    is the same block of the pairs (i + d, i). A block holds one channel at
-    least, even where that channel has more than ADAM_BLOCK elements."""
-    # views, since Param keeps every array C-contiguous
-    if not is_pair_kernel(p.value):
-        flat = [a.reshape(-1) for a in (p.value, p.grad, p.adam_m, p.adam_v)]
-        for lo in range(0, p.value.size, ADAM_BLOCK):
-            yield *(a[lo:lo + ADAM_BLOCK] for a in flat), None
-        return
-    lo = 0
-    for d, ((upper, lower), (grad, _)) in enumerate(zip(pair_views(p.value), pair_views(p.grad))):
-        m_d, v_d = (a[lo:lo + upper.size].reshape(upper.shape) for a in (p.adam_m, p.adam_v))
-        lo += upper.size
-        channels = max(1, ADAM_BLOCK // upper[0].size)
-        for u in range(0, len(upper), channels):
+def _adam_blocks(p):
+    """Each of p.parts() cut into blocks of whole leading-axis channels,
+    at most ADAM_BLOCK elements, or one channel where one channel is larger;
+    views all, as (value, grad, m, v, mirror)."""
+    for value, grad, m, v, mirror in p.parts():
+        channels = max(1, ADAM_BLOCK // value[0].size)
+        for u in range(0, len(value), channels):
             s = slice(u, u + channels)
-            yield upper[s], grad[s], m_d[s], v_d[s], lower[s] if d else None
+            yield value[s], grad[s], m[s], v[s], None if mirror is None else mirror[s]
 
 
 def adam_step(params: ParamStore, t: int, cfg: TrainConfig) -> None:
     """Standard Adam with bias-corrected moments; t is 1-based.
 
-    Works in place over blocks of ADAM_BLOCK elements (_adam_blocks), with two
-    block-sized scratch arrays shared by every tensor, doing the textbook float
-    operations in the textbook order: value -= (lr * m_hat) / (sqrt(v_hat) +
-    eps). Precondition: each B's gradient is symmetric bit for bit, as
-    Model.backward leaves it. Only its pairs i <= j are read, and each step is
-    subtracted from both B[i, j] and B[j, i]. All or nothing: a read-only
-    value is a ValueError before the first write."""
+    Works in place over blocks of at most ADAM_BLOCK elements (_adam_blocks),
+    with two block-sized scratch arrays shared by every tensor, doing the
+    textbook float operations in the textbook order: value -= (lr * m_hat) /
+    (sqrt(v_hat) + eps), each step also subtracted from its part's mirror.
+    Precondition: each B's gradient is symmetric bit for bit, as
+    Model.backward leaves it, since only its pairs i <= j are read
+    (Param.parts). All or nothing: a read-only value is a ValueError before
+    the first write."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
     for name, p in params.items():
@@ -170,16 +173,15 @@ def _chunks(sentences, tokens: int):
 def batch_loss_and_grads(model: Model, batch, training: bool = False,
                          rng: Rng | None = None) -> float:
     """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
-    penalty. Model.backward writes every gradient of the store, and the L2
-    gradient is then added onto output.W's. The sentences run packed, in one
+    penalty. Model.backward writes every gradient of the store, and add_l2
+    then adds the L2 gradient onto output.W's. The sentences run packed, in one
     forward and one backward pass, so a step folds each B once."""
     lengths = [len(ids) for ids, _ in batch]
     ids, label_ids = (np.concatenate(column) for column in zip(*batch))
     probs, cache = model.forward_with_cache(ids, training=training, rng=rng, lengths=lengths)
     loss, dscores = cross_entropy(probs, label_ids)
     model.backward(cache, dscores)
-    loss += l2_penalty(model.params, model.config.l2_weight)
-    add_l2_grad(model.params, model.config.l2_weight)
+    loss += add_l2(model.params, model.config.l2_weight)
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
     return loss

@@ -148,6 +148,17 @@ class TestTrain:
         assert err.startswith("error:numeric: ") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
 
+    def test_min_freq_that_keeps_no_word_is_data_error(self, corpus_dir, tmp_path, capsys):
+        """A --min-freq above every word's count would train an all-<unk>
+        model; it is one data error line, and nothing is written."""
+        assert run("train", "--preset", "acnn-toy", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(tmp_path / "m.ckpt"),
+                   "--min-freq", "100000") == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:data: ") and err.count("\n") == 1, err
+        assert "min_freq" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_corpus_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.bt"
         bad.write_text("a [ broken\n")

@@ -234,6 +234,19 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             D.build_vocab([])
 
+    def test_min_freq_that_keeps_no_word_rejected(self):
+        # "the" is the most frequent word, with 3 occurrences
+        with pytest.raises(D.CorpusFormatError, match="min_freq=4"):
+            D.build_vocab(self.corpus(), min_freq=4)
+
+    def test_min_freq_equal_to_top_count_keeps_that_word(self):
+        assert D.build_vocab(self.corpus(), min_freq=3).words == [D.PAD_WORD, D.UNK_WORD, "the"]
+
+    def test_only_reserved_words_rejected(self):
+        corpus = [D.TokenSequence(tokens="<unk> <pad> <unk>".split(), labels=["_"] * 3)]
+        with pytest.raises(D.CorpusFormatError, match="min_freq=1"):
+            D.build_vocab(corpus)
+
     def test_reserved_words_are_not_counted(self):
         corpus = [D.TokenSequence(tokens="<unk> cat <pad> cat <pad>".split(), labels=["_"] * 5)]
         vocab = D.build_vocab(corpus)

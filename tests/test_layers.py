@@ -631,18 +631,6 @@ class TestElementwise:
         x = rng.uniform(-50, 50, (20, 3))
         assert np.allclose(L.softmax_rows(x).sum(axis=1), 1.0, atol=1e-9)
 
-    def test_fused_xent_grad_check(self):
-        rng = Rng(32)
-        scores = rng.uniform(-2, 2, (6, 2))
-        labels = np.array([0, 1, 1, 0, 1, 0])
-
-        def loss(s):
-            probs = L.softmax_rows(s)
-            return float(-np.log(probs[np.arange(6), labels]).sum() / 6)
-
-        grad = L.softmax_xent_backward(L.softmax_rows(scores), labels)
-        assert grad_check(loss, scores, grad).ok
-
 
 class TestDropout:
     def test_rate_zero_identity(self):

@@ -219,10 +219,10 @@ class TestBackward:
             return float(-np.log(probs[np.arange(len(ids)), labels]).mean())
 
         probs, cache = model.forward_with_cache(ids)
-        from acnn.layers import softmax_xent_backward
+        from acnn.training import cross_entropy
         for _, p in model.params.items():
             p.grad[...] = np.nan  # backward writes every entry
-        model.backward(cache, softmax_xent_backward(probs, labels))
+        model.backward(cache, cross_entropy(probs, labels)[1])
         for name, p in model.params.items():
             report = grad_check(lambda _v: loss(), p.value, p.grad)
             assert report.ok, f"{name}: max rel err {report.max_rel_error:.2e}"
@@ -232,10 +232,10 @@ class TestBackward:
         ids = np.array([2, 2, 2])
         labels = np.array([1, 1, 1])
         probs, cache = model.forward_with_cache(ids)
-        from acnn.layers import softmax_xent_backward
+        from acnn.training import cross_entropy
         for _, p in model.params.items():
             p.grad[...] = np.nan  # backward writes every entry
-        model.backward(cache, softmax_xent_backward(probs, labels))
+        model.backward(cache, cross_entropy(probs, labels)[1])
         grad = model.params["embedding"].grad
         touched = {i for i in range(6) if grad[i].any()}
         # zero padding contributes nothing, so only id 2 can receive gradient
@@ -248,7 +248,7 @@ class TestBackward:
         window, so that an acnn's B offsets 3 to 8 meet empty bands and most
         embedding rows no token, leaves the gradients that a fresh model with
         the same values gets from the 3-token pass alone, byte for byte."""
-        from acnn.layers import softmax_xent_backward
+        from acnn.training import cross_entropy
         cfg = M.model_preset(f"{arch}-toy", vocab_size=20, seed=4)
         model = M.Model.build(cfg)
         fresh = M.Model.build(replace(cfg, seed=5))
@@ -257,9 +257,9 @@ class TestBackward:
         for n in (30, 3):
             ids, labels = rng.integers(0, 20, size=n), rng.integers(0, 2, size=n)
             probs, cache = model.forward_with_cache(ids)
-            model.backward(cache, softmax_xent_backward(probs, labels))
+            model.backward(cache, cross_entropy(probs, labels)[1])
         probs, cache = fresh.forward_with_cache(ids)
-        fresh.backward(cache, softmax_xent_backward(probs, labels))
+        fresh.backward(cache, cross_entropy(probs, labels)[1])
         assert model.params["layer1.group0.A"].grad.shape[1] == 9
         for name, p in model.params.items():
             assert p.grad.tobytes() == fresh.params[name].grad.tobytes(), name

@@ -13,7 +13,7 @@ from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, CorpusForm
 from acnn.model import (CLASS_DISFLUENT, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
                         ModelConfig, ParamStore, load_checkpoint, model_preset,
                         save_checkpoint)
-from acnn.tensor import Rng
+from acnn.tensor import Rng, grad_check
 
 
 def tiny_model(vocab_size=10, dropout=0.0, l2=0.0, seed=0):
@@ -69,36 +69,50 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             TR.cross_entropy(np.full((1, 2), 0.5), ["X"])
 
+    def test_fused_xent_grad_check(self):
+        rng = Rng(32)
+        scores = rng.uniform(-2, 2, (6, 2))
+        labels = np.array([0, 1, 1, 0, 1, 0])
+
+        def loss(s):
+            probs = L.softmax_rows(s)
+            return float(-np.log(probs[np.arange(6), labels]).sum() / 6)
+
+        grad = TR.cross_entropy(L.softmax_rows(scores), labels)[1]
+        assert grad_check(loss, scores, grad).ok
+
 
 class TestL2:
     def test_zero_weights_zero_penalty(self):
         model = tiny_model()
         model.params["output.W"].value[...] = 0.0
-        assert TR.l2_penalty(model.params, 0.5) == 0.0
+        assert TR.add_l2(model.params, 0.5) == 0.0
 
     def test_doubling_weights_quadruples_penalty(self):
         model = tiny_model()
-        before = TR.l2_penalty(model.params, 0.3)
+        before = TR.add_l2(model.params, 0.3)
         model.params["output.W"].value *= 2.0
-        assert TR.l2_penalty(model.params, 0.3) == pytest.approx(4 * before)
+        assert TR.add_l2(model.params, 0.3) == pytest.approx(4 * before)
 
     def test_only_output_weights_penalized(self):
         model = tiny_model()
-        before = TR.l2_penalty(model.params, 0.3)
+        before = TR.add_l2(model.params, 0.3)
         model.params["embedding"].value *= 10.0
         model.params["output.b"].value *= 10.0
-        assert TR.l2_penalty(model.params, 0.3) == pytest.approx(before)
+        assert TR.add_l2(model.params, 0.3) == pytest.approx(before)
 
     def test_grad_is_two_lambda_w(self):
-        """add_l2_grad adds 2 * lambda * W onto output.W's gradient, the data
-        gradient that Model.backward wrote, and touches no other gradient."""
+        """add_l2 adds 2 * lambda * W onto output.W's gradient, the data
+        gradient that Model.backward wrote, touches no other gradient, and
+        returns the penalty lambda * sum(W**2)."""
         model = tiny_model()
         rng = Rng(3)
         for _, p in model.params.items():
             p.grad[...] = rng.uniform(-1, 1, p.grad.shape)
         before = {name: p.grad.copy() for name, p in model.params.items()}
-        TR.add_l2_grad(model.params, 0.25)
+        penalty = TR.add_l2(model.params, 0.25)
         W = model.params["output.W"]
+        assert penalty == 0.25 * (W.value * W.value).sum()
         assert np.allclose(W.grad - before["output.W"], 0.5 * W.value)
         for name, p in model.params.items():
             if name != "output.W":
@@ -169,8 +183,9 @@ def textbook_adam(value, grads, cfg):
 
 
 class TestAdamInPlace:
-    @pytest.mark.parametrize("shape", [(7, 5, 3), (3, 40000), (2, 4, 2 ** 14)],
-                             ids=["one-block", "partial-last-block", "whole-blocks"])
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (3, 40000), (2, 4, 2 ** 14), (5,)],
+                             ids=["one-block", "partial-last-block", "whole-blocks",
+                                  "bias-shaped"])
     def test_byte_identical_to_textbook(self, shape):
         assert TR.ADAM_BLOCK == 2 ** 15
         rng = np.random.default_rng(0)
@@ -219,6 +234,35 @@ class TestAdamInPlace:
         assert p.adam_v.tobytes() == upper_pairs(v_full).tobytes()
 
 
+def table1_steps(preset):
+    """Three seeded steps of a table1 preset, each batch_loss_and_grads with
+    dropout and then adam_step, over batches of 25 from a 75-sentence
+    switchboard-like corpus: the losses and the store's bytes afterwards."""
+    gen = replace(GENERATOR_PRESETS["switchboard-like"], seed=12, sentence_count=75)
+    seqs = [s for s in map(preprocess, generate_corpus(gen)) if s.tokens]
+    vocab = build_vocab(seqs)
+    data = [(vocab.encode(s.tokens), s.disfluent_mask().astype(np.int64)) for s in seqs]
+    model = Model.build(model_preset(preset, vocab_size=len(vocab), seed=3))
+    rng, losses = Rng(4), []
+    for t in range(3):
+        batch = data[25 * t:25 * (t + 1)]
+        losses.append(TR.batch_loss_and_grads(model, batch, training=True, rng=rng))
+        TR.adam_step(model.params, t + 1, TR.TrainConfig())
+    return losses, {name: [a.tobytes() for a in (p.value, p.grad, p.adam_m, p.adam_v)]
+                    for name, p in model.params.items()}
+
+
+class TestTable1Determinism:
+    @pytest.mark.parametrize("preset", ["acnn-table1", "cnn-table1"])
+    def test_steps_repeat_byte_for_byte_in_one_process(self, preset):
+        """At the table1 geometry, where a BLAS thread count can change a
+        GEMM's rounding, two runs of the same steps in one process agree in
+        every value, gradient and moment byte."""
+        first, again = table1_steps(preset), table1_steps(preset)
+        assert first[0] == again[0]
+        assert first[1] == again[1]
+
+
 class TestBatchLoss:
     def test_loss_is_log_two_when_scores_tied(self):
         # zeroed output weights leave only the shared output bias, so every
@@ -239,7 +283,7 @@ class TestBatchLoss:
         reg = TR.batch_loss_and_grads(
             tiny_model(vocab_size=len(vocab), l2=0.5), batch)
         model = tiny_model(vocab_size=len(vocab))
-        expected_gap = TR.l2_penalty(model.params, 0.5)
+        expected_gap = TR.add_l2(model.params, 0.5)
         assert reg - plain == pytest.approx(expected_gap, rel=1e-9)
 
 
@@ -520,8 +564,7 @@ class TestStepFold:
                                                 lengths=STEP_LENGTHS)
         want_loss, dscores = TR.cross_entropy(probs, labels)
         model.backward(cache, dscores)
-        want_loss += TR.l2_penalty(model.params, model.config.l2_weight)
-        TR.add_l2_grad(model.params, model.config.l2_weight)
+        want_loss += TR.add_l2(model.params, model.config.l2_weight)
         assert loss == want_loss
         for name, p in model.params.items():
             assert grads[name].tobytes() == p.grad.tobytes(), name
