@@ -6,7 +6,8 @@ their primary output, and eval does with --out, so a run can be reproduced
 bit-for-bit (float64, fixed OPENBLAS_NUM_THREADS); gradcheck writes nothing.
 Each of them keeps its record in one _RunRecord, which first refuses the
 outputs that atomic.check_outputs rejects. An input path names exactly the file
-given; the package reads no environment variable.
+given. The package reads no environment variable to decide anything; a
+manifest records the BLAS thread settings the process saw (_environment).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
@@ -23,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -80,13 +82,29 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _environment() -> dict:
+    """What a run's bytes depend on beside its inputs, config and seed: numpy's
+    version, its BLAS library's name and version, OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS as this process saw them (None when unset), and the number
+    of CPUs the process may use. A matmul's rounding can change with any of
+    them."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    # sched_getaffinity counts the CPUs this process may run on, where the OS has it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "threads_env": {key: os.environ.get(key)
+                            for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "cpus": cpus}
+
+
 class _RunRecord:
     """The run record of one command, made before any work. It refuses bad
     outputs (atomic.check_outputs, the manifest next to `primary` included)
     and starts one clock. `lap` times a phase from the previous mark; `write`,
     once the outputs exist, writes the manifest: the command, its config and
-    seed, the RNG algorithm, the sha256 of every input and output, and the
-    timings in seconds, total_sec last."""
+    seed, the RNG algorithm, the sha256 of every input and output, the
+    environment (_environment), and the timings in seconds, total_sec last."""
 
     def __init__(self, command: str, primary, inputs: dict, outputs: dict):
         with _flag_values():  # an output that replaces another path is a usage error
@@ -107,7 +125,7 @@ class _RunRecord:
 
         manifest = {"command": self.command, "config": config, "seed": seed,
                     "rng_algorithm": Rng.ALGORITHM, "inputs": digests(self.inputs),
-                    "outputs": digests(self.outputs)}
+                    "outputs": digests(self.outputs), "environment": _environment()}
         # total_sec is read after the hashing, so it covers every other timing
         manifest["timings"] = {**self.timings, "total_sec": time.perf_counter() - self._start}
         _write_text(_manifest_path(self.primary),

@@ -8,7 +8,9 @@ width-1 (per-position affine) convolution. No operator gathers windows.
 The A-term, which conv1d and autocorr share, is kn2row: one matmul of the
 layer input with the kernel in its own layout, Y = x @ A.reshape(c*w, m).T,
 gives every row's product with every window slot's kernel, and output row t
-sums Y[t - ell + k, :, k] over its slots k (_kn2row, _slot_sum). The backward
+sums Y[t - ell + k, :, k] over its slots k (_kn2row, _slot_sum). Y is laid out
+(rows, c, w) whatever A's memory order; an A held m-major (a loaded model's,
+see model.load_checkpoint) makes the GEMM's operand C-contiguous. The backward
 spreads the upstream gradient the same shifted way into dY, and then dA =
 dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is one matmul over the
 rows themselves.
@@ -20,13 +22,18 @@ A pair whose row a + d leaves row a's sentence is zero under the window rule,
 so the band holds only the rows a whose row a + d lies in a's sentence: a slice
 when they are the leading run 0 .. k-1, as in every one-sentence pass, and
 gathered by index otherwise. The interaction tensor is symmetric, so only the
-pairs i <= j are used, with B folded per offset: K_d[u, i] = B[u, i, i + d] +
-B[u, i + d, i] (d > 0) and K_0[u, i] = B[u, i, i], which equals the full w*w
-contraction with B. Each offset is then one matmul over the band's rows,
-q_d @ K_d.T, whose column (u, i) is added onto slot i of those rows of Y before
-the slots are summed, so with B == 0 autocorr is conv1d bit for bit. A band is
-formed, used and dropped inside the call, and the backward forms it again; no
-(n, w, m) array and no array of window pairs is formed. B itself keeps its
+pairs i <= j are used, with B folded per offset: K_d[i, u] = B[u, i, i + d] +
+B[u, i + d, i] (d > 0) and K_0[i, u] = B[u, i, i], rows ordered (i, u), which
+equals the full w*w contraction with B. Each offset is then one matmul over
+the band's rows, q_d @ K_d.T, whose columns (i, u) are slot i's c outputs side
+by side. The offsets' products are summed slot-major, in one (n, w, c) buffer:
+offset 0, whose band is every row, is written into it by its matmul, and each
+offset d > 0 adds one run of (w-d) * c floats onto each of its rows. The
+buffer is added onto Y once, before the slots are summed, so with B == 0
+autocorr is conv1d bit for bit. The backward reads each offset's upstream from
+one slot-major copy of dY, in the same (i, u) order. A band is formed, used
+and dropped inside the call, and the backward forms it again; no (n, w, m)
+array and no array of window pairs is formed. B itself keeps its
 (c, w, w, m) shape, and pair_views is the one reader of that layout: for each
 offset d it yields the views of the pairs (i, i + d) and (i + d, i). fold sums
 them, and the backward, the adjoint of the fold, writes pair (i, j)'s kernel
@@ -131,7 +138,7 @@ class ConvCache:
 class AutoCorrCache(ConvCache):
     bands: np.ndarray  # (n, w) bool: row a + d lies in row a's sentence, so
                        # column d marks the rows of offset d's band
-    folded: list[np.ndarray]  # fold(B): offset d's (c * (w-d), m) kernel block
+    folded: list[np.ndarray]  # fold(B): offset d's ((w-d) * c, m) kernel block
 
 
 def pair_views(B: np.ndarray):
@@ -148,14 +155,19 @@ def pair_views(B: np.ndarray):
         yield pairs[:, d :: w + 1][:, : w - d], pairs[:, d * w :: w + 1]
 
 
-def fold(B: np.ndarray) -> list[np.ndarray]:
-    """B folded onto the window pairs i <= j, one (c * (w-d), m) block per
-    offset d over the pairs (i, i + d), rows ordered (u, i): their
-    contraction equals B's over all w*w pairs of a symmetric interaction
-    tensor."""
-    c, w, _, m = B.shape
-    return [(np.add(upper, lower) if d else upper).reshape(c * (w - d), m)
-            for d, (upper, lower) in enumerate(pair_views(B))]
+def fold(B: np.ndarray):
+    """B folded onto the window pairs i <= j: yields, for each offset d in
+    order, one C-contiguous ((w-d) * c, m) block over the pairs (i, i + d),
+    rows ordered (i, u), so that its product with a band row lays slot i's c
+    columns side by side. The contraction of the blocks equals B's over all
+    w*w pairs of a symmetric interaction tensor. Blocks are made one at a
+    time, so a caller that keeps them in another memory order never holds a
+    whole fold beside its own (Model.with_kept_folds)."""
+    for d, (upper, lower) in enumerate(pair_views(B)):
+        upper, lower = upper.transpose(1, 0, 2), lower.transpose(1, 0, 2)  # (w-d, c, m)
+        # a new C-order block: numpy iterates in the output's order, so the writes stream
+        block = np.add(upper, lower, out=np.empty(upper.shape)) if d else upper.copy()
+        yield block.reshape(-1, upper.shape[2])
 
 
 def _bands(x: np.ndarray, bands: np.ndarray):
@@ -213,12 +225,13 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
 
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
     pairwise interaction tensor restricted to the window at t, computed over
-    the pairs i <= j with B folded (see the module docstring). `folded` is
-    fold(B) when the caller has it already, so that several calls over one B
-    fold it once. With B == 0 this is exactly conv1d_forward. The rows of x are
-    sentences of `lengths` (default: one sentence); a masked-out window row is
-    zero, and so is every interaction entry it takes part in, so each offset
-    multiplies only its pairs inside one sentence.
+    the pairs i <= j with B folded and the offsets' products summed
+    slot-major (see the module docstring). `folded` is fold(B)'s blocks when
+    the caller has them already, in any memory order, so that several calls
+    over one B fold it once. With B == 0 this is exactly conv1d_forward. The
+    rows of x are sentences of `lengths` (default: one sentence); a
+    masked-out window row is zero, and so is every interaction entry it takes
+    part in, so each offset multiplies only its pairs inside one sentence.
     """
     (n, m), c, w = x.shape, len(A), spec.width
     # slots -ell .. w-1: the window's (n, w) mask, and from slot 0 on the bands'
@@ -226,10 +239,17 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     mask, bands = reach[:, :w], reach[:, spec.ell :]
     if B.shape != (c, w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
-    folded = fold(B) if folded is None else folded
+    folded = list(fold(B)) if folded is None else folded
+    # S[a, i]: slot i's B-term at row a, summed over the offsets; offset 0's
+    # band is every row, so its product fills S
+    S = np.empty((n, w, c))
+    for d, a, _, q in _bands(x, bands):
+        if d:
+            S[a, : w - d] += (q @ folded[d].T).reshape(len(q), w - d, c)
+        else:
+            np.matmul(q, folded[0].T, out=S.reshape(n, w * c))
     Y = _kn2row(x, A, spec.ell)
-    for d, a, _, q in _bands(x, bands):  # slot i's pair (i, i + d) of row a[j] is q[j]
-        Y[spec.ell :][a, :, : w - d] += (q @ folded[d].T).reshape(len(q), c, w - d)
+    Y[spec.ell : spec.ell + n] += S.transpose(0, 2, 1)
     return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, folded)
 
 
@@ -244,16 +264,20 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     The input gradient carries both the first-order path through A and the
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically. Each
-    offset's GEMMs run over the same in-sentence band rows as the forward's.
+    offset's GEMMs run over the same in-sentence band rows as the forward's,
+    and read its upstream from one slot-major copy of dY, whose columns (i, u)
+    are the fold's rows.
     """
     x, (c, w, _, m) = cache.x, dB.shape
     dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
-    # slot i's upstream of q[j] is dY[a[j], :, i]
+    # slot-major, so that slot i's upstream of q[j], dY[a[j], i], lies beside
+    # slot i + 1's as the block rows (i, u) do
+    dY = np.ascontiguousarray(dY.transpose(0, 2, 1))
     for (d, a, b, q), (upper, lower) in zip(_bands(x, cache.bands), pair_views(dB)):
-        dY_d = dY[a, :, : w - d].reshape(len(q), c * (w - d))
+        dY_d = dY[a, : w - d].reshape(len(q), (w - d) * c)
         # adjoint of fold: pair (i, i + d)'s gradient goes to B[i, i + d] and
         # B[i + d, i], one view for d == 0; an empty band's gradient is zero
-        upper[...] = lower[...] = (dY_d.T @ q).reshape(c, w - d, m)
+        upper[...] = lower[...] = (dY_d.T @ q).reshape(w - d, c, m).transpose(1, 0, 2)
         dq = dY_d @ cache.folded[d]
         # q = x[a] * x[b] sends dq * x[b] to rows a and dq * x[a] to rows b;
         # for d == 0 both land on rows a.

@@ -155,14 +155,17 @@ class Param:
 
     @staticmethod
     def of(value: np.ndarray) -> "Param":
-        """Every array C-contiguous, so that the views of `parts` are views;
-        a C-contiguous value is taken over as it is, not copied. A pair kernel
-        keeps its Adam moments for its pairs i <= j only: one flat array of
-        c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block after offset
-        d-1's, in the order of layers.pair_views."""
-        value = np.ascontiguousarray(value)
-        moments = ((sum(upper.size for upper, _ in L.pair_views(value)),)
-                   if _is_pair_kernel(value) else value.shape)
+        """The value taken over as it is, not copied, in its own memory order
+        (a loaded A is m-major, see load_checkpoint), except that a pair
+        kernel is made C-contiguous, so that layers.pair_views and the views
+        of `parts` are views. The gradient and moments are C-contiguous. A
+        pair kernel keeps its Adam moments for its pairs i <= j only: one
+        flat array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block
+        after offset d-1's, in the order of layers.pair_views."""
+        moments = value.shape
+        if _is_pair_kernel(value):
+            value = np.ascontiguousarray(value)
+            moments = (sum(upper.size for upper, _ in L.pair_views(value)),)
         # np.zeros maps no page before its first write, so tagging never pays for these
         return Param(value=value,
                      grad=np.zeros(value.shape),
@@ -306,12 +309,17 @@ class Model:
     def with_kept_folds(self) -> "Model":
         """This model if it keeps its folds, else a Model over the same
         ParamStore that keeps each B's fold (layers.fold) as it is now: for
-        several forward calls over values that do not change between them."""
+        several forward calls over values that do not change between them.
+        Each kept block is Fortran-ordered, so that the operand the forward's
+        GEMM reads, its transpose, is C-contiguous; the blocks are reordered
+        one at a time as the fold makes them, never beside a whole C-order
+        fold."""
         if self._kept_folds is not None:
             return self
         model = Model(self.config, self.params)
-        model._kept_folds = {group.B: L.fold(self.params[group.B].value)
-                             for groups in self._groups for group in groups if group.B}
+        model._kept_folds = {
+            group.B: [np.asfortranarray(block) for block in L.fold(self.params[group.B].value)]
+            for groups in self._groups for group in groups if group.B}
         return model
 
     def forward(self, token_ids, training: bool = False,
@@ -496,7 +504,8 @@ class Checkpoint:
 
     def build_model(self) -> Model:
         """A model for tagging over this checkpoint's tensors. It takes over
-        the arrays without drawing or copying, marks each B read-only and
+        the arrays without drawing or copying (each A in the m-major order
+        load_checkpoint reads it into), marks each B read-only and
         folds it once, here, for the model's life (Model.with_kept_folds). A
         write into a B (an Adam step, load_values) then raises instead of
         leaving a stale fold."""
@@ -547,7 +556,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(struct.pack("<I", len(layout)))
         for name, arr in ckpt.tensors.items():
             fh.write(_tensor_header(name, arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)  # no copy
+            # a C-contiguous tensor is written without a copy, a loaded A
+            # (m-major) through one row-major copy
+            fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)
 
 
 # metadata key -> required JSON type
@@ -591,7 +602,22 @@ def _checked_config(meta) -> ModelConfig:
     return config
 
 
+def _m_major(kernel: np.ndarray) -> np.ndarray:
+    """A (c, w, m) window kernel's values in a new array of (m, c, w) memory
+    order, so that kernel.reshape(c * w, m).T, the operand of kn2row's GEMM,
+    is C-contiguous."""
+    c, w, m = kernel.shape
+    out = np.empty((m, c, w)).transpose(1, 2, 0)
+    out[...] = kernel
+    return out
+
+
 def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoint:
+    """The checkpoint at `path`, every field and tensor header checked (see
+    save_checkpoint for the layout). Each tensor is read straight into its
+    array, with no bytes object beside it, except a window kernel A: it is
+    read into a buffer of its own size and moved into (m, c, w) memory order
+    (_m_major), the order a tagging pass's GEMM reads it in."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -628,10 +654,10 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
                 raise CheckpointError(f"checkpoint tensor header is not its config's "
                                       f"{name!r} {shape}")
             n = guard(8 * math.prod(shape))
-            tensors[name] = np.empty(shape)
-            # read straight into the array, with no bytes object beside it
-            if fh.readinto(tensors[name].data.cast("B")) != n:
+            array = np.empty(shape)
+            if fh.readinto(array.data.cast("B")) != n:
                 raise CheckpointError("corrupt checkpoint: truncated file")
+            tensors[name] = _m_major(array) if array.ndim == 3 else array
         if fh.tell() != size:
             raise CheckpointError("corrupt checkpoint: trailing bytes")
     if expect_config is not None and config != expect_config:

@@ -651,6 +651,16 @@ class TestManifest:
         assert loaded["command"] == "x"
         assert loaded["rng_algorithm"] == "pcg64"
 
+    def test_thread_settings_as_seen_and_null_when_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        primary = tmp_path / "out.bin"
+        primary.write_bytes(b"output")
+        cli._RunRecord("x", primary, {}, {"output": primary}).write({}, 0)
+        manifest = json.loads((tmp_path / "out.bin.manifest.json").read_text())
+        assert manifest["environment"]["threads_env"] == {"OPENBLAS_NUM_THREADS": "3",
+                                                          "OMP_NUM_THREADS": None}
+
 
 @pytest.fixture(scope="module")
 def run_records(tmp_path_factory):
@@ -683,7 +693,7 @@ class TestRunRecord:
         primary, inputs, outputs = run_records[command]
         manifest = json.loads(Path(f"{primary}.manifest.json").read_text())
         assert set(manifest) == {"command", "config", "seed", "inputs", "outputs",
-                                 "timings", "rng_algorithm"}
+                                 "timings", "rng_algorithm", "environment"}
         assert manifest["command"] == command
         for role, paths in (("inputs", inputs), ("outputs", outputs)):
             assert manifest[role] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -692,3 +702,18 @@ class TestRunRecord:
         for key, value in timings.items():
             assert key.endswith("_sec"), key
             assert 0.0 <= value <= timings["total_sec"], key
+
+    @pytest.mark.parametrize("command", ["synth", "train", "tag", "eval", "ab-bench"])
+    def test_manifest_records_what_the_bytes_depend_on(self, command, run_records):
+        """numpy's version, the BLAS library numpy reports, both BLAS thread
+        variables as the process saw them (null when unset) and the CPUs the
+        process may use."""
+        primary, _, _ = run_records[command]
+        env = json.loads(Path(f"{primary}.manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert all(isinstance(value, str) for value in env["blas"].values())
+        assert env["threads_env"] == {key: os.environ.get(key)
+                                      for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        assert env["cpus"] == len(os.sched_getaffinity(0)) >= 1

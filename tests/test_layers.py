@@ -321,7 +321,7 @@ class TestAutocorrTensor:
     def test_folded_contraction_equals_full(self):
         """The i <= j pairs contracted with the folded kernel give the w*w
         contraction with B, for a B with B[i, j] != B[j, i]; offset d's block
-        holds row (u, i) = B[u, i, i + d] + B[u, i + d, i]."""
+        holds row (i, u) = B[u, i, i + d] + B[u, i + d, i]."""
         rng = Rng(5)
         x, spec, A, B, b = rand_instance(rng, 6, 3, 2, 2, 4, with_B=True)
         assert not np.allclose(B, np.swapaxes(B, 1, 2))
@@ -332,11 +332,11 @@ class TestAutocorrTensor:
         assert len(cache.folded) == w
         for d in range(w):
             block = cache.folded[d]
-            assert block.shape == (c * (w - d), m)
+            assert block.shape == ((w - d) * c, m)
             for u in range(c):
                 for i in range(w - d):
                     fold = B[u, i, i + d] + B[u, i + d, i] if d else B[u, i, i]
-                    assert np.array_equal(block[u * (w - d) + i], fold)
+                    assert np.array_equal(block[i * c + u], fold)
 
     def test_repeated_rows_give_identical_interactions(self):
         rng = Rng(6)
@@ -596,7 +596,7 @@ def test_autocorr_cache_holds_no_band_array(lengths):
     forward for the backward."""
     n, m = 48, 290
     x, spec, A, B, b = rand_instance(Rng(6200), n, m, 5, 6, 2, with_B=True)
-    folded = L.fold(B)
+    folded = list(L.fold(B))
     _, cache = L.autocorr_forward(x, spec, A, B, b, lengths, folded=folded)
     assert cache.x is x and cache.folded is folded
     held = 0

@@ -534,12 +534,13 @@ class TestChunkBudget:
         assert TR._token_floats(replace(config, layers=(*config.layers[:-1], wider))) > floats
 
 
-def step_fold_model():
-    """A (5, 6) and an ell = 0 autocorr group, dropout and L2 on."""
+def step_fold_model(layer1="autocorr"):
+    """A (5, 6) and an ell = 0 group at layer 1, autocorr unless `layer1`
+    says "conv", dropout and L2 on."""
     cfg = ModelConfig(
         vocab_size=12, embedding_dim=3, dropout_rate=0.3,
         l2_weight=0.1, seed=6,
-        layers=(LayerConfig("autocorr", ((5, 6), (0, 2)), 4),
+        layers=(LayerConfig(layer1, ((5, 6), (0, 2)), 4),
                 LayerConfig("conv", ((1, 1),), 3),
                 LayerConfig("conv", ((0, 1),), 2)))
     return Model.build(cfg)
@@ -639,9 +640,14 @@ class TestKeptFold:
     keeps the fold; a Model.build model, whose B training writes, folds on
     every call. The naive path runs beside the kept one."""
 
-    def test_folds_once_at_build_and_tags_identically(self, tmp_path, folded, monkeypatch):
-        fresh = packs_48(monkeypatch, step_fold_model())
-        shapes = [fresh.params[name].value.shape for name in STEP_KERNELS]
+    @pytest.mark.parametrize("layer1", ["autocorr", "conv"], ids=["acnn", "cnn"])
+    def test_folds_once_at_build_and_tags_identically(self, layer1, tmp_path, folded,
+                                                       monkeypatch):
+        """The loaded model reads its A's m-major and its kept blocks
+        Fortran-ordered, the built one C-ordered, and both give the same
+        probability bytes on one-sentence and packed passes."""
+        fresh = packs_48(monkeypatch, step_fold_model(layer1))
+        shapes = [p.value.shape for _, p in fresh.params.items() if p.value.ndim == 4]
         kept = reloaded(fresh, tmp_path).build_model()
         assert folded == shapes
         folded.clear()
@@ -652,13 +658,40 @@ class TestKeptFold:
         ids = np.concatenate([vocab.encode(s.tokens) for s in seqs])
         kept_masks = [TR.predict_masks(kept, seqs, vocab) for _ in range(3)]
         kept_probs = kept.forward(ids, lengths=STEP_LENGTHS)
+        start = sum(STEP_LENGTHS[:3])
+        alone = ids[start:start + STEP_LENGTHS[3]]  # the 60-token sentence
+        kept_alone = kept.forward(alone)
         assert folded == []
         fresh_masks = [TR.predict_masks(fresh, seqs, vocab) for _ in range(3)]
         fresh_probs = fresh.forward(ids, lengths=STEP_LENGTHS)
-        assert folded == shapes * 4
+        fresh_alone = fresh.forward(alone)
+        assert folded == shapes * 5
         assert kept_probs.tobytes() == fresh_probs.tobytes()
+        assert kept_alone.tobytes() == fresh_alone.tobytes()
         for got, want in zip(kept_masks, fresh_masks, strict=True):
             assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+
+    def test_loaded_kernels_are_in_the_order_their_gemm_reads(self, tmp_path):
+        """A checkpoint-built model holds every A m-major, so that the operand
+        kn2row's GEMM reads, A.reshape(c * w, m).T, is C-contiguous, and every
+        kept fold block Fortran-ordered, so that the forward's operand
+        block.T is; a Model.build model, which training writes, and the fold
+        of each step stay C-contiguous."""
+        built = step_fold_model()
+        loaded = reloaded(built, tmp_path).build_model()
+        for name, p in loaded.params.items():
+            if p.value.ndim == 3:
+                c, w, m = p.value.shape
+                assert p.value.reshape(c * w, m).T.flags.c_contiguous, name
+            else:
+                assert p.value.flags.c_contiguous, name
+        assert sorted(loaded._kept_folds) == sorted(STEP_KERNELS)
+        for name, blocks in loaded._kept_folds.items():
+            assert all(block.T.flags.c_contiguous for block in blocks), name
+        for name, p in built.params.items():
+            assert p.value.flags.c_contiguous and p.grad.flags.c_contiguous, name
+        for name in STEP_KERNELS:
+            assert all(block.flags.c_contiguous for block in L.fold(built.params[name].value))
 
     def test_B_is_read_only(self, tmp_path):
         ckpt = reloaded(step_fold_model(), tmp_path)
