@@ -6,8 +6,8 @@ import argparse
 from dataclasses import dataclass, replace
 
 from acnn import training
-from acnn.bench import preset_corpora
-from acnn.data import DISFLUENT, GENERATOR_PRESETS
+from acnn.bench import ab_corpora
+from acnn.data import DISFLUENT, GENERATOR_PRESETS, build_vocab, generate_corpus
 from acnn.model import LAYER1_KIND, LayerConfig, Model, ModelConfig
 from acnn.tensor import Rng
 
@@ -95,7 +95,9 @@ def main() -> None:
         if getattr(args, flag) < least:
             ap.error(f"--{flag.replace('_', '-')} must be >= {least}, got {getattr(args, flag)}")
 
-    train_seqs, dev_seqs, vocab = preset_corpora(args.preset, args.train_count, args.dev_count)
+    train_seqs, dev_seqs = map(generate_corpus,
+                               ab_corpora(args.preset, args.train_count, args.dev_count))
+    vocab = build_vocab(train_seqs)
     # training.train refuses such a dev split too, but only once a trial starts
     if not any(DISFLUENT in seq.labels for seq in dev_seqs):
         ap.exit(2, f"{ap.prog}: error: the {args.dev_count}-sentence dev split has no "

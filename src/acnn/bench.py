@@ -8,8 +8,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import evaluate, training
-from .data import (GENERATOR_PRESETS, KINDS, TokenSequence, Vocabulary, build_vocab,
-                   generate_corpus)
+from .data import (GENERATOR_PRESETS, KINDS, GeneratorConfig, TokenSequence, Vocabulary,
+                   build_vocab, generate_corpus)
 from .model import Model, model_preset
 from .tensor import Rng
 
@@ -67,14 +67,14 @@ class BenchResult:
         return "\n".join(lines)
 
 
-def preset_corpora(preset: str, train_count: int, dev_count: int,
-                   ) -> tuple[list[TokenSequence], list[TokenSequence], Vocabulary]:
-    """A generator preset's train corpus, its dev corpus (drawn from the
-    preset's seed + 1) and the train corpus's vocabulary."""
+def ab_corpora(preset: str, train_count: int, dev_count: int,
+               ) -> tuple[GeneratorConfig, GeneratorConfig]:
+    """The generator configs of an A/B run's train and dev corpora: a generator
+    preset's, the train corpus drawn from its seed and the dev corpus from its
+    seed + 1. A count the generator rejects raises ValueError."""
     gen_cfg = GENERATOR_PRESETS[preset]
-    train_seqs = generate_corpus(replace(gen_cfg, sentence_count=train_count))
-    dev_seqs = generate_corpus(replace(gen_cfg, sentence_count=dev_count, seed=gen_cfg.seed + 1))
-    return train_seqs, dev_seqs, build_vocab(train_seqs)
+    return (replace(gen_cfg, sentence_count=train_count),
+            replace(gen_cfg, sentence_count=dev_count, seed=gen_cfg.seed + 1))
 
 
 def _train_arm(arch: str, seed: int, train_seqs, dev_seqs, vocab,
@@ -104,17 +104,19 @@ def check_seeds(seeds) -> None:
         Rng(seed)
 
 
-def ab_bench(preset: str, seeds, train_count: int, dev_count: int,
+def ab_bench(train_gen: GeneratorConfig, dev_gen: GeneratorConfig, seeds,
              train_cfg: training.TrainConfig = AB_TRAIN,
              progress=None) -> BenchResult:
-    """Train matched CNN and ACNN toy models per seed on a synthetic preset,
-    and take the copy-pair diagnostic of the last ACNN arm.
+    """Train matched CNN and ACNN toy models per seed on the synthetic corpora
+    of two generator configs (ab_corpora's), and take the copy-pair diagnostic
+    of the last ACNN arm.
 
-    The corpus is generated once from the preset (deterministic); the seeds
-    vary parameter initialization, shuffling, and dropout.
+    Each corpus is generated once (deterministic); the seeds vary parameter
+    initialization, shuffling, and dropout.
     """
     check_seeds(seeds)
-    train_seqs, dev_seqs, vocab = preset_corpora(preset, train_count, dev_count)
+    train_seqs, dev_seqs = generate_corpus(train_gen), generate_corpus(dev_gen)
+    vocab = build_vocab(train_seqs)
     result = BenchResult(max_epochs=train_cfg.max_epochs)
     for seed in seeds:
         for arch in ("cnn", "acnn"):

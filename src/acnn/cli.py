@@ -273,7 +273,9 @@ def cmd_eval(args) -> int:
 # gradcheck
 # ---------------------------------------------------------------------------
 
-def _gradcheck_config(arch: str, seed: int) -> ModelConfig:
+def gradcheck_config(arch: str, seed: int) -> ModelConfig:
+    """The small 3-layer model that `acnn gradcheck` checks: vocabulary 16,
+    embedding 5, 4 channels, and a layer geometry with an ell=0 group."""
     return ModelConfig(
         vocab_size=16, embedding_dim=5,
         dropout_rate=0.0, l2_weight=0.05, seed=seed,
@@ -282,16 +284,13 @@ def _gradcheck_config(arch: str, seed: int) -> ModelConfig:
                 LayerConfig("conv", ((0, 1),), 4)))
 
 
-def gradcheck_model(arch: str, seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
-                    ) -> list[tuple[str, GradCheckReport]]:
-    """Finite-difference check of every parameter tensor of a small 3-layer
-    model (vocabulary 16, embedding 5, 4 channels), on one packed batch of a
-    6-token, a 1-token and a 4-token sentence, so that autocorr's bands gather
-    rows that do not start the pass. The layer geometry includes an ell=0
-    group."""
-    cfg = _gradcheck_config(arch, seed)
+def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[tuple[str, GradCheckReport]]:
+    """Finite-difference check, at grad_check's step, of every parameter
+    tensor of a model built from cfg, on one packed batch of a 6-token, a
+    1-token and a 4-token sentence drawn from cfg.seed + 1, so that autocorr's
+    bands gather rows that do not start the pass."""
     model = Model.build(cfg)
-    rng = Rng(seed + 1)
+    rng = Rng(cfg.seed + 1)
     batch = []
     for n in (6, 1, 4):
         ids = rng.integers(2, cfg.vocab_size, size=n)
@@ -305,7 +304,7 @@ def gradcheck_model(arch: str, seed: int = 0, eps: float = 1e-5, tol: float = 1e
     analytic = {name: p.grad.copy() for name, p in model.params.items()}
     results = []
     for name, p in model.params.items():
-        report = grad_check(loss_fn, p.value, analytic[name], eps=eps, tol=tol)
+        report = grad_check(loss_fn, p.value, analytic[name], tol=tol)
         results.append((name, report))
     return results
 
@@ -313,9 +312,9 @@ def gradcheck_model(arch: str, seed: int = 0, eps: float = 1e-5, tol: float = 1e
 def cmd_gradcheck(args) -> int:
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be finite and positive, got {args.tol}")
-    with _flag_values():  # built here only so that gradcheck_model never meets a seed it rejects
-        _gradcheck_config(args.arch, args.seed)
-    results = gradcheck_model(args.arch, seed=args.seed, tol=args.tol)
+    with _flag_values():
+        cfg = gradcheck_config(args.arch, args.seed)
+    results = gradcheck_model(cfg, tol=args.tol)
     print(f"{'tensor':<24}{'coords':>8}  {'max_rel_err':>12}  status")
     ok = True
     for name, report in results:
@@ -333,10 +332,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ab_bench(args) -> int:
     with _flag_values():
-        # built here only so that bench.ab_bench never meets a value they reject
-        gen_cfg = data.GENERATOR_PRESETS[args.preset]
-        for count in (args.train_count, args.dev_count):
-            replace(gen_cfg, sentence_count=count)
+        corpora = bench.ab_corpora(args.preset, args.train_count, args.dev_count)
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         bench.check_seeds(seeds)
         tcfg = training.TrainConfig(learning_rate=args.lr, max_epochs=args.max_epochs,
@@ -347,10 +343,7 @@ def cmd_ab_bench(args) -> int:
         print(f"seed {arm.seed} {arm.arch}: dev F {100 * arm.dev_f1:.2f} "
               f"(best epoch {arm.best_epoch})")
 
-    result = bench.ab_bench(preset=args.preset, seeds=seeds,
-                            train_count=args.train_count,
-                            dev_count=args.dev_count, train_cfg=tcfg,
-                            progress=progress)
+    result = bench.ab_bench(*corpora, seeds=seeds, train_cfg=tcfg, progress=progress)
     report = result.report()
     print(report)
     _write_text(args.out, report + "\n")

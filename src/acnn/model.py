@@ -437,44 +437,33 @@ def param_count(params: ParamStore) -> ParamCountReport:
 LAYER1_KIND = {"acnn": "autocorr", "cnn": "conv"}
 
 
+# name -> the settings of a named architecture preset. `cnn-table1` /
+# `acnn-table1` are the published full-scale configurations; `cnn-toy` /
+# `acnn-toy` are matched desk-scale configs differing only in the first-layer
+# operator.
+_PRESETS = {
+    "cnn-table1": dict(embedding_dim=290, dropout_rate=0.51, l2_weight=0.13, layers=(
+        LayerConfig("conv", ((0, 1), (1, 1), (4, 4)), 570),
+        LayerConfig("conv", ((1, 1), (2, 2), (3, 4)), 570),
+        LayerConfig("conv", ((0, 1), (1, 2), (2, 3)), 570))),
+    "acnn-table1": dict(embedding_dim=290, dropout_rate=0.53, l2_weight=0.23, layers=(
+        LayerConfig("autocorr", ((5, 6), (3, 3)), 120),
+        LayerConfig("conv", ((4, 5), (2, 3)), 120),
+        LayerConfig("conv", ((3, 4), (2, 2)), 120))),
+    **{f"{arch}-toy": dict(embedding_dim=32, dropout_rate=0.15, l2_weight=0.01, layers=(
+        LayerConfig(LAYER1_KIND[arch], ((2, 6),), 16),
+        LayerConfig("conv", ((1, 2),), 16),
+        LayerConfig("conv", ((0, 1),), 16))) for arch in ("cnn", "acnn")},
+}
+
+MODEL_PRESETS = tuple(_PRESETS)
+
+
 def model_preset(name: str, vocab_size: int, seed: int = 0) -> ModelConfig:
-    """Named architecture presets.
-
-    `cnn-table1` / `acnn-table1` are the published full-scale configurations;
-    `cnn-toy` / `acnn-toy` are matched desk-scale configs differing only in the
-    first-layer operator.
-    """
-    if name == "cnn-table1":
-        return ModelConfig(
-            vocab_size=vocab_size, embedding_dim=290,
-            dropout_rate=0.51, l2_weight=0.13, seed=seed,
-            layers=(
-                LayerConfig("conv", ((0, 1), (1, 1), (4, 4)), 570),
-                LayerConfig("conv", ((1, 1), (2, 2), (3, 4)), 570),
-                LayerConfig("conv", ((0, 1), (1, 2), (2, 3)), 570),
-            ))
-    if name == "acnn-table1":
-        return ModelConfig(
-            vocab_size=vocab_size, embedding_dim=290,
-            dropout_rate=0.53, l2_weight=0.23, seed=seed,
-            layers=(
-                LayerConfig("autocorr", ((5, 6), (3, 3)), 120),
-                LayerConfig("conv", ((4, 5), (2, 3)), 120),
-                LayerConfig("conv", ((3, 4), (2, 2)), 120),
-            ))
-    if name in ("cnn-toy", "acnn-toy"):
-        return ModelConfig(
-            vocab_size=vocab_size, embedding_dim=32,
-            dropout_rate=0.15, l2_weight=0.01, seed=seed,
-            layers=(
-                LayerConfig(LAYER1_KIND[name.removesuffix("-toy")], ((2, 6),), 16),
-                LayerConfig("conv", ((1, 2),), 16),
-                LayerConfig("conv", ((0, 1),), 16),
-            ))
-    raise ConfigError(f"unknown model preset {name!r}")
-
-
-MODEL_PRESETS = ("cnn-table1", "acnn-table1", "cnn-toy", "acnn-toy")
+    """The named architecture preset's config for a vocabulary and a seed."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown model preset {name!r}")
+    return ModelConfig(vocab_size=vocab_size, seed=seed, **_PRESETS[name])
 
 
 # ---------------------------------------------------------------------------

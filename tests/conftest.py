@@ -41,7 +41,7 @@ _VALID_TENSORS = (_tensor("embedding", (10, 3)), _tensor("layer1.group0.A", (2, 
                   _tensor("output.b", (2,)))
 
 # case -> (metadata, declared metadata length or None,
-#          tensors as (name, shape, dtype code, data))
+#          tensors as (name, shape, dtype code, data)[, format version, 1 if left out])
 HOSTILE_CHECKPOINTS = {
     "no-config": (_changed(_VALID_META, config=None), None, ()),
     "no-vocab": (_changed(_VALID_META, vocab=None), None, ()),
@@ -92,12 +92,28 @@ HOSTILE_CHECKPOINTS = {
     "tensor-renamed": (_VALID_META, None, _VALID_TENSORS[:4] + (_tensor("output.c", (2,)),)),
     # an embedding dim that no u32 header field holds
     "vocab-size-2**32": (_config_changed(vocab_size=2 ** 32), None, _VALID_TENSORS),
+    # configs that only their own check refuses: each comes with its layout's tensors
+    "layer-kind-unknown": (_config_changed(layers=[
+        {"kind": "lstm", "kernel_groups": [[0, 1]], "channels": 2}]), None, _VALID_TENSORS),
+    "kernel-groups-empty": (_config_changed(layers=[
+        {"kind": "conv", "kernel_groups": [], "channels": 2}]), None,
+        _VALID_TENSORS[:1] + _VALID_TENSORS[3:]),
+    "channels-zero": (_config_changed(layers=[
+        {"kind": "conv", "kernel_groups": [[0, 1]], "channels": 0}]), None,
+        (_VALID_TENSORS[0], _tensor("layer1.group0.A", (0, 2, 3)),
+         _tensor("layer1.group0.b", (0,)), _tensor("output.W", (2, 0)), _VALID_TENSORS[4])),
+    "embedding-dim-0": (_config_changed(embedding_dim=0), None,
+                        (_tensor("embedding", (10, 0)), _tensor("layer1.group0.A", (2, 2, 0)))
+                        + _VALID_TENSORS[2:]),
+    "no-layers": (_config_changed(layers=[]), None,
+                  (_VALID_TENSORS[0], _tensor("output.W", (2, 3)), _VALID_TENSORS[4])),
+    "version-2": (_VALID_META, None, _VALID_TENSORS, 2),
 }
 
 
-def _write_checkpoint(path, meta, meta_len, tensors):
+def _write_checkpoint(path, meta, meta_len, tensors, version=1):
     blob = json.dumps(meta).encode("utf-8")
-    parts = [b"ACNNCKPT", struct.pack("<I", 1),
+    parts = [b"ACNNCKPT", struct.pack("<I", version),
              struct.pack("<Q", len(blob) if meta_len is None else meta_len), blob,
              struct.pack("<I", len(tensors))]
     for name, shape, code, raw in tensors:

@@ -14,6 +14,8 @@ import pytest
 from acnn import bench, cli, data, evaluate, layers as L, model as M
 from acnn.tensor import Rng
 
+from corpus_stats import disfluent_token_rate, distance_histogram, exact_copy_rate
+
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"CRITERION {num:2d}: {'PASS' if ok else 'FAIL'} — {detail}",
@@ -23,8 +25,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def ab_result():
-    return bench.ab_bench(preset="rough-copy-hard", seeds=(11, 12, 13),
-                          train_count=2000, dev_count=500)
+    return bench.ab_bench(*bench.ab_corpora("rough-copy-hard", 2000, 500),
+                          seeds=(11, 12, 13))
 
 
 def test_criterion_01_reduction_invariant():
@@ -51,7 +53,7 @@ def test_criterion_02_gradient_correctness():
     worst = 0.0
     ok = True
     for arch in ("cnn", "acnn"):
-        for name, rep in cli.gradcheck_model(arch, tol=1e-4, eps=1e-5):
+        for name, rep in cli.gradcheck_model(cli.gradcheck_config(arch, 0), tol=1e-4):
             ok = ok and rep.ok
             worst = max(worst, rep.max_rel_error)
     report(2, ok, f"every tensor of toy CNN and ACNN passes grad_check on one "
@@ -139,14 +141,14 @@ def test_criterion_05_per_kind_ordering(ab_result):
 
 def test_criterion_06_generator_statistics():
     swb = data.generate_corpus(data.GENERATOR_PRESETS["switchboard-like"])
-    copy = data.exact_copy_rate(swb)
-    rate = data.disfluent_token_rate(swb)
+    copy = exact_copy_rate(swb)
+    rate = disfluent_token_rate(swb)
     # enough sentences of the correction-heavy preset for >= 10,000 spans
     cfg = replace(data.GENERATOR_PRESETS["rough-copy-hard"],
                   sentence_count=16000, seed=5)
     seqs = data.generate_corpus(cfg)
     n_spans = sum(len(s.spans) for s in seqs)
-    got = data.distance_histogram(seqs)
+    got = distance_histogram(seqs)
     want = dict(cfg.distance_histogram)
     hist_err = max(abs(got.get(d, 0.0) - p) for d, p in want.items())
     ok = (abs(copy - 0.60) <= 0.05 and 0.05 <= rate <= 0.08

@@ -394,7 +394,7 @@ class TestGradcheck:
         assert "error:usage" in capsys.readouterr().err
 
     def test_all_tensors_reported(self):
-        results = cli.gradcheck_model("acnn")
+        results = cli.gradcheck_model(cli.gradcheck_config("acnn", 0))
         names = [name for name, _ in results]
         assert "embedding" in names
         assert "layer1.group0.B" in names
@@ -425,7 +425,7 @@ class TestUsage:
     def test_ab_bench_repeated_seed(self, seeds):
         """A repeated seed trains the same arms again and adds nothing to the mean."""
         with pytest.raises(ValueError, match="distinct"):
-            bench.ab_bench("toy", seeds, train_count=30, dev_count=10)
+            bench.ab_bench(*bench.ab_corpora("toy", 30, 10), seeds)
 
     @pytest.mark.parametrize("argv", [
         ("train", "--preset", "cnn-toy", "--lr", "-1"),

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from acnn import data as D
 
+from corpus_stats import disfluent_token_rate, distance_histogram, exact_copy_rate
+
 
 EXAMPLE = "i want a flight [ to boston + { uh i mean } to denver ] on friday"
 
@@ -105,6 +107,11 @@ class TestParse:
         with pytest.raises(D.CorpusFormatError, match=f"^{re.escape(message)}$"):
             D.parse_annotated(deep)
         assert len(D.parse_annotated(deep[6:-2]).spans) == D.MAX_NESTING
+
+
+def test_tokens_and_labels_of_unequal_length_rejected():
+    with pytest.raises(D.CorpusFormatError, match="equal length"):
+        D.TokenSequence(tokens=["a", "b"], labels=[D.FLUENT])
 
 
 class TestWriteBracket:
@@ -321,6 +328,10 @@ class TestGeneratorConfig:
             D.GeneratorConfig(fluent_ratio=1.5)
         with pytest.raises(ValueError):
             D.GeneratorConfig(distance_histogram=((0, 0.5), (1, 0.4)))
+        with pytest.raises(ValueError, match="distance buckets"):
+            D.GeneratorConfig(distance_histogram=((0, 0.5), (13, 0.5)))
+        with pytest.raises(ValueError, match="reparandum lengths"):
+            D.GeneratorConfig(reparandum_lengths=((0, 0.5), (1, 0.5)))
 
 
 class TestGenerator:
@@ -354,7 +365,7 @@ class TestGenerator:
         cfg = replace(D.GENERATOR_PRESETS["rough-copy-hard"],
                       sentence_count=4000, seed=17)
         seqs = D.generate_corpus(cfg)
-        got = D.distance_histogram(seqs)
+        got = distance_histogram(seqs)
         for d, p in dict(cfg.distance_histogram).items():
             assert abs(got.get(d, 0.0) - p) < 0.03, (d, got.get(d), p)
 
@@ -363,17 +374,17 @@ class TestGenerator:
         every repair follows an interregnum."""
         cfg = D.GeneratorConfig(distance_histogram=((1, 0.5), (2, 0.5)),
                                 sentence_count=2000, fluent_ratio=0.0, seed=3)
-        got = D.distance_histogram(D.generate_corpus(cfg))
+        got = distance_histogram(D.generate_corpus(cfg))
         assert got and 0 not in got
 
     def test_disfluent_token_rate_switchboard_like(self):
         seqs = D.generate_corpus(D.GENERATOR_PRESETS["switchboard-like"])
-        rate = D.disfluent_token_rate(seqs)
+        rate = disfluent_token_rate(seqs)
         assert 0.05 <= rate <= 0.08
 
     def test_exact_copy_rate_near_target(self):
         seqs = D.generate_corpus(D.GENERATOR_PRESETS["switchboard-like"])
-        assert abs(D.exact_copy_rate(seqs) - 0.60) <= 0.05
+        assert abs(exact_copy_rate(seqs) - 0.60) <= 0.05
 
 
 class TestStats:
@@ -381,23 +392,23 @@ class TestStats:
         seqs = [D.parse_annotated("[ a b + a c ] d"),   # 1 of 2 copied
                 D.parse_annotated("[ e + e ] f"),       # 1 of 1 copied
                 D.parse_annotated("[ g + ] h")]         # restart: 0 of 1
-        assert D.exact_copy_rate(seqs) == pytest.approx(2 / 4)
+        assert exact_copy_rate(seqs) == pytest.approx(2 / 4)
 
     def test_distance_histogram_hand_counts(self):
         seqs = [D.parse_annotated("[ a + a ] x"),
                 D.parse_annotated("[ b + { uh } b ] y"),
                 D.parse_annotated("[ c + ] z")]  # restart excluded
-        hist = D.distance_histogram(seqs)
+        hist = distance_histogram(seqs)
         assert hist == {0: 0.5, 1: 0.5}
 
     def test_disfluent_rate_hand_counts(self):
         seqs = [D.parse_annotated("[ a + a ] x y")]  # 1 of 4 tokens
-        assert D.disfluent_token_rate(seqs) == pytest.approx(0.25)
+        assert disfluent_token_rate(seqs) == pytest.approx(0.25)
 
     def test_empty_inputs(self):
-        assert D.exact_copy_rate([]) == 0.0
-        assert D.distance_histogram([]) == {}
-        assert D.disfluent_token_rate([]) == 0.0
+        assert exact_copy_rate([]) == 0.0
+        assert distance_histogram([]) == {}
+        assert disfluent_token_rate([]) == 0.0
 
 
 token = st.text(alphabet="abcdefg", min_size=1, max_size=4)

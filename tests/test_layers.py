@@ -188,6 +188,35 @@ class TestConv1d:
             L.conv1d_forward(np.zeros((4, 3)), spec, np.zeros((1, 2, 3)), np.zeros(1))
 
 
+SPEC_1_1 = L.ConvKernelSpec(1, 1)
+
+# case -> (an operator call with one bad operand, the message of the check
+# that refuses it)
+BAD_OPERANDS = {
+    "conv1d-bias-shape": (lambda: L.conv1d_forward(
+        np.zeros((4, 3)), SPEC_1_1, np.zeros((2, 3, 3)), np.zeros(3)), "bias shape"),
+    "autocorr-bias-shape": (lambda: L.autocorr_forward(
+        np.zeros((4, 3)), SPEC_1_1, np.zeros((2, 3, 3)), np.zeros((2, 3, 3, 3)),
+        np.zeros(3)), "bias shape"),
+    "autocorr-B-shape": (lambda: L.autocorr_forward(
+        np.zeros((4, 3)), SPEC_1_1, np.zeros((2, 3, 3)), np.zeros((2, 3, 3, 2)),
+        np.zeros(2)), "B kernel shape"),
+    "width1-weight-shape": (lambda: L.width1_forward(
+        np.zeros((4, 3)), np.zeros((2, 4)), np.zeros(2)), "weight shape"),
+    "width1-bias-shape": (lambda: L.width1_forward(
+        np.zeros((4, 3)), np.zeros((2, 3)), np.zeros(3)), "bias shape"),
+    "dropout-training-without-rng": (lambda: L.dropout(np.ones(3), 0.5, None, training=True),
+                                     "needs an rng"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPERANDS))
+def test_bad_operand_is_refused_by_its_check(case):
+    call, message = BAD_OPERANDS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestConv1dBackward:
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_random_shapes(self, seed):

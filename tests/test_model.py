@@ -72,6 +72,10 @@ class TestConfig:
             cfg = M.model_preset(name, vocab_size=50)
             assert M.Model.build(cfg) is not None
 
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(M.ConfigError, match="unknown model preset 'acnn-table2'"):
+            M.model_preset("acnn-table2", vocab_size=50)
+
 
 class TestBuild:
     def test_deterministic(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acnn.tensor import Rng, grad_check
+from acnn.tensor import NumericError, Rng, grad_check
 
 
 class TestRng:
@@ -48,6 +48,13 @@ class TestGradCheck:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             grad_check(lambda q: 0.0, np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("objective", [lambda q: np.nan,
+                                           lambda q: np.inf if q[1] > 0 else 0.0],
+                             ids=["nan", "inf-on-one-side"])
+    def test_non_finite_objective_is_numeric_error(self, objective):
+        with pytest.raises(NumericError, match="non-finite objective"):
+            grad_check(objective, np.zeros(3), np.zeros(3))
 
 
 def test_import_turns_off_numpy_huge_page_advice():

@@ -13,7 +13,7 @@ from acnn.data import (FLUENT, GENERATOR_PRESETS, PAD_WORD, UNK_WORD, CorpusForm
 from acnn.model import (CLASS_DISFLUENT, MODEL_PRESETS, Checkpoint, LayerConfig, Model,
                         ModelConfig, ParamStore, load_checkpoint, model_preset,
                         save_checkpoint)
-from acnn.tensor import Rng, grad_check
+from acnn.tensor import NumericError, Rng, grad_check
 
 
 def tiny_model(vocab_size=10, dropout=0.0, l2=0.0, seed=0):
@@ -68,6 +68,11 @@ class TestCrossEntropy:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             TR.cross_entropy(np.full((1, 2), 0.5), ["X"])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_probs_shape_must_match_labels(self, shape):
+        with pytest.raises(ValueError, match="probs shape"):
+            TR.cross_entropy(np.full(shape, 0.5), [0, 1])
 
     def test_fused_xent_grad_check(self):
         rng = Rng(32)
@@ -285,6 +290,18 @@ class TestBatchLoss:
         model = tiny_model(vocab_size=len(vocab))
         expected_gap = TR.add_l2(model.params, 0.5)
         assert reg - plain == pytest.approx(expected_gap, rel=1e-9)
+
+    def test_non_finite_loss_is_numeric_error(self):
+        """Finite probabilities, but an L2 penalty that overflows: a caller
+        that lets numpy overflow pass gets a NumericError, not an inf loss."""
+        train, _, vocab = toy_data()
+        model = tiny_model(vocab_size=len(vocab), l2=0.1)
+        model.params["output.W"].value[...] = 1e200
+        batch = [(vocab.encode(s.tokens), s.disfluent_mask().astype(np.int64))
+                 for s in train[:3]]
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="non-finite training loss"):
+            TR.batch_loss_and_grads(model, batch)
 
 
 class TestPredictMasks:
@@ -635,6 +652,12 @@ def reloaded(model, tmp_path):
     return load_checkpoint(path)
 
 
+# how far a loaded model's probabilities may lie from a built one's: orders of
+# magnitude above the rounding of sums read in another memory order, and far
+# below what a wrong weight or fold changes
+LOADED_VS_BUILT = 1e-12
+
+
 class TestKeptFold:
     """A checkpoint-built model folds each B once, when it is built, and
     keeps the fold; a Model.build model, whose B training writes, folds on
@@ -644,32 +667,46 @@ class TestKeptFold:
     def test_folds_once_at_build_and_tags_identically(self, layer1, tmp_path, folded,
                                                        monkeypatch):
         """The loaded model reads its A's m-major and its kept blocks
-        Fortran-ordered, the built one C-ordered, and both give the same
-        probability bytes on one-sentence and packed passes."""
+        Fortran-ordered, the built one C-ordered. Where both sides read the
+        same operand orders (a call repeated, two loads of one checkpoint)
+        they give the same bytes; a loaded and a built model give the same
+        masks and the same probabilities to LOADED_VS_BUILT, on one-sentence
+        and packed passes, since a BLAS need not round a GEMM over the other
+        memory order alike."""
         fresh = packs_48(monkeypatch, step_fold_model(layer1))
         shapes = [p.value.shape for _, p in fresh.params.items() if p.value.ndim == 4]
         kept = reloaded(fresh, tmp_path).build_model()
         assert folded == shapes
+        twin = load_checkpoint(tmp_path / "m.ckpt").build_model()
+        assert folded == shapes * 2
         folded.clear()
         vocab = packing_vocab()
         rng = Rng(7)
         seqs = [TokenSequence(tokens=[vocab.words[int(i)] for i in rng.integers(0, 12, size=n)],
                               labels=[FLUENT] * n) for n in STEP_LENGTHS]
         ids = np.concatenate([vocab.encode(s.tokens) for s in seqs])
-        kept_masks = [TR.predict_masks(kept, seqs, vocab) for _ in range(3)]
-        kept_probs = kept.forward(ids, lengths=STEP_LENGTHS)
         start = sum(STEP_LENGTHS[:3])
         alone = ids[start:start + STEP_LENGTHS[3]]  # the 60-token sentence
-        kept_alone = kept.forward(alone)
+
+        def tag(model):
+            """The bytes of three predict_masks calls' masks, and the
+            probabilities of a packed and a one-sentence pass."""
+            masks = [[m.tobytes() for m in TR.predict_masks(model, seqs, vocab)]
+                     for _ in range(3)]
+            return masks, model.forward(ids, lengths=STEP_LENGTHS), model.forward(alone)
+
+        kept_masks, kept_probs, kept_alone = tag(kept)
+        twin_masks, twin_probs, twin_alone = tag(twin)
         assert folded == []
-        fresh_masks = [TR.predict_masks(fresh, seqs, vocab) for _ in range(3)]
-        fresh_probs = fresh.forward(ids, lengths=STEP_LENGTHS)
-        fresh_alone = fresh.forward(alone)
+        fresh_masks, fresh_probs, fresh_alone = tag(fresh)
         assert folded == shapes * 5
-        assert kept_probs.tobytes() == fresh_probs.tobytes()
-        assert kept_alone.tobytes() == fresh_alone.tobytes()
-        for got, want in zip(kept_masks, fresh_masks, strict=True):
-            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        for masks in (kept_masks, fresh_masks):
+            assert masks[0] == masks[1] == masks[2]
+        assert twin_masks == kept_masks == fresh_masks
+        assert twin_probs.tobytes() == kept_probs.tobytes()
+        assert twin_alone.tobytes() == kept_alone.tobytes()
+        np.testing.assert_allclose(kept_probs, fresh_probs, rtol=0, atol=LOADED_VS_BUILT)
+        np.testing.assert_allclose(kept_alone, fresh_alone, rtol=0, atol=LOADED_VS_BUILT)
 
     def test_loaded_kernels_are_in_the_order_their_gemm_reads(self, tmp_path):
         """A checkpoint-built model holds every A m-major, so that the operand
