@@ -286,9 +286,12 @@ def gradcheck_config(arch: str, seed: int) -> ModelConfig:
 
 def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference check, at grad_check's step, of every parameter
-    tensor of a model built from cfg, on one packed batch of a 6-token, a
-    1-token and a 4-token sentence drawn from cfg.seed + 1, so that autocorr's
-    bands gather rows that do not start the pass."""
+    tensor of a model built from cfg, on one packed training step over a
+    6-token, a 1-token and a 4-token sentence drawn from cfg.seed + 1, so that
+    autocorr's bands gather rows that do not start the pass. Dropout, at
+    cfg's rate (none for gradcheck_config's), draws from a stream made afresh
+    from cfg.seed + 2 at each loss evaluation, so that every one sees the
+    same mask."""
     model = Model.build(cfg)
     rng = Rng(cfg.seed + 1)
     batch = []
@@ -298,7 +301,7 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[tuple[str, Grad
         batch.append((np.asarray(ids), np.asarray(labels)))
 
     def loss_fn(_=None) -> float:
-        return training.batch_loss_and_grads(model, batch, training=False)
+        return training.batch_loss_and_grads(model, batch, training=True, rng=Rng(cfg.seed + 2))
 
     loss_fn()
     analytic = {name: p.grad.copy() for name, p in model.params.items()}

@@ -5,10 +5,11 @@ operator (convolution plus a learned contraction over the pairwise Hadamard
 interaction tensor of the window), ReLU, row softmax, inverted dropout, and the
 width-1 (per-position affine) convolution. No operator gathers windows.
 
-The A-term, which conv1d and autocorr share, is kn2row: one matmul of the
-layer input with the kernel in its own layout, Y = x @ A.reshape(c*w, m).T,
-gives every row's product with every window slot's kernel, and output row t
-sums Y[t - ell + k, :, k] over its slots k (_kn2row, _slot_sum). Y is laid out
+The A-term, which conv1d and autocorr share, is kn2row (Vasudevan, Anderson
+and Gregg 2017, arXiv:1704.04428): one matmul of the layer input with the
+kernel in its own layout, Y = x @ A.reshape(c*w, m).T, gives every row's
+product with every window slot's kernel, and output row t sums
+Y[t - ell + k, :, k] over its slots k (_kn2row, _slot_sum). Y is laid out
 (rows, c, w) whatever A's memory order; an A held m-major (a loaded model's,
 see model.load_checkpoint) makes the GEMM's operand C-contiguous. The backward
 spreads the upstream gradient the same shifted way into dY, and then dA =
@@ -24,21 +25,22 @@ when they are the leading run 0 .. k-1, as in every one-sentence pass, and
 gathered by index otherwise. The interaction tensor is symmetric, so only the
 pairs i <= j are used, with B folded per offset: K_d[i, u] = B[u, i, i + d] +
 B[u, i + d, i] (d > 0) and K_0[i, u] = B[u, i, i], rows ordered (i, u), which
-equals the full w*w contraction with B. Each offset is then one matmul over
-the band's rows, q_d @ K_d.T, whose columns (i, u) are slot i's c outputs side
-by side. The offsets' products are summed slot-major, in one (n, w, c) buffer:
-offset 0, whose band is every row, is written into it by its matmul, and each
-offset d > 0 adds one run of (w-d) * c floats onto each of its rows. The
-buffer is added onto Y once, before the slots are summed, so with B == 0
-autocorr is conv1d bit for bit. The backward reads each offset's upstream from
-one slot-major copy of dY, in the same (i, u) order. A band is formed, used
-and dropped inside the call, and the backward forms it again; no (n, w, m)
-array and no array of window pairs is formed. B itself keeps its
-(c, w, w, m) shape, and pair_views is the one reader of that layout: for each
-offset d it yields the views of the pairs (i, i + d) and (i + d, i). fold sums
-them, and the backward, the adjoint of the fold, writes pair (i, j)'s kernel
-gradient into both B[i, j] and B[j, i] through them, so every call writes a
-complete, symmetric gradient over whatever its buffer held.
+equals the full w*w contraction with B at about half its work. Each offset is
+then one matmul over the band's rows, q_d @ K_d.T, whose columns (i, u) are
+slot i's c outputs side by side. The offsets' products are summed slot-major,
+in one (n, w, c) buffer: offset 0, whose band is every row, is written into it
+by its matmul, and each offset d > 0 adds one contiguous run of (w-d) * c
+floats onto each of its rows, where an add straight onto Y's (rows, c, w)
+layout would run in pieces of w - d floats. The buffer is added onto Y once,
+before the slots are summed, so with B == 0 autocorr is conv1d bit for bit.
+The backward reads each offset's upstream from one slot-major copy of dY, in
+the same (i, u) order. A band is formed, used and dropped inside the call, and
+the backward forms it again; no (n, w, m) array and no array of window pairs
+is formed, so a layer's cache holds its input itself, not a copy, beside its
+(n, w) masks and, for autocorr, the fold. B itself keeps its (c, w, w, m)
+shape, in the parameter store and in checkpoints, and is read only through
+pair_views: fold sums its two views per offset, and the backward, the adjoint
+of the fold, writes each pair's gradient through both (autocorr_backward).
 
 Conventions: inputs are (n, m) matrices, one row per token. All operators are
 stride 1, so the output always has n rows. A kernel group with left width

@@ -13,13 +13,11 @@ column-wise, so `channels` is the layer's total output width. Inside the
 auto-correlation operator the A-kernel and B-kernel terms are added
 element-wise.
 
-_groups is the one place a group's tensors are named: per layer, each group's
-spec and the names of the A, B and b it reads, no B in a conv group. _layout
-derives the stored tensors from it, and each Model builds that group table
-once and walks it in every pass. _is_pair_kernel is the one rule for which
-parameters are pair kernels (the B's), and Param.parts is the one place an
-optimizer step's views of a parameter are cut: a B's pairs i <= j, their
-moment blocks and their mirrored pairs.
+Each rule is stated where it lives: the group table in _groups, which
+parameters are pair kernels in _is_pair_kernel, what an optimizer step updates
+in Param.parts, kept folds and the memory order of the kernels a GEMM reads in
+Model.with_kept_folds, and the checkpoint format in save_checkpoint and
+load_checkpoint.
 """
 
 from __future__ import annotations
@@ -161,7 +159,10 @@ class Param:
         of `parts` are views. The gradient and moments are C-contiguous. A
         pair kernel keeps its Adam moments for its pairs i <= j only: one
         flat array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block
-        after offset d-1's, in the order of layers.pair_views."""
+        after offset d-1's, in the order of layers.pair_views. Its gradient
+        is symmetric bit for bit, so the mirrored pairs' moments and step
+        would equal their partners' bit for bit: training is byte-identical
+        to keeping full moments."""
         moments = value.shape
         if _is_pair_kernel(value):
             value = np.ascontiguousarray(value)
@@ -199,9 +200,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -255,7 +253,8 @@ def _groups(config: ModelConfig) -> list[list[_Group]]:
 
 
 def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, int]]:
-    """(name, shape, fan_in, fan_out) per tensor in store order; fan_in 0 marks a bias of ones."""
+    """(name, shape, fan_in, fan_out) per tensor in store order, the operator
+    layers' from the group table; fan_in 0 marks a bias of ones."""
     table = [("embedding", (config.vocab_size, config.embedding_dim),
               config.vocab_size, config.embedding_dim)]
     # each operator layer's input width: the embedding's, then the layer before's
@@ -287,7 +286,8 @@ class Model:
     (_groups) is built once, here, and the passes walk it. A model that keeps
     its folds (with_kept_folds) contracts each B through the fold it took
     when it was made; any other folds each B afresh in every forward call, so
-    a training step, one pass, folds each B once."""
+    a training step, one pass, folds each B once, into C-order blocks (see
+    with_kept_folds for why)."""
 
     def __init__(self, config: ModelConfig, params: ParamStore):
         self.config = config
@@ -313,7 +313,14 @@ class Model:
         Each kept block is Fortran-ordered, so that the operand the forward's
         GEMM reads, its transpose, is C-contiguous; the blocks are reordered
         one at a time as the fold makes them, never beside a whole C-order
-        fold."""
+        fold. With a loaded model's m-major A (load_checkpoint), a tagging
+        pass then reads every weight in the order its GEMM reads it, which
+        matters most for the B-term's per-offset GEMMs. A Model.build model
+        and a training step's fold keep C order, since training writes them:
+        at a step's pass of a few hundred rows the GEMMs gain less from the
+        other order than the reordering costs. Both orders give the same
+        probabilities to rounding; OpenBLAS's small-matrix kernels may round
+        them apart in the last bit."""
         if self._kept_folds is not None:
             return self
         model = Model(self.config, self.params)
@@ -368,9 +375,11 @@ class Model:
 
     def backward(self, cache: _ForwardCache, dscores: np.ndarray) -> None:
         """Write the parameter gradients of one forward_with_cache call into
-        the store, each of them complete and over whatever it held: a B
-        gradient gets pair (i, j)'s sum in both B[i, j] and B[j, i]
-        (layers.autocorr_backward)."""
+        the store, each of them complete and over whatever it held, so nothing
+        zeroes them before a step. A B's is symmetric bit for bit
+        (layers.autocorr_backward). The embedding's is the one gradient summed
+        into: it is zeroed, and then each token's input gradient is added to
+        its id's row."""
         dx, dW, db = L.width1_backward(cache.activations[-1],
                                        self.params["output.W"].value, dscores)
         self.params["output.W"].grad[...] = dW
@@ -497,7 +506,8 @@ class Checkpoint:
         load_checkpoint reads it into), marks each B read-only and
         folds it once, here, for the model's life (Model.with_kept_folds). A
         write into a B (an Adam step, load_values) then raises instead of
-        leaving a stale fold."""
+        leaving a stale fold. Every other array stays writable, so a model
+        loaded from a cnn checkpoint can still be trained."""
         params = ParamStore(self.tensors)
         for _, p in params.items():
             if _is_pair_kernel(p.value):

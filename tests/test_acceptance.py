@@ -36,9 +36,9 @@ def test_criterion_01_reduction_invariant():
     shared = {k: v for k, v in acnn.params.values_copy().items()
               if not k.endswith(".B")}
     cnn.params.load_values(shared)
-    for name in acnn.params.names():
+    for name, p in acnn.params.items():
         if name.endswith(".B"):
-            acnn.params[name].value[...] = 0.0
+            p.value[...] = 0.0
     rng = Rng(99)
     ok = True
     for _ in range(50):
@@ -53,12 +53,16 @@ def test_criterion_02_gradient_correctness():
     worst = 0.0
     ok = True
     for arch in ("cnn", "acnn"):
-        for name, rep in cli.gradcheck_model(cli.gradcheck_config(arch, 0), tol=1e-4):
-            ok = ok and rep.ok
-            worst = max(worst, rep.max_rel_error)
+        # dropout 0.5: the gradient that training steps with, through one mask
+        for rate in (0.0, 0.5):
+            cfg = replace(cli.gradcheck_config(arch, 0), dropout_rate=rate)
+            for name, rep in cli.gradcheck_model(cfg, tol=1e-4):
+                ok = ok and rep.ok
+                worst = max(worst, rep.max_rel_error)
     report(2, ok, f"every tensor of toy CNN and ACNN passes grad_check on one "
-                  f"packed 6+1+4-token batch (incl. ell=0 group, a 1-token "
-                  f"sentence and gathered band rows); max rel err {worst:.2e}")
+                  f"packed 6+1+4-token training step (incl. ell=0 group, a "
+                  f"1-token sentence and gathered band rows), with dropout off "
+                  f"and at 0.5; max rel err {worst:.2e}")
 
 
 def _padded_row(x, t):

@@ -99,7 +99,7 @@ class TestBuild:
 
     def test_expected_tensor_names(self):
         model = M.Model.build(toy_config("acnn"))
-        names = model.params.names()
+        names = [name for name, _ in model.params.items()]
         assert names[0] == "embedding"
         assert "layer1.group0.B" in names
         assert "layer2.group0.B" not in names
@@ -138,7 +138,7 @@ class TestBuild:
     def test_count_table_mentions_every_tensor(self):
         model = M.Model.build(toy_config())
         text = M.param_count(model.params).format()
-        for name in model.params.names():
+        for name, _ in model.params.items():
             assert name in text
 
 
