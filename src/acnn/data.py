@@ -10,8 +10,9 @@ disfluent; interregnum and repair words are fluent. `+` is the interruption
 point. Disfluencies may nest inside reparandum or repair regions.
 
 The tabular format is one "token<TAB>label" pair per line with blank-line
-sentence separators; labels are `_` (fluent) and `E` (disfluent). Tabular
-files drop span typing.
+sentence separators; labels are `_` (fluent) and `E` (disfluent), and a token
+is one bracket-text token: not empty, no whitespace. Tabular files drop span
+typing.
 """
 
 from __future__ import annotations
@@ -293,6 +294,10 @@ def read_corpus(path, fmt: str = "bracket-text") -> list[TokenSequence]:
             if len(parts) != 2 or parts[1] not in (FLUENT, DISFLUENT):
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 'token<TAB>{FLUENT}|{DISFLUENT}', got {line!r}")
+            # a token is what bracket-text's split gives: not empty, no whitespace
+            if parts[0].split() != [parts[0]]:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: token {parts[0]!r} is empty or holds whitespace")
             tokens.append(parts[0])
             labels.append(parts[1])
         if tokens:

@@ -7,14 +7,17 @@ width-1 (per-position affine) convolution. No operator gathers windows.
 
 The A-term, which conv1d and autocorr share, is kn2row (Vasudevan, Anderson
 and Gregg 2017, arXiv:1704.04428): one matmul of the layer input with the
-kernel in its own layout, Y = x @ A.reshape(c*w, m).T, gives every row's
-product with every window slot's kernel, and output row t sums
-Y[t - ell + k, :, k] over its slots k (_kn2row, _slot_sum). Y is laid out
-(rows, c, w) whatever A's memory order; an A held m-major (a loaded model's,
-see model.load_checkpoint) makes the GEMM's operand C-contiguous. The backward
-spreads the upstream gradient the same shifted way into dY, and then dA =
-dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is one matmul over the
-rows themselves.
+kernel's slots side by side gives every row's product with every window slot's
+kernel, and output row t sums Y[t - ell + k, k] over its slots k (_kn2row,
+_slot_sum). The backward spreads the upstream gradient the same shifted way
+into dY, and then dA = dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is
+one matmul over the rows themselves.
+
+One layout holds every window product: kn2row's Y and dY, each offset's band
+product and each fold block's rows are all (rows, w, c), slot-major (a fold
+block's rows ordered (slot, channel)). So a row's slots 0 .. k-1 are one
+contiguous run of k * c floats, and every add or read below is one block per
+row.
 
 Autocorr's B-term reads the sentences' auto-correlation bands. Window t's
 pair (i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so
@@ -26,18 +29,14 @@ gathered by index otherwise. The interaction tensor is symmetric, so only the
 pairs i <= j are used, with B folded per offset: K_d[i, u] = B[u, i, i + d] +
 B[u, i + d, i] (d > 0) and K_0[i, u] = B[u, i, i], rows ordered (i, u), which
 equals the full w*w contraction with B at about half its work. Each offset is
-then one matmul over the band's rows, q_d @ K_d.T, whose columns (i, u) are
-slot i's c outputs side by side. The offsets' products are summed slot-major,
-in one (n, w, c) buffer: offset 0, whose band is every row, is written into it
-by its matmul, and each offset d > 0 adds one contiguous run of (w-d) * c
-floats onto each of its rows, where an add straight onto Y's (rows, c, w)
-layout would run in pieces of w - d floats. The buffer is added onto Y once,
-before the slots are summed, so with B == 0 autocorr is conv1d bit for bit.
-The backward reads each offset's upstream from one slot-major copy of dY, in
-the same (i, u) order. A band is formed, used and dropped inside the call, and
-the backward forms it again; no (n, w, m) array and no array of window pairs
-is formed, so a layer's cache holds its input itself, not a copy, beside its
-(n, w) masks and, for autocorr, the fold. B itself keeps its (c, w, w, m)
+then one matmul over the band's rows, q_d @ K_d.T, whose row for band row a is
+slots 0 .. w-d-1 of row a in Y's layout: it is added straight onto Y, offset 0
+included, before the slots are summed, so with B == 0 autocorr is conv1d bit
+for bit. The backward reads each offset's upstream from dY as it is. A band
+is formed, used and dropped inside the call, and the backward forms it again;
+no (n, w, m) array and no array of window pairs is formed, so a layer's cache
+holds its input itself, not a copy, beside its (n, w) masks and, for
+autocorr, the fold. B itself keeps its (c, w, w, m)
 shape, in the parameter store and in checkpoints, and is read only through
 pair_views: fold sums its two views per offset, and the backward, the adjoint
 of the fold, writes each pair's gradient through both (autocorr_backward).
@@ -95,37 +94,39 @@ def _window_mask(lengths, ell: int, r: int) -> np.ndarray:
 
 
 def _kn2row(x: np.ndarray, A: np.ndarray, ell: int) -> np.ndarray:
-    """(n + w - 1, c, w) products of every row with every slot's kernel in one
-    matmul over A in its own layout: Y[ell + s, u, k] = A[u, k] . x[s], with
-    ell zero rows above and r below."""
+    """(n + w - 1, w, c) products of every row with every slot's kernel in one
+    matmul: Y[ell + s, k] = A[:, k] @ x[s], with ell zero rows above and r
+    below. The GEMM's operand, A's slots side by side, is C-contiguous for an
+    A held in (m, w, c) memory order (model._m_major) and a copy otherwise."""
     c, w, m = A.shape
-    Y = np.zeros((len(x) + w - 1, c * w))
-    np.matmul(x, A.reshape(c * w, m).T, out=Y[ell : ell + len(x)])
-    return Y.reshape(-1, c, w)
+    Y = np.zeros((len(x) + w - 1, w * c))
+    np.matmul(x, A.transpose(1, 0, 2).reshape(w * c, m).T, out=Y[ell : ell + len(x)])
+    return Y.reshape(-1, w, c)
 
 
 def _slot_sum(Y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """out[t] = sum over slots k of Y[t + k, :, k] where mask[t, k], for Y laid
+    """out[t] = sum over slots k of Y[t + k, k] where mask[t, k], for Y laid
     out as _kn2row's: slot k of row t reads row t - ell + k."""
     n, w = mask.shape
-    out = np.zeros((n, Y.shape[1]))
+    out = np.zeros((n, Y.shape[2]))
     for k in range(w):
-        out += Y[k : k + n, :, k] * mask[:, k, None]
+        out += Y[k : k + n, k] * mask[:, k, None]
     return out
 
 
 def _a_term_backward(x: np.ndarray, A: np.ndarray, ell: int, mask: np.ndarray,
                      upstream: np.ndarray):
     """(dx, dA, db, dY) of _slot_sum(_kn2row(x, A, ell), mask) + b, given the
-    upstream gradient (n, c): dY[s, :, k] = upstream[t] where slot k of row t
-    reads row s = t - ell + k, and dY is (n, c, w)."""
+    upstream gradient (n, c): dY[s, k] = upstream[t] where slot k of row t
+    reads row s = t - ell + k, and dY is (n, w, c)."""
     n, (c, w, m) = len(x), A.shape
-    dY = np.zeros((n + w - 1, c, w))
+    dY = np.zeros((n + w - 1, w, c))
     for k in range(w):
-        dY[k : k + n, :, k] = upstream * mask[:, k, None]
-    flat = dY[ell : ell + n].reshape(n, c * w)
-    return (flat @ A.reshape(c * w, m), (flat.T @ x).reshape(A.shape), upstream.sum(axis=0),
-            flat.reshape(n, c, w))
+        dY[k : k + n, k] = upstream * mask[:, k, None]
+    flat = dY[ell : ell + n].reshape(n, w * c)
+    return (flat @ A.transpose(1, 0, 2).reshape(w * c, m),
+            (flat.T @ x).reshape(w, c, m).transpose(1, 0, 2), upstream.sum(axis=0),
+            flat.reshape(n, w, c))
 
 
 @dataclass
@@ -227,8 +228,8 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
 
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
     pairwise interaction tensor restricted to the window at t, computed over
-    the pairs i <= j with B folded and the offsets' products summed
-    slot-major (see the module docstring). `folded` is fold(B)'s blocks when
+    the pairs i <= j with B folded and each offset's product added onto
+    kn2row's Y (see the module docstring). `folded` is fold(B)'s blocks when
     the caller has them already, in any memory order, so that several calls
     over one B fold it once. With B == 0 this is exactly conv1d_forward. The
     rows of x are sentences of `lengths` (default: one sentence); a
@@ -242,16 +243,10 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     if B.shape != (c, w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
     folded = list(fold(B)) if folded is None else folded
-    # S[a, i]: slot i's B-term at row a, summed over the offsets; offset 0's
-    # band is every row, so its product fills S
-    S = np.empty((n, w, c))
-    for d, a, _, q in _bands(x, bands):
-        if d:
-            S[a, : w - d] += (q @ folded[d].T).reshape(len(q), w - d, c)
-        else:
-            np.matmul(q, folded[0].T, out=S.reshape(n, w * c))
     Y = _kn2row(x, A, spec.ell)
-    Y[spec.ell : spec.ell + n] += S.transpose(0, 2, 1)
+    rows = Y[spec.ell : spec.ell + n]
+    for d, a, _, q in _bands(x, bands):
+        rows[a, : w - d] += (q @ folded[d].T).reshape(len(q), w - d, c)
     return _slot_sum(Y, mask) + b, AutoCorrCache(n, spec, x, mask, bands, folded)
 
 
@@ -267,14 +262,11 @@ def autocorr_backward(cache: AutoCorrCache, A: np.ndarray, upstream: np.ndarray,
     second-order path through every interaction entry touching a row; diagonal
     entries contribute the doubled 2 * B_diag * x term automatically. Each
     offset's GEMMs run over the same in-sentence band rows as the forward's,
-    and read its upstream from one slot-major copy of dY, whose columns (i, u)
-    are the fold's rows.
+    and read its upstream from the A-term's dY, whose columns (i, u) are the
+    fold's rows.
     """
     x, (c, w, _, m) = cache.x, dB.shape
     dx, dA, db, dY = _a_term_backward(x, A, cache.spec.ell, cache.mask, upstream)
-    # slot-major, so that slot i's upstream of q[j], dY[a[j], i], lies beside
-    # slot i + 1's as the block rows (i, u) do
-    dY = np.ascontiguousarray(dY.transpose(0, 2, 1))
     for (d, a, b, q), (upper, lower) in zip(_bands(x, cache.bands), pair_views(dB)):
         dY_d = dY[a, : w - d].reshape(len(q), (w - d) * c)
         # adjoint of fold: pair (i, i + d)'s gradient goes to B[i, i + d] and

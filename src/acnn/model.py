@@ -313,14 +313,15 @@ class Model:
         Each kept block is Fortran-ordered, so that the operand the forward's
         GEMM reads, its transpose, is C-contiguous; the blocks are reordered
         one at a time as the fold makes them, never beside a whole C-order
-        fold. With a loaded model's m-major A (load_checkpoint), a tagging
-        pass then reads every weight in the order its GEMM reads it, which
-        matters most for the B-term's per-offset GEMMs. A Model.build model
-        and a training step's fold keep C order, since training writes them:
-        at a step's pass of a few hundred rows the GEMMs gain less from the
-        other order than the reordering costs. Both orders give the same
-        probabilities to rounding; OpenBLAS's small-matrix kernels may round
-        them apart in the last bit."""
+        fold. With a loaded model's A in (m, w, c) memory order (_m_major),
+        a tagging pass then reads every weight in the order its GEMM reads
+        it, which matters most for the B-term's per-offset GEMMs. A
+        Model.build model's A and a training step's fold keep C order, since
+        training writes them, and kn2row copies such an A into its operand on
+        each call: at a step's pass of a few hundred rows the GEMMs gain less
+        from the other order than the reordering costs. Both orders give the
+        same probabilities to rounding; OpenBLAS's small-matrix kernels may
+        round them apart in the last bit."""
         if self._kept_folds is not None:
             return self
         model = Model(self.config, self.params)
@@ -602,11 +603,11 @@ def _checked_config(meta) -> ModelConfig:
 
 
 def _m_major(kernel: np.ndarray) -> np.ndarray:
-    """A (c, w, m) window kernel's values in a new array of (m, c, w) memory
-    order, so that kernel.reshape(c * w, m).T, the operand of kn2row's GEMM,
-    is C-contiguous."""
+    """A (c, w, m) window kernel's values in a new array of (m, w, c) memory
+    order, so that kernel.transpose(1, 0, 2).reshape(w * c, m).T, the operand
+    of kn2row's GEMM (layers._kn2row), is C-contiguous."""
     c, w, m = kernel.shape
-    out = np.empty((m, c, w)).transpose(1, 2, 0)
+    out = np.empty((m, w, c)).transpose(2, 1, 0)
     out[...] = kernel
     return out
 
@@ -615,7 +616,7 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
     """The checkpoint at `path`, every field and tensor header checked (see
     save_checkpoint for the layout). Each tensor is read straight into its
     array, with no bytes object beside it, except a window kernel A: it is
-    read into a buffer of its own size and moved into (m, c, w) memory order
+    read into a buffer of its own size and moved into (m, w, c) memory order
     (_m_major), the order a tagging pass's GEMM reads it in."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -309,9 +309,11 @@ class TestCorpusFiles:
         with pytest.raises(D.CorpusFormatError, match=r":2:"):
             D.read_corpus(path, "bracket-text")
 
-    def test_tabular_error_includes_line_number(self, tmp_path):
+    @pytest.mark.parametrize("line", ["not a pair", "\tE", "a b\t_", " a\t_"],
+                             ids=["no-tab", "empty-token", "inner-space", "leading-space"])
+    def test_tabular_error_includes_line_number(self, tmp_path, line):
         path = tmp_path / "bad.tab"
-        path.write_text("ok\t_\nnot a pair\n")
+        path.write_text(f"ok\t_\n{line}\n")
         with pytest.raises(D.CorpusFormatError, match=r":2:"):
             D.read_corpus(path, "tabular")
 

@@ -157,6 +157,20 @@ class TestConv1d:
         want = naive_conv1d(x, spec, A, b)
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("seed,n,ell", [(0, 1, 0), (1, 1, 2), (2, 6, 0), (3, 9, 3)])
+    def test_kn2row_is_slot_major(self, seed, n, ell):
+        """Y[ell + s, k] is slot k's kernel times row s, with ell zero rows
+        above and r below."""
+        rng = Rng(seed)
+        m, r, c = (int(v) for v in rng.integers(1, 6, size=3))
+        x, spec, A, _ = rand_instance(rng, n, m, ell, r, c)
+        Y = L._kn2row(x, A, ell)
+        assert Y.shape == (n + spec.width - 1, spec.width, c)
+        for s in range(n):
+            for k in range(spec.width):
+                np.testing.assert_allclose(Y[ell + s, k], A[:, k] @ x[s], rtol=1e-12, atol=1e-12)
+        assert not Y[:ell].any() and not Y[ell + n :].any()
+
     def test_output_length_always_n(self):
         rng = Rng(9)
         for ell, r in ((0, 1), (3, 1), (2, 6)):

@@ -710,16 +710,16 @@ class TestKeptFold:
 
     def test_loaded_kernels_are_in_the_order_their_gemm_reads(self, tmp_path):
         """A checkpoint-built model holds every A m-major, so that the operand
-        kn2row's GEMM reads, A.reshape(c * w, m).T, is C-contiguous, and every
-        kept fold block Fortran-ordered, so that the forward's operand
-        block.T is; a Model.build model, which training writes, and the fold
-        of each step stay C-contiguous."""
+        kn2row's GEMM reads, A.transpose(1, 0, 2).reshape(w * c, m).T, is
+        C-contiguous, and every kept fold block Fortran-ordered, so that the
+        forward's operand block.T is; a Model.build model, which training
+        writes, and the fold of each step stay C-contiguous."""
         built = step_fold_model()
         loaded = reloaded(built, tmp_path).build_model()
         for name, p in loaded.params.items():
             if p.value.ndim == 3:
                 c, w, m = p.value.shape
-                assert p.value.reshape(c * w, m).T.flags.c_contiguous, name
+                assert p.value.transpose(1, 0, 2).reshape(w * c, m).T.flags.c_contiguous, name
             else:
                 assert p.value.flags.c_contiguous, name
         assert sorted(loaded._kept_folds) == sorted(STEP_KERNELS)
