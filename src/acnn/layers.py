@@ -8,10 +8,12 @@ width-1 (per-position affine) convolution. No operator gathers windows.
 The A-term, which conv1d and autocorr share, is kn2row (Vasudevan, Anderson
 and Gregg 2017, arXiv:1704.04428): one matmul of the layer input with the
 kernel's slots side by side gives every row's product with every window slot's
-kernel, and output row t sums Y[t - ell + k, k] over its slots k (_kn2row,
-_slot_sum). The backward spreads the upstream gradient the same shifted way
-into dY, and then dA = dY.T @ x and dx = dY @ A (_a_term_backward). Width-1 is
-one matmul over the rows themselves.
+kernel (_kn2row). One (n, w, c) view of Y holds, at [t, k], the product that
+slot k of output row t reads (_windows), so output row t is one masked
+reduction over the view's slots (_slot_sum), and the backward writes the
+upstream gradient into dY through the same view in one operation, before
+dA = dY.T @ x and dx = dY @ A (_a_term_backward). No loop runs over the
+slots. Width-1 is one matmul over the rows themselves.
 
 One layout holds every window product: kn2row's Y and dY, each offset's band
 product and each fold block's rows are all (rows, w, c), slot-major (a fold
@@ -104,25 +106,30 @@ def _kn2row(x: np.ndarray, A: np.ndarray, ell: int) -> np.ndarray:
     return Y.reshape(-1, w, c)
 
 
+def _windows(Y: np.ndarray, n: int) -> np.ndarray:
+    """The (n, w, c) view whose [t, k] is Y[t + k, k], for a C-contiguous Y
+    in _kn2row's (n + w - 1, w, c) layout: the product that slot k of output
+    row t reads, input row t - ell + k's with slot k's kernel. Each (t, k)
+    names a distinct entry of Y, so a write through the view cannot alias,
+    and numpy checks the strides against Y's buffer."""
+    s0, s1, s2 = Y.strides
+    return np.ndarray((n,) + Y.shape[1:], Y.dtype, Y, strides=(s0, s0 + s1, s2))
+
+
 def _slot_sum(Y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """out[t] = sum over slots k of Y[t + k, k] where mask[t, k], for Y laid
-    out as _kn2row's: slot k of row t reads row t - ell + k."""
-    n, w = mask.shape
-    out = np.zeros((n, Y.shape[2]))
-    for k in range(w):
-        out += Y[k : k + n, k] * mask[:, k, None]
-    return out
+    """out[t] = sum over slots k of _windows(Y, n)[t, k] where mask[t, k]."""
+    return np.einsum("tkc,tk->tc", _windows(Y, len(mask)), mask)
 
 
 def _a_term_backward(x: np.ndarray, A: np.ndarray, ell: int, mask: np.ndarray,
                      upstream: np.ndarray):
     """(dx, dA, db, dY) of _slot_sum(_kn2row(x, A, ell), mask) + b, given the
-    upstream gradient (n, c): dY[s, k] = upstream[t] where slot k of row t
-    reads row s = t - ell + k, and dY is (n, w, c)."""
+    upstream gradient (n, c): _windows(dY, n)[t, k] = upstream[t] where
+    mask[t, k]. The dY returned is rows ell .. ell + n - 1 of the padded dY,
+    one (w, c) block per input row."""
     n, (c, w, m) = len(x), A.shape
     dY = np.zeros((n + w - 1, w, c))
-    for k in range(w):
-        dY[k : k + n, k] = upstream * mask[:, k, None]
+    np.multiply(upstream[:, None, :], mask[:, :, None], out=_windows(dY, n))
     flat = dY[ell : ell + n].reshape(n, w * c)
     return (flat @ A.transpose(1, 0, 2).reshape(w * c, m),
             (flat.T @ x).reshape(w, c, m).transpose(1, 0, 2), upstream.sum(axis=0),

@@ -1,7 +1,4 @@
-import contextlib
-import functools
 import hashlib
-import io
 import json
 import os
 import re
@@ -14,6 +11,8 @@ from acnn import bench, cli, data, evaluate
 from acnn import layers as L
 from acnn.model import load_checkpoint, save_checkpoint
 from acnn.tensor import NumericError
+
+from gradcheck_table import gradcheck_table
 
 
 def run(*argv):
@@ -365,16 +364,6 @@ def test_tabular_corpus_runs_like_bracket_text(tmp_path):
         outputs[fmt] = [path.read_bytes()
                         for path in (ckpt, ckpt.with_suffix(".log"), tagged, report)]
     assert outputs["tabular"] == outputs["bracket-text"]
-
-
-@functools.cache
-def gradcheck_table(arch):
-    """`acnn gradcheck --arch arch`'s exit code and table rows, run once per
-    arch for every test that reads them."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run("gradcheck", "--arch", arch)
-    return code, [line.split() for line in out.getvalue().splitlines()[1:]]
 
 
 class TestGradcheck:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acnn import layers as L
@@ -200,6 +200,61 @@ class TestConv1d:
         spec = L.ConvKernelSpec(1, 1)
         with pytest.raises(ValueError):
             L.conv1d_forward(np.zeros((4, 3)), spec, np.zeros((1, 2, 3)), np.zeros(1))
+
+
+def per_slot_sum(Y, mask):
+    """Oracle for _slot_sum: one masked, shifted add per window slot."""
+    n, w = mask.shape
+    out = np.zeros((n, Y.shape[2]))
+    for k in range(w):
+        out += Y[k : k + n, k] * mask[:, k, None]
+    return out
+
+
+def per_slot_dY(upstream, mask, ell, c):
+    """Oracle for _a_term_backward's dY: slot k of row t sends upstream[t] to
+    the product it read, Y[t + k, k], one slot at a time; the input's rows."""
+    n, w = mask.shape
+    dY = np.zeros((n + w - 1, w, c))
+    for k in range(w):
+        dY[k : k + n, k] = upstream * mask[:, k, None]
+    return dY[ell : ell + n]
+
+
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       ell=st.integers(0, 3), r=st.integers(1, 4), c=st.integers(1, 4),
+       scale=st.integers(-8, 8), seed=st.integers(0, 2 ** 31 - 1))
+@example(lengths=[1], ell=0, r=1, c=1, scale=0, seed=0)
+@example(lengths=[1], ell=2, r=3, c=2, scale=0, seed=1)
+@example(lengths=[2, 1, 3], ell=0, r=4, c=3, scale=0, seed=2)
+@example(lengths=[9, 1], ell=3, r=2, c=4, scale=0, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_window_view_equals_per_slot_loops(lengths, ell, r, c, scale, seed):
+    """_windows(Y, n)[t, k] is Y[t + k, k] and shares Y's memory; a write
+    through it lands in exactly those entries; the slot sum and the dY fill
+    that read and write through it equal the per-slot loops byte for byte,
+    for 1-token sentences, sentences shorter than the window, ell = 0 and
+    n = 1 among the draws."""
+    rng = Rng(seed)
+    n, w, m = sum(lengths), ell + r + 1, 3
+    mask = L._window_mask(lengths, ell, r)
+    Y = rng.uniform(-1, 1, (n + w - 1, w, c)) * 10.0 ** scale
+    view = L._windows(Y, n)
+    assert view.shape == (n, w, c) and np.shares_memory(view, Y)
+    Z, written = np.zeros_like(Y), np.arange(1.0, n * w * c + 1).reshape(n, w, c)
+    L._windows(Z, n)[...] = written
+    seen = np.zeros(Y.shape, dtype=bool)
+    for t in range(n):
+        for k in range(w):
+            assert np.array_equal(view[t, k], Y[t + k, k])
+            assert np.array_equal(Z[t + k, k], written[t, k])
+            seen[t + k, k] = True
+    assert not Z[~seen].any()
+    assert L._slot_sum(Y, mask).tobytes() == per_slot_sum(Y, mask).tobytes()
+    upstream = rng.uniform(-1, 1, (n, c)) * 10.0 ** scale
+    x, A = rng.uniform(-1, 1, (n, m)), rng.uniform(-1, 1, (c, w, m))
+    dY = L._a_term_backward(x, A, ell, mask, upstream)[3]
+    assert dY.tobytes() == per_slot_dY(upstream, mask, ell, c).tobytes()
 
 
 SPEC_1_1 = L.ConvKernelSpec(1, 1)
