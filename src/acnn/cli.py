@@ -161,6 +161,7 @@ def cmd_synth(args) -> int:
     for (split, count), split_cfg in zip(counts.items(), split_cfgs):
         data.write_corpus(data.generate_corpus(split_cfg), paths[split], "bracket-text")
         print(f"wrote {paths[split]} ({count} sentences)")
+        record.lap(split)
     record.write({"preset": args.preset, "generator": dataclasses.asdict(cfg),
                   "counts": counts}, cfg.seed)
     return EXIT_OK
@@ -184,10 +185,14 @@ def cmd_train(args) -> int:
         raise UsageError(f"--min-freq must be >= 1, got {args.min_freq}")
     train_seqs = data.read_sentences(train_path, args.format)
     dev_seqs = data.read_sentences(dev_path, args.format)
+    record.lap("read")
     vocab = data.build_vocab(train_seqs, min_freq=args.min_freq)
+    record.lap("vocabulary")
     mcfg = replace(mcfg, vocab_size=len(vocab))
     model = Model.build(mcfg)
+    record.lap("build")
     result = training.train(model, train_seqs, dev_seqs, vocab, tcfg)
+    record.lap("train")
 
     ckpt = Checkpoint(config=mcfg, vocab_words=vocab.words,
                       rng_algorithm=Rng.ALGORITHM, seed=mcfg.seed,
@@ -195,6 +200,7 @@ def cmd_train(args) -> int:
                       tensors={name: p.value for name, p in model.params.items()})
     save_checkpoint(ckpt, out)
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
+    record.lap("save")
     best = result.log[result.best_epoch - 1]
     print(f"best epoch {best.epoch}: dev {best.dev.format_prf()}")
     print(param_count(model.params).format())
@@ -241,6 +247,7 @@ def cmd_eval(args) -> int:
     record = _RunRecord("eval", args.out, {"gold corpus": gold_path,
                                            "predicted corpus": predicted_path},
                         {"report": args.out}) if args.out else None
+    lap = record.lap if record else lambda phase: None
     gold = data.read_corpus(gold_path, args.gold_format)
     predicted = data.read_corpus(predicted_path, "tabular")
     tokens = [seq.tokens for seq in predicted]
@@ -252,6 +259,7 @@ def cmd_eval(args) -> int:
             raise evaluate.AlignmentError(
                 "gold tokens match the predicted file's neither as written nor "
                 "preprocessed; tag the gold corpus itself")
+    lap("read")
     masks = [seq.disfluent_mask() for seq in predicted]
     report = evaluate.score(gold, masks)
     print(report.format())
@@ -263,6 +271,7 @@ def cmd_eval(args) -> int:
         listing = evaluate.error_listing(gold, masks, args.errors)
         if listing:
             print(listing)
+    lap("score")
     if record:
         _write_text(args.out, report.as_tsv() + "\n")
         record.write({"gold_format": args.gold_format}, 0)
@@ -291,7 +300,9 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[tuple[str, Grad
     autocorr's bands gather rows that do not start the pass. Dropout, at
     cfg's rate (none for gradcheck_config's), draws from a stream made afresh
     from cfg.seed + 2 at each loss evaluation, so that every one sees the
-    same mask."""
+    same mask. The analytic gradients come from one
+    training.batch_loss_and_grads call; each finite-difference evaluation
+    runs the forward pass alone, for the same loss in the same float order."""
     model = Model.build(cfg)
     rng = Rng(cfg.seed + 1)
     batch = []
@@ -299,12 +310,17 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[tuple[str, Grad
         ids = rng.integers(2, cfg.vocab_size, size=n)
         labels = rng.integers(0, 2, size=n)
         batch.append((np.asarray(ids), np.asarray(labels)))
+    training.batch_loss_and_grads(model, batch, training=True, rng=Rng(cfg.seed + 2))
+    analytic = {name: p.grad.copy() for name, p in model.params.items()}
+    lengths = [len(ids) for ids, _ in batch]
+    ids, label_ids = (np.concatenate(column) for column in zip(*batch))
 
     def loss_fn(_=None) -> float:
-        return training.batch_loss_and_grads(model, batch, training=True, rng=Rng(cfg.seed + 2))
+        probs = model.forward(ids, training=True, rng=Rng(cfg.seed + 2), lengths=lengths)
+        loss, _ = training.cross_entropy(probs, label_ids)
+        # add_l2 also adds onto output.W's gradient, copied into `analytic` above
+        return loss + training.add_l2(model.params, cfg.l2_weight)
 
-    loss_fn()
-    analytic = {name: p.grad.copy() for name, p in model.params.items()}
     results = []
     for name, p in model.params.items():
         report = grad_check(loss_fn, p.value, analytic[name], tol=tol)
@@ -345,6 +361,7 @@ def cmd_ab_bench(args) -> int:
     def progress(arm):
         print(f"seed {arm.seed} {arm.arch}: dev F {100 * arm.dev_f1:.2f} "
               f"(best epoch {arm.best_epoch})")
+        record.lap(f"{arm.arch}_seed{arm.seed}")  # the first arm's includes the corpora
 
     result = bench.ab_bench(*corpora, seeds=seeds, train_cfg=tcfg, progress=progress)
     report = result.report()

@@ -99,7 +99,7 @@ def _kn2row(x: np.ndarray, A: np.ndarray, ell: int) -> np.ndarray:
     """(n + w - 1, w, c) products of every row with every slot's kernel in one
     matmul: Y[ell + s, k] = A[:, k] @ x[s], with ell zero rows above and r
     below. The GEMM's operand, A's slots side by side, is C-contiguous for an
-    A held in (m, w, c) memory order (model._m_major) and a copy otherwise."""
+    F-contiguous A, as model.load_checkpoint holds one, and a copy otherwise."""
     c, w, m = A.shape
     Y = np.zeros((len(x) + w - 1, w * c))
     np.matmul(x, A.transpose(1, 0, 2).reshape(w * c, m).T, out=Y[ell : ell + len(x)])
@@ -165,19 +165,19 @@ def pair_views(B: np.ndarray):
         yield pairs[:, d :: w + 1][:, : w - d], pairs[:, d * w :: w + 1]
 
 
-def fold(B: np.ndarray):
-    """B folded onto the window pairs i <= j: yields, for each offset d in
-    order, one C-contiguous ((w-d) * c, m) block over the pairs (i, i + d),
-    rows ordered (i, u), so that its product with a band row lays slot i's c
-    columns side by side. The contraction of the blocks equals B's over all
-    w*w pairs of a symmetric interaction tensor. Blocks are made one at a
-    time, so a caller that keeps them in another memory order never holds a
-    whole fold beside its own (Model.with_kept_folds)."""
+def fold(B: np.ndarray) -> list[np.ndarray]:
+    """B folded onto the window pairs i <= j: for each offset d in order, one
+    C-contiguous ((w-d) * c, m) block over the pairs (i, i + d), rows ordered
+    (i, u), so that its product with a band row lays slot i's c columns side
+    by side. The contraction of the blocks equals B's over all w*w pairs of a
+    symmetric interaction tensor."""
+    blocks = []
     for d, (upper, lower) in enumerate(pair_views(B)):
         upper, lower = upper.transpose(1, 0, 2), lower.transpose(1, 0, 2)  # (w-d, c, m)
         # a new C-order block: numpy iterates in the output's order, so the writes stream
         block = np.add(upper, lower, out=np.empty(upper.shape)) if d else upper.copy()
-        yield block.reshape(-1, upper.shape[2])
+        blocks.append(block.reshape(-1, upper.shape[2]))
+    return blocks
 
 
 def _bands(x: np.ndarray, bands: np.ndarray):
@@ -186,9 +186,12 @@ def _bands(x: np.ndarray, bands: np.ndarray):
     d below them, and q = x[a] * x[b] is the band over those rows alone. a and
     b are slices when the rows are the leading run 0 .. k-1, as in every
     one-sentence pass, since a view costs less than a gather, and index arrays
-    otherwise; one buffer serves every band. An offset with no such row has an
-    empty band, so that a pass whose sentences are all shorter than the window
-    still visits, and its backward writes, every offset."""
+    otherwise: gathering in every pass read tag-acnn-long at 0.95-1.00x the
+    tokens/s of the slices in each of 6 alternating in-process rounds (one
+    BLAS thread, a shared 2-vCPU x86 host). One buffer serves every band. An
+    offset with no such row has an empty band, so that a pass whose sentences
+    are all shorter than the window still visits, and its backward writes,
+    every offset."""
     buffer = np.empty_like(x)
     for d in range(bands.shape[1]):
         a = np.flatnonzero(bands[:, d])
@@ -236,12 +239,12 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     B has shape (c, w, w, m); its term contracts the w*w*m sub-tensor of the
     pairwise interaction tensor restricted to the window at t, computed over
     the pairs i <= j with B folded and each offset's product added onto
-    kn2row's Y (see the module docstring). `folded` is fold(B)'s blocks when
-    the caller has them already, in any memory order, so that several calls
-    over one B fold it once. With B == 0 this is exactly conv1d_forward. The
-    rows of x are sentences of `lengths` (default: one sentence); a
-    masked-out window row is zero, and so is every interaction entry it takes
-    part in, so each offset multiplies only its pairs inside one sentence.
+    kn2row's Y (see the module docstring). `folded` is fold(B) when the
+    caller has it already, so that several calls over one B fold it once.
+    With B == 0 this is exactly conv1d_forward. The rows of x are sentences
+    of `lengths` (default: one sentence); a masked-out window row is zero,
+    and so is every interaction entry it takes part in, so each offset
+    multiplies only its pairs inside one sentence.
     """
     (n, m), c, w = x.shape, len(A), spec.width
     # slots -ell .. w-1: the window's (n, w) mask, and from slot 0 on the bands'
@@ -249,7 +252,7 @@ def autocorr_forward(x: np.ndarray, spec: ConvKernelSpec, A: np.ndarray,
     mask, bands = reach[:, :w], reach[:, spec.ell :]
     if B.shape != (c, w, w, m):
         raise ValueError(f"B kernel shape {B.shape} != ({c}, {w}, {w}, {m})")
-    folded = list(fold(B)) if folded is None else folded
+    folded = fold(B) if folded is None else folded
     Y = _kn2row(x, A, spec.ell)
     rows = Y[spec.ell : spec.ell + n]
     for d, a, _, q in _bands(x, bands):

@@ -15,9 +15,8 @@ element-wise.
 
 Each rule is stated where it lives: the group table in _groups, which
 parameters are pair kernels in _is_pair_kernel, what an optimizer step updates
-in Param.parts, kept folds and the memory order of the kernels a GEMM reads in
-Model.with_kept_folds, and the checkpoint format in save_checkpoint and
-load_checkpoint.
+in Param.parts, kept folds in Model.with_kept_folds, and the checkpoint format
+and a loaded A's memory order in save_checkpoint and load_checkpoint.
 """
 
 from __future__ import annotations
@@ -154,7 +153,7 @@ class Param:
     @staticmethod
     def of(value: np.ndarray) -> "Param":
         """The value taken over as it is, not copied, in its own memory order
-        (a loaded A is m-major, see load_checkpoint), except that a pair
+        (a loaded A is F-contiguous, see load_checkpoint), except that a pair
         kernel is made C-contiguous, so that layers.pair_views and the views
         of `parts` are views. The gradient and moments are C-contiguous. A
         pair kernel keeps its Adam moments for its pairs i <= j only: one
@@ -286,8 +285,8 @@ class Model:
     (_groups) is built once, here, and the passes walk it. A model that keeps
     its folds (with_kept_folds) contracts each B through the fold it took
     when it was made; any other folds each B afresh in every forward call, so
-    a training step, one pass, folds each B once, into C-order blocks (see
-    with_kept_folds for why)."""
+    a training step, one pass, folds each B once. Both read layers.fold's
+    blocks as it makes them."""
 
     def __init__(self, config: ModelConfig, params: ParamStore):
         self.config = config
@@ -310,24 +309,13 @@ class Model:
         """This model if it keeps its folds, else a Model over the same
         ParamStore that keeps each B's fold (layers.fold) as it is now: for
         several forward calls over values that do not change between them.
-        Each kept block is Fortran-ordered, so that the operand the forward's
-        GEMM reads, its transpose, is C-contiguous; the blocks are reordered
-        one at a time as the fold makes them, never beside a whole C-order
-        fold. With a loaded model's A in (m, w, c) memory order (_m_major),
-        a tagging pass then reads every weight in the order its GEMM reads
-        it, which matters most for the B-term's per-offset GEMMs. A
-        Model.build model's A and a training step's fold keep C order, since
-        training writes them, and kn2row copies such an A into its operand on
-        each call: at a step's pass of a few hundred rows the GEMMs gain less
-        from the other order than the reordering costs. Both orders give the
-        same probabilities to rounding; OpenBLAS's small-matrix kernels may
-        round them apart in the last bit."""
+        The kept blocks are the ones a forward call without them folds, so the
+        two give the same probabilities byte for byte."""
         if self._kept_folds is not None:
             return self
         model = Model(self.config, self.params)
-        model._kept_folds = {
-            group.B: [np.asfortranarray(block) for block in L.fold(self.params[group.B].value)]
-            for groups in self._groups for group in groups if group.B}
+        model._kept_folds = {group.B: L.fold(self.params[group.B].value)
+                             for groups in self._groups for group in groups if group.B}
         return model
 
     def forward(self, token_ids, training: bool = False,
@@ -503,8 +491,8 @@ class Checkpoint:
 
     def build_model(self) -> Model:
         """A model for tagging over this checkpoint's tensors. It takes over
-        the arrays without drawing or copying (each A in the m-major order
-        load_checkpoint reads it into), marks each B read-only and
+        the arrays without drawing or copying (each A in the Fortran order
+        load_checkpoint holds it in), marks each B read-only and
         folds it once, here, for the model's life (Model.with_kept_folds). A
         write into a B (an Adam step, load_values) then raises instead of
         leaving a stale fold. Every other array stays writable, so a model
@@ -557,7 +545,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for name, arr in ckpt.tensors.items():
             fh.write(_tensor_header(name, arr.shape))
             # a C-contiguous tensor is written without a copy, a loaded A
-            # (m-major) through one row-major copy
+            # (Fortran-ordered) through one row-major copy
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)
 
 
@@ -602,22 +590,17 @@ def _checked_config(meta) -> ModelConfig:
     return config
 
 
-def _m_major(kernel: np.ndarray) -> np.ndarray:
-    """A (c, w, m) window kernel's values in a new array of (m, w, c) memory
-    order, so that kernel.transpose(1, 0, 2).reshape(w * c, m).T, the operand
-    of kn2row's GEMM (layers._kn2row), is C-contiguous."""
-    c, w, m = kernel.shape
-    out = np.empty((m, w, c)).transpose(2, 1, 0)
-    out[...] = kernel
-    return out
-
-
 def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoint:
     """The checkpoint at `path`, every field and tensor header checked (see
     save_checkpoint for the layout). Each tensor is read straight into its
     array, with no bytes object beside it, except a window kernel A: it is
-    read into a buffer of its own size and moved into (m, w, c) memory order
-    (_m_major), the order a tagging pass's GEMM reads it in."""
+    read into a buffer of its own size and held as np.asfortranarray of it,
+    in (m, w, c) memory order, so that the operand of kn2row's GEMM
+    (layers._kn2row) is C-contiguous. Read in C order, kn2row copies that
+    operand on every call: tagging read tag-cnn-long at x0.73 and
+    tag-acnn-long at x0.90 of this order's tokens/s (medians of 6
+    alternating in-process rounds, one BLAS thread, a shared 2-vCPU x86
+    host)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -657,7 +640,7 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             array = np.empty(shape)
             if fh.readinto(array.data.cast("B")) != n:
                 raise CheckpointError("corrupt checkpoint: truncated file")
-            tensors[name] = _m_major(array) if array.ndim == 3 else array
+            tensors[name] = np.asfortranarray(array) if array.ndim == 3 else array
         if fh.tell() != size:
             raise CheckpointError("corrupt checkpoint: trailing bytes")
     if expect_config is not None and config != expect_config:

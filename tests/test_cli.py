@@ -267,16 +267,6 @@ class TestTagAndEval:
         assert "error:numeric:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [broken]
 
-    def test_tag_manifest_times_its_phases(self, corpus_dir, trained, tmp_path):
-        tagged = tmp_path / "test.tab"
-        assert run("tag", "--checkpoint", str(trained),
-                   "--input", str(corpus_dir / "test.bt"),
-                   "--out", str(tagged)) == cli.EXIT_OK
-        timings = json.loads((tmp_path / "test.tab.manifest.json").read_text())["timings"]
-        assert set(timings) == {"load_sec", "tag_sec", "write_sec", "total_sec"}
-        for key in ("load_sec", "tag_sec", "write_sec"):
-            assert 0.0 <= timings[key] <= timings["total_sec"], key
-
     def test_hostile_checkpoint_is_data_error(self, corpus_dir, hostile_checkpoint,
                                               tmp_path):
         assert run("tag", "--checkpoint", str(hostile_checkpoint),
@@ -693,6 +683,14 @@ def run_records(tmp_path_factory):
             "ab-bench": (bench, [], [bench])}
 
 
+# command -> the phases its manifest times, as run_records runs it
+PHASES = {"synth": ["train", "dev", "test"],
+          "train": ["read", "vocabulary", "build", "train", "save"],
+          "tag": ["load", "tag", "write"],
+          "eval": ["read", "score"],
+          "ab-bench": [f"{arch}_seed{seed}" for seed in (11, 12, 13) for arch in ("cnn", "acnn")]}
+
+
 class TestRunRecord:
     @pytest.mark.parametrize("command", ["synth", "train", "tag", "eval", "ab-bench"])
     def test_manifest_records_the_run(self, command, run_records):
@@ -708,6 +706,15 @@ class TestRunRecord:
         for key, value in timings.items():
             assert key.endswith("_sec"), key
             assert 0.0 <= value <= timings["total_sec"], key
+
+    @pytest.mark.parametrize("command", list(PHASES))
+    def test_manifest_times_its_phases(self, command, run_records):
+        """One `<phase>_sec` per phase, and the phases, each lapped from the
+        end of the one before, take no more than total_sec together."""
+        primary, _, _ = run_records[command]
+        timings = json.loads(Path(f"{primary}.manifest.json").read_text())["timings"]
+        assert set(timings) == {f"{phase}_sec" for phase in PHASES[command]} | {"total_sec"}
+        assert sum(v for key, v in timings.items() if key != "total_sec") <= timings["total_sec"]
 
     @pytest.mark.parametrize("command", ["synth", "train", "tag", "eval", "ab-bench"])
     def test_manifest_records_what_the_bytes_depend_on(self, command, run_records):

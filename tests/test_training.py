@@ -666,13 +666,13 @@ class TestKeptFold:
     @pytest.mark.parametrize("layer1", ["autocorr", "conv"], ids=["acnn", "cnn"])
     def test_folds_once_at_build_and_tags_identically(self, layer1, tmp_path, folded,
                                                        monkeypatch):
-        """The loaded model reads its A's m-major and its kept blocks
-        Fortran-ordered, the built one C-ordered. Where both sides read the
-        same operand orders (a call repeated, two loads of one checkpoint)
-        they give the same bytes; a loaded and a built model give the same
-        masks and the same probabilities to LOADED_VS_BUILT, on one-sentence
-        and packed passes, since a BLAS need not round a GEMM over the other
-        memory order alike."""
+        """The loaded model reads its A's in Fortran order, the built one in C
+        order. Where both sides read the same operand orders (a call
+        repeated, two loads of one checkpoint) they give the same bytes; a
+        loaded and a built model give the same masks and the same
+        probabilities to LOADED_VS_BUILT, on one-sentence and packed passes,
+        since a BLAS need not round a GEMM over the other memory order
+        alike."""
         fresh = packs_48(monkeypatch, step_fold_model(layer1))
         shapes = [p.value.shape for _, p in fresh.params.items() if p.value.ndim == 4]
         kept = reloaded(fresh, tmp_path).build_model()
@@ -709,26 +709,43 @@ class TestKeptFold:
         np.testing.assert_allclose(kept_alone, fresh_alone, rtol=0, atol=LOADED_VS_BUILT)
 
     def test_loaded_kernels_are_in_the_order_their_gemm_reads(self, tmp_path):
-        """A checkpoint-built model holds every A m-major, so that the operand
-        kn2row's GEMM reads, A.transpose(1, 0, 2).reshape(w * c, m).T, is
-        C-contiguous, and every kept fold block Fortran-ordered, so that the
-        forward's operand block.T is; a Model.build model, which training
-        writes, and the fold of each step stay C-contiguous."""
+        """A checkpoint-built model holds every A as np.asfortranarray of the
+        saved A, so that the operand kn2row's GEMM reads,
+        A.transpose(1, 0, 2).reshape(w * c, m).T, is C-contiguous, and keeps
+        each B's fold as layers.fold makes it, C-contiguous blocks; a
+        Model.build model, which training writes, stays C-contiguous."""
         built = step_fold_model()
+        saved = built.params.values_copy()
         loaded = reloaded(built, tmp_path).build_model()
         for name, p in loaded.params.items():
             if p.value.ndim == 3:
                 c, w, m = p.value.shape
+                assert p.value.flags.f_contiguous, name
+                assert p.value.tobytes("A") == np.asfortranarray(saved[name]).tobytes("A"), name
                 assert p.value.transpose(1, 0, 2).reshape(w * c, m).T.flags.c_contiguous, name
             else:
                 assert p.value.flags.c_contiguous, name
         assert sorted(loaded._kept_folds) == sorted(STEP_KERNELS)
         for name, blocks in loaded._kept_folds.items():
-            assert all(block.T.flags.c_contiguous for block in blocks), name
+            fresh = L.fold(saved[name])
+            assert len(blocks) == len(fresh), name
+            for block, again in zip(blocks, fresh):
+                assert block.flags.c_contiguous, name
+                assert block.shape == again.shape and block.tobytes() == again.tobytes(), name
         for name, p in built.params.items():
             assert p.value.flags.c_contiguous and p.grad.flags.c_contiguous, name
-        for name in STEP_KERNELS:
-            assert all(block.flags.c_contiguous for block in L.fold(built.params[name].value))
+
+    def test_kept_folds_give_the_forward_pass_bytes(self):
+        """At acnn-table1's geometry, a built model's with_kept_folds reads
+        the blocks its own forward folds, so the two give the same
+        probabilities byte for byte, on a one-sentence and a packed pass."""
+        model = Model.build(model_preset("acnn-table1", vocab_size=12, seed=3))
+        kept = model.with_kept_folds()
+        ids = Rng(8).integers(0, 12, size=sum(STEP_LENGTHS))
+        alone = ids[:STEP_LENGTHS[0]]
+        assert kept.forward(alone).tobytes() == model.forward(alone).tobytes()
+        assert (kept.forward(ids, lengths=STEP_LENGTHS).tobytes()
+                == model.forward(ids, lengths=STEP_LENGTHS).tobytes())
 
     def test_B_is_read_only(self, tmp_path):
         ckpt = reloaded(step_fold_model(), tmp_path)
