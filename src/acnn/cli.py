@@ -160,10 +160,11 @@ def cmd_synth(args) -> int:
                         {f"{split} split": path for split, path in paths.items()})
     for (split, count), split_cfg in zip(counts.items(), split_cfgs):
         data.write_corpus(data.generate_corpus(split_cfg), paths[split], "bracket-text")
-        print(f"wrote {paths[split]} ({count} sentences)")
         record.lap(split)
     record.write({"preset": args.preset, "generator": dataclasses.asdict(cfg),
                   "counts": counts}, cfg.seed)
+    for split, count in counts.items():
+        print(f"wrote {paths[split]} ({count} sentences)")
     return EXIT_OK
 
 
@@ -201,13 +202,13 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt, out)
     _write_text(log_path, "\n".join(line.format() for line in result.log) + "\n")
     record.lap("save")
-    best = result.log[result.best_epoch - 1]
-    print(f"best epoch {best.epoch}: dev {best.dev.format_prf()}")
-    print(param_count(model.params).format())
     record.write({"model": mcfg.to_dict(), "train": dataclasses.asdict(tcfg),
                   "preset": args.preset,
                   "min_freq": args.min_freq, "format": args.format},
                  args.seed)
+    best = result.log[result.best_epoch - 1]
+    print(f"best epoch {best.epoch}: dev {best.dev.format_prf()}")
+    print(param_count(model.params).format())
     return EXIT_OK
 
 

@@ -98,8 +98,8 @@ def _window_mask(lengths, ell: int, r: int) -> np.ndarray:
 def _kn2row(x: np.ndarray, A: np.ndarray, ell: int) -> np.ndarray:
     """(n + w - 1, w, c) products of every row with every slot's kernel in one
     matmul: Y[ell + s, k] = A[:, k] @ x[s], with ell zero rows above and r
-    below. The GEMM's operand, A's slots side by side, is C-contiguous for an
-    F-contiguous A, as model.load_checkpoint holds one, and a copy otherwise."""
+    below. The GEMM's operand, A's slots side by side, is a view of A held
+    in the order model._held gives every A."""
     c, w, m = A.shape
     Y = np.zeros((len(x) + w - 1, w * c))
     np.matmul(x, A.transpose(1, 0, 2).reshape(w * c, m).T, out=Y[ell : ell + len(x)])

@@ -14,9 +14,10 @@ auto-correlation operator the A-kernel and B-kernel terms are added
 element-wise.
 
 Each rule is stated where it lives: the group table in _groups, which
-parameters are pair kernels in _is_pair_kernel, what an optimizer step updates
-in Param.parts, kept folds in Model.with_kept_folds, and the checkpoint format
-and a loaded A's memory order in save_checkpoint and load_checkpoint.
+parameters are pair kernels in _is_pair_kernel, the one memory order of every
+parameter, built or loaded, in _held, what an optimizer step updates in
+Param.parts, kept folds in Model.with_kept_folds, and the checkpoint format in
+save_checkpoint and load_checkpoint.
 """
 
 from __future__ import annotations
@@ -153,24 +154,26 @@ class Param:
     @staticmethod
     def of(value: np.ndarray) -> "Param":
         """The value taken over as it is, not copied, in its own memory order
-        (a loaded A is F-contiguous, see load_checkpoint), except that a pair
+        (a model's every A in the order _held gives it), except that a pair
         kernel is made C-contiguous, so that layers.pair_views and the views
-        of `parts` are views. The gradient and moments are C-contiguous. A
-        pair kernel keeps its Adam moments for its pairs i <= j only: one
-        flat array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m) block
-        after offset d-1's, in the order of layers.pair_views. Its gradient
-        is symmetric bit for bit, so the mirrored pairs' moments and step
-        would equal their partners' bit for bit: training is byte-identical
-        to keeping full moments."""
+        of `parts` are views. The gradient and moments take the value's
+        order. A pair kernel keeps its Adam moments for its pairs i <= j only:
+        one flat array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m)
+        block after offset d-1's, in the order of layers.pair_views. Its
+        gradient is symmetric bit for bit, so the mirrored pairs' moments and
+        step would equal their partners' bit for bit: training is
+        byte-identical to keeping full moments."""
         moments = value.shape
         if _is_pair_kernel(value):
             value = np.ascontiguousarray(value)
             moments = (sum(upper.size for upper, _ in L.pair_views(value)),)
-        # np.zeros maps no page before its first write, so tagging never pays for these
+        # np.zeros maps no page before its first write, so tagging never pays
+        # for these (np.zeros_like writes every page)
+        order = "F" if value.flags.f_contiguous else "C"
         return Param(value=value,
-                     grad=np.zeros(value.shape),
-                     adam_m=np.zeros(moments),
-                     adam_v=np.zeros(moments))
+                     grad=np.zeros(value.shape, order=order),
+                     adam_m=np.zeros(moments, order=order),
+                     adam_v=np.zeros(moments, order=order))
 
     def parts(self):
         """The (value, grad, m, v, mirror) views that an optimizer step
@@ -204,6 +207,8 @@ class ParamStore:
         return self._params.items()
 
     def values_copy(self) -> dict[str, np.ndarray]:
+        """A C-ordered copy of every value, which save_checkpoint writes as
+        it is."""
         return {k: p.value.copy() for k, p in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
@@ -223,6 +228,39 @@ class ParamStore:
 def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, shape)
+
+
+# Floats per block in which _held fills an A. Drawn whole and then reordered,
+# an A's freed temporaries left tag-cnn-long's peak_rss_mb at 120.0 MB,
+# against 106.7-106.8 MB in these blocks (3 short runs each).
+_FILL_BLOCK = 1 << 15
+
+
+def _held(shape: tuple[int, ...], fill) -> np.ndarray:
+    """A new parameter of `shape` in the one memory order every model holds
+    it in, whether Model.build draws it or load_checkpoint reads it: a window
+    kernel A, (c, w, m), is held (m, w, c)-major, np.asfortranarray's order,
+    so that the operand of kn2row's GEMMs, A.transpose(1, 0, 2).reshape(w *
+    c, m), is a view (layers._kn2row); any other tensor C-ordered.
+    fill(block_shape) gives the next leading-axis channels as a C-order array:
+    an A's in blocks of whole channels of at most _FILL_BLOCK floats (or one
+    channel), any other tensor's in one block, which is held as it is.
+
+    A C-ordered A is copied whole by each forward and backward GEMM that
+    reads it. Over the same values, alternating steps in one process, this
+    order took a cnn-table1 forward from 30.2-33.0 to 26.6-28.0 ms and an
+    acnn-table1 one from 19.0-20.8 to 18.5-19.7 ms (medians of 30, three
+    runs), backward and Adam equal, with the same bytes (BENCH_46.json).
+    With A in C order, tagging read tag-cnn-long at x0.73 and tag-acnn-long
+    at x0.90 of this order's tokens/s (BENCH_45.json). One BLAS thread, a
+    shared 2-vCPU x86 host."""
+    if len(shape) != 3:
+        return fill(shape)
+    array = np.empty(shape, order="F")
+    channels = max(1, _FILL_BLOCK // math.prod(shape[1:]))
+    for u in range(0, shape[0], channels):
+        array[u : u + channels] = fill(array[u : u + channels].shape)
+    return array
 
 
 @dataclass(frozen=True)
@@ -301,8 +339,11 @@ class Model:
         U(-b, b) with b = sqrt(6 / (fan_in + fan_out)) per tensor; biases start
         at 1."""
         rng = Rng(config.seed)
+        # numpy draws one double per entry in order, so _held's blocks draw
+        # the values of the whole tensor drawn at once
         return Model(config, ParamStore({
-            name: _uniform_init(rng, shape, fan_in, fan_out) if fan_in else np.ones(shape)
+            name: _held(shape, lambda block: _uniform_init(rng, block, fan_in, fan_out)
+                        if fan_in else np.ones(block))
             for name, shape, fan_in, fan_out in _layout(config)}))
 
     def with_kept_folds(self) -> "Model":
@@ -491,8 +532,8 @@ class Checkpoint:
 
     def build_model(self) -> Model:
         """A model for tagging over this checkpoint's tensors. It takes over
-        the arrays without drawing or copying (each A in the Fortran order
-        load_checkpoint holds it in), marks each B read-only and
+        the arrays without drawing or copying (each A in the order _held
+        gives it, as in a built model), marks each B read-only and
         folds it once, here, for the model's life (Model.with_kept_folds). A
         write into a B (an Adam step, load_values) then raises instead of
         leaving a stale fold. Every other array stays writable, so a model
@@ -544,8 +585,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(struct.pack("<I", len(layout)))
         for name, arr in ckpt.tensors.items():
             fh.write(_tensor_header(name, arr.shape))
-            # a C-contiguous tensor is written without a copy, a loaded A
-            # (Fortran-ordered) through one row-major copy
+            # a C-contiguous tensor is written without a copy (values_copy
+            # gives one), a model's own A ((m, w, c)-major, _held) through
+            # one row-major copy
             fh.write(np.ascontiguousarray(arr, dtype=np.float64).data)
 
 
@@ -592,15 +634,9 @@ def _checked_config(meta) -> ModelConfig:
 
 def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoint:
     """The checkpoint at `path`, every field and tensor header checked (see
-    save_checkpoint for the layout). Each tensor is read straight into its
-    array, with no bytes object beside it, except a window kernel A: it is
-    read into a buffer of its own size and held as np.asfortranarray of it,
-    in (m, w, c) memory order, so that the operand of kn2row's GEMM
-    (layers._kn2row) is C-contiguous. Read in C order, kn2row copies that
-    operand on every call: tagging read tag-cnn-long at x0.73 and
-    tag-acnn-long at x0.90 of this order's tokens/s (medians of 6
-    alternating in-process rounds, one BLAS thread, a shared 2-vCPU x86
-    host)."""
+    save_checkpoint for the layout). Each tensor is read into the array and
+    the memory order that _held gives it, Model.build's, with no bytes
+    object beside it: straight into its array, or for an A block by block."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -615,6 +651,12 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
 
         def unpack(fmt: str) -> int:
             return struct.unpack(fmt, read(struct.calcsize(fmt)))[0]
+
+        def read_array(shape: tuple[int, ...]) -> np.ndarray:
+            array = np.empty(shape)
+            if fh.readinto(array.data.cast("B")) != array.nbytes:
+                raise CheckpointError("corrupt checkpoint: truncated file")
+            return array
 
         if read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError("corrupt checkpoint: bad magic")
@@ -636,11 +678,8 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> Checkpoin
             if read(len(header)) != header:
                 raise CheckpointError(f"checkpoint tensor header is not its config's "
                                       f"{name!r} {shape}")
-            n = guard(8 * math.prod(shape))
-            array = np.empty(shape)
-            if fh.readinto(array.data.cast("B")) != n:
-                raise CheckpointError("corrupt checkpoint: truncated file")
-            tensors[name] = np.asfortranarray(array) if array.ndim == 3 else array
+            guard(8 * math.prod(shape))
+            tensors[name] = _held(shape, read_array)
         if fh.tell() != size:
             raise CheckpointError("corrupt checkpoint: trailing bytes")
     if expect_config is not None and config != expect_config:

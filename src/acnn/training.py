@@ -86,10 +86,15 @@ ADAM_BLOCK = 1 << 15
 
 
 def _adam_blocks(p):
-    """Each of p.parts() cut into blocks of whole leading-axis channels,
-    at most ADAM_BLOCK elements, or one channel where one channel is larger;
-    views all, as (value, grad, m, v, mirror)."""
+    """Each of p.parts() cut in its memory order into blocks of whole
+    channels, at most ADAM_BLOCK elements, or one channel where one channel
+    is larger; views all, as (value, grad, m, v, mirror). A part is cut along
+    its slowest axis in memory: the leading one, or the last one of an
+    F-ordered part (an A, model._held, whose gradient and moments are in its
+    order, Param.of), so that a contiguous part's blocks are contiguous."""
     for value, grad, m, v, mirror in p.parts():
+        if value.flags.f_contiguous and not value.flags.c_contiguous:
+            value, grad, m, v = value.T, grad.T, m.T, v.T  # no mirror: a pair part is neither
         channels = max(1, ADAM_BLOCK // value[0].size)
         for u in range(0, len(value), channels):
             s = slice(u, u + channels)

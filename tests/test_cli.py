@@ -1,7 +1,10 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +173,28 @@ class TestTrain:
 
 
 class TestTagAndEval:
+    @pytest.mark.parametrize("preset", ["acnn-toy", "cnn-toy"])
+    def test_checkpoint_tags_dev_to_the_best_epochs_scores(self, preset, corpus_dir,
+                                                           tmp_path, capsys):
+        """`acnn tag` of the dev corpus with the written checkpoint, then
+        `acnn eval`, gives the P/R/F that training reported for its best
+        epoch: the loaded model tags as the trained one did. The recipe's
+        models tag disfluencies (dev F neither absent nor 0)."""
+        ckpt, tagged = tmp_path / "m.ckpt", tmp_path / "dev.tab"
+        assert run("train", "--preset", preset, "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(ckpt),
+                   "--max-epochs", "6", "--seed", "3", "--lr", "0.005") == cli.EXIT_OK
+        best = re.fullmatch(r"best epoch \d+: dev (P \S+ R \S+ F \S+)",
+                            capsys.readouterr().out.splitlines()[0]).group(1)
+        assert "absent" not in best and not best.endswith("F 0.00"), best
+        assert run("tag", "--checkpoint", str(ckpt), "--input", str(corpus_dir / "dev.bt"),
+                   "--out", str(tagged)) == cli.EXIT_OK
+        assert run("eval", "--gold", str(corpus_dir / "dev.bt"),
+                   "--predicted", str(tagged)) == cli.EXIT_OK
+        p, r, f = re.fullmatch(r"tp=\d+ fp=\d+ fn=\d+ P=(\S+) R=(\S+) F=(\S+)",
+                               capsys.readouterr().out.splitlines()[0]).groups()
+        assert f"P {p} R {r} F {f}" == best
+
     def test_tag_then_eval(self, corpus_dir, trained, tmp_path, capsys):
         tagged = tmp_path / "test.tab"
         assert run("tag", "--checkpoint", str(trained),
@@ -518,6 +543,40 @@ class TestAbBench:
                          "11\t0.8800\t0.8700\t-0.0100\t13\t25*",
                          "12\t0.8600\t0.9000\t+0.0400\t25*\t24",
                          "mean\t0.8700\t0.8850\t+0.0150"]
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A closed stdout stops a command after its outputs and their manifest
+    are written: the run exits 2 (an OSError is a data error), and the
+    manifest's sha256 values are the outputs'."""
+
+    def check(self, primary, capsys):
+        assert "error:data: " in capsys.readouterr().err
+        manifest = json.loads(Path(f"{primary}.manifest.json").read_text())
+        assert manifest["outputs"] and all(
+            hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+            for path, digest in manifest["outputs"].items())
+
+    def test_train(self, corpus_dir, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        with redirect_stdout(ClosedStdout()):
+            assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
+                       "--dev", str(corpus_dir / "dev.bt"), "--out", str(ckpt),
+                       "--max-epochs", "1") == cli.EXIT_DATA
+        self.check(ckpt, capsys)
+
+    def test_synth(self, tmp_path, capsys):
+        with redirect_stdout(ClosedStdout()):
+            assert run("synth", "--preset", "toy", "--out", str(tmp_path), "--train-count", "5",
+                       "--dev-count", "3", "--test-count", "2") == cli.EXIT_DATA
+        self.check(tmp_path / "corpus", capsys)
 
 
 class TestAtomicOutputs:

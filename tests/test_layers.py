@@ -103,6 +103,12 @@ def assert_all_close(got, want):
         assert np.allclose(g, v, rtol=1e-12, atol=1e-12)
 
 
+def in_both_orders(A):
+    """A held C-ordered, and (m, w, c)-major as every model holds it
+    (model._held), for which kn2row's GEMM operand is a view of A."""
+    return np.ascontiguousarray(A), np.asfortranarray(A)
+
+
 def random_geometry(rng, seed):
     """(n, m, ell, r, c) drawn at random; seed 0 forces n = 1, seed 1 ell = 0."""
     n = 1 if seed == 0 else int(rng.integers(1, 11))
@@ -293,9 +299,10 @@ class TestConv1dBackward:
         n, m, ell, r, c = random_geometry(rng, seed)
         x, spec, A, b = rand_instance(rng, n, m, ell, r, c)
         up = rng.uniform(-1, 1, (n, c))
-        _, cache = L.conv1d_forward(x, spec, A, b)
-        assert_all_close(L.conv1d_backward(cache, A, up),
-                         naive_conv1d_backward(x, spec, A, up))
+        want = naive_conv1d_backward(x, spec, A, up)
+        for held in in_both_orders(A):
+            _, cache = L.conv1d_forward(x, spec, held, b)
+            assert_all_close(L.conv1d_backward(cache, held, up), want)
 
     def test_zero_upstream(self):
         rng = Rng(1)
@@ -506,9 +513,10 @@ class TestAutocorrBackward:
         n, m, ell, r, c = random_geometry(rng, seed)
         x, spec, A, B, b = rand_instance(rng, n, m, ell, r, c, with_B=True)
         up = rng.uniform(-1, 1, (n, c))
-        _, cache = L.autocorr_forward(x, spec, A, B, b)
-        assert_all_close(full_autocorr_backward(cache, A, up, B),
-                         naive_autocorr_backward(x, spec, A, B, up))
+        want = naive_autocorr_backward(x, spec, A, B, up)
+        for held in in_both_orders(A):
+            _, cache = L.autocorr_forward(x, spec, held, B, b)
+            assert_all_close(full_autocorr_backward(cache, held, up, B), want)
 
     def test_zero_B_x_gradient_equals_conv(self):
         rng = Rng(21)
