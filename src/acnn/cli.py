@@ -8,6 +8,9 @@ Each of them keeps its record in one _RunRecord, which first refuses the
 outputs that atomic.check_outputs rejects. An input path names exactly the file
 given. The package reads no environment variable to decide anything; a
 manifest records the BLAS thread settings the process saw (_environment).
+A command prints its results only once its outputs and manifest are written,
+so a stdout closed early (`| head -1`) leaves them whole; ab-bench's progress
+lines, one per trained arm, are printed before.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
@@ -263,19 +266,19 @@ def cmd_eval(args) -> int:
     lap("read")
     masks = [seq.disfluent_mask() for seq in predicted]
     report = evaluate.score(gold, masks)
-    print(report.format())
-    print(report.as_tsv())
+    printed = [report.format(), report.as_tsv()]
     if any(seq.spans for seq in gold):
-        for kind, kr in sorted(evaluate.score_by_kind(gold, masks).items()):
-            print(f"kind:{kind}\tF={evaluate.format_percent(kr.f1)}")
+        printed += [f"kind:{kind}\tF={evaluate.format_percent(kr.f1)}"
+                    for kind, kr in sorted(evaluate.score_by_kind(gold, masks).items())]
     if args.errors:
         listing = evaluate.error_listing(gold, masks, args.errors)
         if listing:
-            print(listing)
+            printed.append(listing)
     lap("score")
     if record:
         _write_text(args.out, report.as_tsv() + "\n")
         record.write({"gold_format": args.gold_format}, 0)
+    print("\n".join(printed))
     return EXIT_OK
 
 
@@ -366,10 +369,10 @@ def cmd_ab_bench(args) -> int:
 
     result = bench.ab_bench(*corpora, seeds=seeds, train_cfg=tcfg, progress=progress)
     report = result.report()
-    print(report)
     _write_text(args.out, report + "\n")
     record.write({"preset": args.preset, "seeds": seeds, "train_count": args.train_count,
                   "dev_count": args.dev_count, "train": dataclasses.asdict(tcfg)}, seeds[0])
+    print(report)
     return EXIT_OK
 
 

@@ -230,9 +230,12 @@ def _uniform_init(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -
     return rng.uniform(-bound, bound, shape)
 
 
-# Floats per block in which _held fills an A. Drawn whole and then reordered,
-# an A's freed temporaries left tag-cnn-long's peak_rss_mb at 120.0 MB,
-# against 106.7-106.8 MB in these blocks (3 short runs each).
+# Floats per block in which _held fills an A. Drawn or read whole and then
+# reordered, an A's freed temporary left tag-cnn-long's peak_rss_mb at
+# 120.0-120.3 MB, against 106.6-106.9 MB in these blocks (10 alternating
+# `perfbench/run.py --seconds 3` runs each, BENCH_50.json), and a cnn-table1
+# load's traced transient at 5.19 against 0.24 MB (TestHeldFill in
+# tests/test_model.py).
 _FILL_BLOCK = 1 << 15
 
 

@@ -546,10 +546,17 @@ class TestAbBench:
 
 
 class ClosedStdout(io.TextIOBase):
-    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+    """A stdout whose reader goes after `kept` lines: every later write
+    raises BrokenPipeError."""
+
+    def __init__(self, kept=0):
+        self.kept = kept
 
     def write(self, text):
-        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        if self.kept <= 0:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.kept -= text.count("\n")
+        return len(text)
 
 
 class TestClosedStdout:
@@ -577,6 +584,24 @@ class TestClosedStdout:
             assert run("synth", "--preset", "toy", "--out", str(tmp_path), "--train-count", "5",
                        "--dev-count", "3", "--test-count", "2") == cli.EXIT_DATA
         self.check(tmp_path / "corpus", capsys)
+
+    def test_eval(self, corpus_dir, trained, tmp_path, capsys):
+        tagged, report = tmp_path / "test.tab", tmp_path / "test.eval.tsv"
+        assert run("tag", "--checkpoint", str(trained), "--input", str(corpus_dir / "test.bt"),
+                   "--out", str(tagged)) == cli.EXIT_OK
+        with redirect_stdout(ClosedStdout()):
+            assert run("eval", "--gold", str(corpus_dir / "test.bt"), "--predicted", str(tagged),
+                       "--errors", "1000", "--out", str(report)) == cli.EXIT_DATA
+        self.check(report, capsys)
+
+    def test_ab_bench_after_its_progress_lines(self, tmp_path, capsys):
+        # its six progress lines, one per arm, are printed while it trains
+        report = tmp_path / "ab.tsv"
+        with redirect_stdout(ClosedStdout(kept=6)):
+            assert run("ab-bench", "--train-count", "30", "--dev-count", "10",
+                       "--max-epochs", "1", "--patience", "1",
+                       "--out", str(report)) == cli.EXIT_DATA
+        self.check(report, capsys)
 
 
 class TestAtomicOutputs:

@@ -56,12 +56,3 @@ class TestGradCheck:
         with pytest.raises(NumericError, match="non-finite objective"):
             grad_check(objective, np.zeros(3), np.zeros(3))
 
-
-def test_import_turns_off_numpy_huge_page_advice():
-    # with huge pages, a freed-and-reused heap region's resident size (and a
-    # tagger's peak RSS) follows the process's randomised heap address
-    import acnn
-
-    previous = acnn._set_madvise_hugepage(False)
-    acnn._set_madvise_hugepage(previous)
-    assert previous is False
