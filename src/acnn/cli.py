@@ -9,12 +9,12 @@ outputs that atomic.check_outputs rejects. An input path names exactly the file
 given. The package reads no environment variable to decide anything; a
 manifest records the BLAS thread settings the process saw (_environment).
 A command prints its results only once its outputs and manifest are written,
-so a stdout closed early (`| head -1`) leaves them whole; ab-bench's progress
-lines, one per trained arm, are printed before.
+so a stdout closed early (`| head -1`) leaves them whole.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A data
 error is one of the exceptions raised where inputs are read and checked
-(CorpusFormatError, AlignmentError, CheckpointError, ConfigError, OSError);
+(CorpusFormatError, AlignmentError, CheckpointError, ConfigError, OSError),
+or a MemoryError: inputs or a model larger than the memory the process gets;
 a numeric failure is a NumericError or a numpy float overflow, division by
 zero or invalid operation; any other exception is a program error and
 propagates.
@@ -305,31 +305,21 @@ def gradcheck_model(cfg: ModelConfig, tol: float = 1e-4) -> list[tuple[str, Grad
     cfg's rate (none for gradcheck_config's), draws from a stream made afresh
     from cfg.seed + 2 at each loss evaluation, so that every one sees the
     same mask. The analytic gradients come from one
-    training.batch_loss_and_grads call; each finite-difference evaluation
-    runs the forward pass alone, for the same loss in the same float order."""
+    training.batch_loss_and_grads call, and each finite-difference evaluation
+    is that step's own objective, training.batch_loss: the forward pass
+    alone."""
     model = Model.build(cfg)
     rng = Rng(cfg.seed + 1)
-    batch = []
-    for n in (6, 1, 4):
-        ids = rng.integers(2, cfg.vocab_size, size=n)
-        labels = rng.integers(0, 2, size=n)
-        batch.append((np.asarray(ids), np.asarray(labels)))
+    batch = [(rng.integers(2, cfg.vocab_size, size=n), rng.integers(0, 2, size=n))
+             for n in (6, 1, 4)]
     training.batch_loss_and_grads(model, batch, training=True, rng=Rng(cfg.seed + 2))
     analytic = {name: p.grad.copy() for name, p in model.params.items()}
-    lengths = [len(ids) for ids, _ in batch]
-    ids, label_ids = (np.concatenate(column) for column in zip(*batch))
 
     def loss_fn(_=None) -> float:
-        probs = model.forward(ids, training=True, rng=Rng(cfg.seed + 2), lengths=lengths)
-        loss, _ = training.cross_entropy(probs, label_ids)
-        # add_l2 also adds onto output.W's gradient, copied into `analytic` above
-        return loss + training.add_l2(model.params, cfg.l2_weight)
+        return training.batch_loss(model, batch, training=True, rng=Rng(cfg.seed + 2))[0]
 
-    results = []
-    for name, p in model.params.items():
-        report = grad_check(loss_fn, p.value, analytic[name], tol=tol)
-        results.append((name, report))
-    return results
+    return [(name, grad_check(loss_fn, p.value, analytic[name], tol=tol))
+            for name, p in model.params.items()]
 
 
 def cmd_gradcheck(args) -> int:
@@ -364,7 +354,7 @@ def cmd_ab_bench(args) -> int:
 
     def progress(arm):
         print(f"seed {arm.seed} {arm.arch}: dev F {100 * arm.dev_f1:.2f} "
-              f"(best epoch {arm.best_epoch})")
+              f"(best epoch {arm.best_epoch})", file=sys.stderr)
         record.lap(f"{arm.arch}_seed{arm.seed}")  # the first arm's includes the corpora
 
     result = bench.ab_bench(*corpora, seeds=seeds, train_cfg=tcfg, progress=progress)
@@ -462,6 +452,9 @@ def main(argv=None) -> int:
     except (OSError, data.CorpusFormatError, evaluate.AlignmentError,
             CheckpointError, ConfigError) as exc:
         print(f"error:data: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # numpy's message names the shape it could not hold
+        print(f"error:data: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, FloatingPointError) as exc:
         print(f"error:numeric: {exc}", file=sys.stderr)

@@ -63,18 +63,17 @@ def cross_entropy(probs: np.ndarray, label_ids):
     return loss, softmax_xent_backward(probs, ids)
 
 
-# apart from add_l2 so that perfbench's step check can drop the gradient alone
-def add_l2_grad(params: ParamStore, weight: float) -> None:
-    params["output.W"].grad += 2.0 * weight * params["output.W"].value
-
-
-def add_l2(params: ParamStore, weight: float) -> float:
+def l2_penalty(params: ParamStore, weight: float) -> float:
     """The L2 penalty on the width-1 layer's weights (bias excluded),
-    weight * sum(W**2), after adding its gradient 2 * weight * W onto
-    output.W's (add_l2_grad)."""
-    add_l2_grad(params, weight)
+    weight * sum(W**2)."""
     W = params["output.W"].value
     return float(weight * (W * W).sum())
+
+
+# apart from l2_penalty: Model.backward overwrites every gradient, so the
+# penalty's gradient can only be added after it
+def add_l2_grad(params: ParamStore, weight: float) -> None:
+    params["output.W"].grad += 2.0 * weight * params["output.W"].value
 
 
 # Elements per Adam block: its two float64 scratch blocks (256 KiB each) and
@@ -178,18 +177,26 @@ def _chunks(sentences, tokens: int):
         yield joined(run)
 
 
-def batch_loss_and_grads(model: Model, batch, training: bool = False,
-                         rng: Rng | None = None) -> float:
-    """Token-averaged loss over a batch of (ids, label_ids) pairs plus the L2
-    penalty. Model.backward writes every gradient of the store, and add_l2
-    then adds the L2 gradient onto output.W's. The sentences run packed, in one
-    forward and one backward pass, so a step folds each B once."""
+def batch_loss(model: Model, batch, training: bool = False, rng: Rng | None = None):
+    """The training objective: token-averaged cross-entropy over a batch of
+    (ids, label_ids) pairs plus the L2 penalty, with the forward cache and the
+    loss's gradient w.r.t. the scores, as (loss, cache, dscores). The
+    sentences run packed, in one forward pass."""
     lengths = [len(ids) for ids, _ in batch]
     ids, label_ids = (np.concatenate(column) for column in zip(*batch))
     probs, cache = model.forward_with_cache(ids, training=training, rng=rng, lengths=lengths)
     loss, dscores = cross_entropy(probs, label_ids)
+    return loss + l2_penalty(model.params, model.config.l2_weight), cache, dscores
+
+
+def batch_loss_and_grads(model: Model, batch, training: bool = False,
+                         rng: Rng | None = None) -> float:
+    """batch_loss, with every gradient of the store written: Model.backward's,
+    then the L2 gradient added onto output.W's. One forward and one backward
+    pass, so a step folds each B once."""
+    loss, cache, dscores = batch_loss(model, batch, training=training, rng=rng)
     model.backward(cache, dscores)
-    loss += add_l2(model.params, model.config.l2_weight)
+    add_l2_grad(model.params, model.config.l2_weight)
     if not math.isfinite(loss):
         raise NumericError("non-finite training loss")
     return loss

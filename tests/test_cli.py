@@ -153,6 +153,26 @@ class TestTrain:
         assert err.startswith("error:numeric: ") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
 
+    NUMPY_OOM = ("Unable to allocate 8.00 GiB for an array with shape (1073741824,) "
+                 "and data type float64")
+
+    @pytest.mark.parametrize("message, printed", [(NUMPY_OOM, NUMPY_OOM), ("", "out of memory")],
+                             ids=["numpy", "empty"])
+    def test_memory_error_is_one_data_line(self, corpus_dir, tmp_path, monkeypatch,
+                                           capsys, message, printed):
+        """A model that does not fit in memory stops the run as one data error
+        line, numpy's message or "out of memory", not a traceback, and
+        nothing is written."""
+        def build(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.Model, "build", build)
+        assert run("train", "--preset", "acnn-toy", "--train", str(corpus_dir / "train.bt"),
+                   "--dev", str(corpus_dir / "dev.bt"), "--out", str(tmp_path / "m.ckpt"),
+                   "--max-epochs", "1") == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error:data: {printed}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_min_freq_that_keeps_no_word_is_data_error(self, corpus_dir, tmp_path, capsys):
         """A --min-freq above every word's count would train an all-<unk>
         model; it is one data error line, and nothing is written."""
@@ -546,17 +566,10 @@ class TestAbBench:
 
 
 class ClosedStdout(io.TextIOBase):
-    """A stdout whose reader goes after `kept` lines: every later write
-    raises BrokenPipeError."""
-
-    def __init__(self, kept=0):
-        self.kept = kept
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
 
     def write(self, text):
-        if self.kept <= 0:
-            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-        self.kept -= text.count("\n")
-        return len(text)
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
 class TestClosedStdout:
@@ -564,8 +577,8 @@ class TestClosedStdout:
     are written: the run exits 2 (an OSError is a data error), and the
     manifest's sha256 values are the outputs'."""
 
-    def check(self, primary, capsys):
-        assert "error:data: " in capsys.readouterr().err
+    def check(self, primary, err):
+        assert "error:data: " in err
         manifest = json.loads(Path(f"{primary}.manifest.json").read_text())
         assert manifest["outputs"] and all(
             hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
@@ -577,13 +590,13 @@ class TestClosedStdout:
             assert run("train", "--preset", "cnn-toy", "--train", str(corpus_dir / "train.bt"),
                        "--dev", str(corpus_dir / "dev.bt"), "--out", str(ckpt),
                        "--max-epochs", "1") == cli.EXIT_DATA
-        self.check(ckpt, capsys)
+        self.check(ckpt, capsys.readouterr().err)
 
     def test_synth(self, tmp_path, capsys):
         with redirect_stdout(ClosedStdout()):
             assert run("synth", "--preset", "toy", "--out", str(tmp_path), "--train-count", "5",
                        "--dev-count", "3", "--test-count", "2") == cli.EXIT_DATA
-        self.check(tmp_path / "corpus", capsys)
+        self.check(tmp_path / "corpus", capsys.readouterr().err)
 
     def test_eval(self, corpus_dir, trained, tmp_path, capsys):
         tagged, report = tmp_path / "test.tab", tmp_path / "test.eval.tsv"
@@ -592,16 +605,21 @@ class TestClosedStdout:
         with redirect_stdout(ClosedStdout()):
             assert run("eval", "--gold", str(corpus_dir / "test.bt"), "--predicted", str(tagged),
                        "--errors", "1000", "--out", str(report)) == cli.EXIT_DATA
-        self.check(report, capsys)
+        self.check(report, capsys.readouterr().err)
 
     def test_ab_bench_after_its_progress_lines(self, tmp_path, capsys):
-        # its six progress lines, one per arm, are printed while it trains
+        # its six progress lines, one per arm, go to stderr while it trains
         report = tmp_path / "ab.tsv"
-        with redirect_stdout(ClosedStdout(kept=6)):
+        with redirect_stdout(ClosedStdout()):
             assert run("ab-bench", "--train-count", "30", "--dev-count", "10",
                        "--max-epochs", "1", "--patience", "1",
                        "--out", str(report)) == cli.EXIT_DATA
-        self.check(report, capsys)
+        err = capsys.readouterr().err
+        progress = re.findall(r"^seed (\d+) (cnn|acnn): dev F \S+ \(best epoch 1\)$",
+                              err, re.M)
+        assert progress == [(seed, arch) for seed in ("11", "12", "13")
+                            for arch in ("cnn", "acnn")], err
+        self.check(report, err)
 
 
 class TestAtomicOutputs:

@@ -91,33 +91,36 @@ class TestL2:
     def test_zero_weights_zero_penalty(self):
         model = tiny_model()
         model.params["output.W"].value[...] = 0.0
-        assert TR.add_l2(model.params, 0.5) == 0.0
+        assert TR.l2_penalty(model.params, 0.5) == 0.0
 
     def test_doubling_weights_quadruples_penalty(self):
         model = tiny_model()
-        before = TR.add_l2(model.params, 0.3)
+        before = TR.l2_penalty(model.params, 0.3)
         model.params["output.W"].value *= 2.0
-        assert TR.add_l2(model.params, 0.3) == pytest.approx(4 * before)
+        assert TR.l2_penalty(model.params, 0.3) == pytest.approx(4 * before)
 
     def test_only_output_weights_penalized(self):
         model = tiny_model()
-        before = TR.add_l2(model.params, 0.3)
+        before = TR.l2_penalty(model.params, 0.3)
         model.params["embedding"].value *= 10.0
         model.params["output.b"].value *= 10.0
-        assert TR.add_l2(model.params, 0.3) == pytest.approx(before)
+        assert TR.l2_penalty(model.params, 0.3) == pytest.approx(before)
 
     def test_grad_is_two_lambda_w(self):
-        """add_l2 adds 2 * lambda * W onto output.W's gradient, the data
-        gradient that Model.backward wrote, touches no other gradient, and
-        returns the penalty lambda * sum(W**2)."""
+        """l2_penalty returns lambda * sum(W**2) and writes no gradient;
+        add_l2_grad adds 2 * lambda * W onto output.W's gradient, the data
+        gradient that Model.backward wrote, and touches no other gradient."""
         model = tiny_model()
         rng = Rng(3)
         for _, p in model.params.items():
             p.grad[...] = rng.uniform(-1, 1, p.grad.shape)
         before = {name: p.grad.copy() for name, p in model.params.items()}
-        penalty = TR.add_l2(model.params, 0.25)
+        penalty = TR.l2_penalty(model.params, 0.25)
         W = model.params["output.W"]
         assert penalty == 0.25 * (W.value * W.value).sum()
+        for name, p in model.params.items():
+            assert np.array_equal(p.grad, before[name]), name
+        TR.add_l2_grad(model.params, 0.25)
         assert np.allclose(W.grad - before["output.W"], 0.5 * W.value)
         for name, p in model.params.items():
             if name != "output.W":
@@ -319,8 +322,22 @@ class TestBatchLoss:
         reg = TR.batch_loss_and_grads(
             tiny_model(vocab_size=len(vocab), l2=0.5), batch)
         model = tiny_model(vocab_size=len(vocab))
-        expected_gap = TR.add_l2(model.params, 0.5)
+        expected_gap = TR.l2_penalty(model.params, 0.5)
         assert reg - plain == pytest.approx(expected_gap, rel=1e-9)
+
+    def test_objective_is_the_steps_and_writes_no_gradient(self):
+        """batch_loss, which `acnn gradcheck` differences, returns the loss a
+        training step returns, byte for byte, and leaves every gradient as
+        it found it."""
+        batch = random_batch(STEP_LENGTHS, seed=2)
+        model = step_fold_model()
+        step_loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(3))
+        grads = {name: p.grad.copy() for name, p in model.params.items()}
+        loss, _, dscores = TR.batch_loss(model, batch, training=True, rng=Rng(3))
+        assert loss == step_loss
+        assert dscores.shape == (sum(STEP_LENGTHS), 2)
+        for name, p in model.params.items():
+            assert grads[name].tobytes() == p.grad.tobytes(), name
 
     def test_non_finite_loss_is_numeric_error(self):
         """Finite probabilities, but an L2 penalty that overflows: a caller
@@ -498,8 +515,8 @@ def random_batch(lengths, seed=0):
     return [(rng.integers(0, 12, size=n), rng.integers(0, 2, size=n)) for n in lengths]
 
 
-# 1-token sentences, sentences that end exactly at a chunk edge (20 + 28 = 48,
-# then 48 alone) and one longer than the chunk budget.
+# 1-token sentences, one that fills a chunk of 48 alone and one longer than
+# it; no run of these fills its budget exactly ([1, 20] is 21 tokens).
 PACKING_LENGTHS = [1, 20, 28, 48, 1, 1, 60, 5, 1, 30, 17, 1]
 
 
@@ -512,6 +529,9 @@ class TestPacking:
         assert [n for chunk in chunks for n in chunk] == PACKING_LENGTHS
         assert np.array_equal(np.concatenate([ids for _, ids in runs]),
                               np.concatenate(sentences))
+        # a run that reaches its budget exactly (20 + 28 = 48) is kept whole
+        exact = [ids for ids, _ in random_batch([20, 28, 1])]
+        assert [lengths for lengths, _ in TR._chunks(exact, 48)] == [[20, 28], [1]]
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_packed_equals_sum_of_single_sentence_batches(self, dropout, monkeypatch):
@@ -603,7 +623,7 @@ class TestStepFold:
     def test_equals_one_pass_over_the_batch(self):
         """The loss and every gradient, byte for byte, of one forward_with_cache,
         cross_entropy and backward over the concatenated batch, plus the L2
-        penalty and its gradient."""
+        penalty and, after the backward, its gradient."""
         batch = random_batch(STEP_LENGTHS, seed=2)
         model = step_fold_model()
         loss = TR.batch_loss_and_grads(model, batch, training=True, rng=Rng(3))
@@ -613,7 +633,8 @@ class TestStepFold:
                                                 lengths=STEP_LENGTHS)
         want_loss, dscores = TR.cross_entropy(probs, labels)
         model.backward(cache, dscores)
-        want_loss += TR.add_l2(model.params, model.config.l2_weight)
+        TR.add_l2_grad(model.params, model.config.l2_weight)
+        want_loss += TR.l2_penalty(model.params, model.config.l2_weight)
         assert loss == want_loss
         for name, p in model.params.items():
             assert grads[name].tobytes() == p.grad.tobytes(), name
