@@ -155,17 +155,18 @@ def cmd_synth(args) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         master = Rng(cfg.seed)
-        split_cfgs = [replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
-                      for i, count in enumerate(counts.values())]
+        split_cfgs = {split: replace(cfg, seed=master.spawn(i).seed, sentence_count=count)
+                      for i, (split, count) in enumerate(counts.items())}
     out_dir = Path(args.out)
     paths = {split: out_dir / f"{split}.bt" for split in counts}
     record = _RunRecord("synth", out_dir / "corpus", {},
                         {f"{split} split": path for split, path in paths.items()})
-    for (split, count), split_cfg in zip(counts.items(), split_cfgs):
+    for split, split_cfg in split_cfgs.items():
         data.write_corpus(data.generate_corpus(split_cfg), paths[split], "bracket-text")
         record.lap(split)
-    record.write({"preset": args.preset, "generator": dataclasses.asdict(cfg),
-                  "counts": counts}, cfg.seed)
+    # each split's generator config as it was drawn, with its own seed and count
+    record.write({"preset": args.preset, "splits": {
+        split: dataclasses.asdict(split_cfg) for split, split_cfg in split_cfgs.items()}}, cfg.seed)
     for split, count in counts.items():
         print(f"wrote {paths[split]} ({count} sentences)")
     return EXIT_OK

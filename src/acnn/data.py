@@ -259,8 +259,9 @@ def build_vocab(corpus: list[TokenSequence], min_freq: int = 1) -> Vocabulary:
 # ---------------------------------------------------------------------------
 
 def _numbered_lines(path):
-    """(line number, line) of a UTF-8 text file; other bytes are a CorpusFormatError."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, line) of a UTF-8 text file, a leading byte-order mark read
+    as a signature and not as text; other bytes are a CorpusFormatError."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
@@ -502,21 +503,21 @@ def generate_corpus(cfg: GeneratorConfig) -> list[TokenSequence]:
 GENERATOR_PRESETS: dict[str, GeneratorConfig] = {
     # Skewed like real conversational data: ~6% of tokens disfluent.
     "switchboard-like": GeneratorConfig(
-        sentence_count=4000, fluent_ratio=0.72,
+        fluent_ratio=0.72,
         kind_mix=(0.42, 0.44, 0.14),
         reparandum_lengths=((1, 0.35), (2, 0.3), (3, 0.2), (4, 0.15)),
         distance_histogram=((0, 0.4), (1, 0.3), (2, 0.2), (3, 0.1)),
     ),
     # Correction-heavy, copy distances bounded so an r=6 window covers them.
     "rough-copy-hard": GeneratorConfig(
-        sentence_count=2500, fluent_ratio=0.35,
+        fluent_ratio=0.35,
         kind_mix=(0.3, 0.6, 0.1),
         reparandum_lengths=((1, 0.2), (2, 0.35), (3, 0.3), (4, 0.15)),
         distance_histogram=((0, 0.4), (1, 0.35), (2, 0.25)),
     ),
     # Small and fast, for tests.
     "toy": GeneratorConfig(
-        sentence_count=300, fluent_ratio=0.4,
+        fluent_ratio=0.4,
         kind_mix=(0.5, 0.4, 0.1),
         reparandum_lengths=((1, 0.35), (2, 0.35), (3, 0.3)),
         distance_histogram=((0, 0.5), (1, 0.3), (2, 0.2)),

@@ -26,11 +26,12 @@ pair (i, j), i <= j, is x_a * x_{a+d} with a = t - ell + i and d = j - i, so
 every window's pairs at offset d are rows of one band, q_d[a] = x_a * x_{a+d}.
 A pair whose row a + d leaves row a's sentence is zero under the window rule,
 so the band holds only the rows a whose row a + d lies in a's sentence: a slice
-when they are the leading run 0 .. k-1, as in every one-sentence pass, and
-gathered by index otherwise. The interaction tensor is symmetric, so only the
-pairs i <= j are used, with B folded per offset: K_d[i, u] = B[u, i, i + d] +
-B[u, i + d, i] (d > 0) and K_0[i, u] = B[u, i, i], rows ordered (i, u), which
-equals the full w*w contraction with B at about half its work. Each offset is
+when they are the leading run 0 .. k-1, as at every offset of a one-sentence
+pass and at offset 0 of every pass, and gathered by index otherwise (_bands).
+The interaction tensor is symmetric, so only the pairs i <= j are used, with
+B folded per offset: K_d[i, u] = B[u, i, i + d] + B[u, i + d, i] (d > 0) and
+K_0[i, u] = B[u, i, i], rows ordered (i, u), which equals the full w*w
+contraction with B at about half its work. Each offset is
 then one matmul over the band's rows, q_d @ K_d.T, whose row for band row a is
 slots 0 .. w-d-1 of row a in Y's layout: it is added straight onto Y, offset 0
 included, before the slots are summed, so with B == 0 autocorr is conv1d bit
@@ -184,14 +185,20 @@ def _bands(x: np.ndarray, bands: np.ndarray):
     """Each offset d < w of the (n, w) `bands` as (d, a, b, q): a indexes the
     rows whose row a + d lies in their own sentence (bands[:, d]), b the rows
     d below them, and q = x[a] * x[b] is the band over those rows alone. a and
-    b are slices when the rows are the leading run 0 .. k-1, as in every
-    one-sentence pass, since a view costs less than a gather, and index arrays
-    otherwise: gathering in every pass read tag-acnn-long at 0.95-1.00x the
-    tokens/s of the slices in each of 6 alternating in-process rounds (one
-    BLAS thread, a shared 2-vCPU x86 host). One buffer serves every band. An
-    offset with no such row has an empty band, so that a pass whose sentences
-    are all shorter than the window still visits, and its backward writes,
-    every offset."""
+    b are slices when the rows are the leading run 0 .. k-1, and index arrays
+    otherwise. Slices read x[a] and x[b] in place, where index arrays first
+    copy both, 2 * k * m floats per offset in the forward pass and again in
+    the backward. The rows are the leading run at every offset of a
+    one-sentence pass, and at offset 0, whose band is every row, of every
+    pass. Gathering every band read tag-acnn-long (one utterance per pass) at
+    x0.977 and x0.968 the tokens/s of the slices, slices faster in 7 of 8 and
+    11 of 12 alternating in-process rounds; a 25-sentence acnn-table1 forward
+    and backward pass took medians of 103.7 and 102.8 ms gathered, against
+    106.1 and 100.0 ms with slices, slices faster in 10 and 13 of 16 rounds
+    (one BLAS thread, a shared 2-vCPU x86 host). One buffer serves every
+    band. An offset with no such row has an empty band, so that a pass whose
+    sentences are all shorter than the window still visits, and its backward
+    writes, every offset."""
     buffer = np.empty_like(x)
     for d in range(bands.shape[1]):
         a = np.flatnonzero(bands[:, d])
@@ -294,9 +301,12 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x_pre: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    # Subgradient at exactly 0 is defined as 0.
-    return upstream * (x_pre > 0)
+def relu_backward(activation: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The upstream gradient where the ReLU's output `activation` is positive,
+    zero elsewhere. relu(y) > 0 exactly where y > 0, NaN included, so the
+    output serves as well as the input y would; the subgradient at exactly 0
+    is 0."""
+    return upstream * (activation > 0)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,12 @@ auto-correlation operator the A-kernel and B-kernel terms are added
 element-wise.
 
 Each rule is stated where it lives: the group table in _groups, which
-parameters are pair kernels in _is_pair_kernel, the one memory order of every
-parameter, built or loaded, in _held, what an optimizer step updates in
-Param.parts, kept folds in Model.with_kept_folds, and the checkpoint format in
-save_checkpoint and load_checkpoint.
+parameters are pair kernels in _is_pair_kernel (read by Param alone), the one
+memory order of every parameter, built or loaded, in _held, what an optimizer
+step updates, each part in memory order, in Param.parts, kept folds in
+Model.with_kept_folds, which B's a loaded model freezes in
+Checkpoint.build_model, and the checkpoint format in save_checkpoint and
+load_checkpoint.
 """
 
 from __future__ import annotations
@@ -137,9 +139,8 @@ class ModelConfig:
 
 def _is_pair_kernel(value: np.ndarray) -> bool:
     """Whether a parameter is a pair kernel: an autocorr B, the one tensor of
-    shape (c, w, w, m) in _layout. Its gradient is symmetric, its Adam moments
-    cover its pairs i <= j only (Param.of, Param.parts), and a checkpoint-built
-    model keeps it read-only (Checkpoint.build_model)."""
+    shape (c, w, w, m) in _layout. Its gradient is symmetric, and its Adam
+    moments cover its pairs i <= j only (Param.of, Param.parts)."""
     return value.ndim == 4
 
 
@@ -154,9 +155,9 @@ class Param:
     @staticmethod
     def of(value: np.ndarray) -> "Param":
         """The value taken over as it is, not copied, in its own memory order
-        (a model's every A in the order _held gives it), except that a pair
-        kernel is made C-contiguous, so that layers.pair_views and the views
-        of `parts` are views. The gradient and moments take the value's
+        (a model's every A in the order _held gives it). A pair kernel must be
+        C-contiguous, as every model's is, or layers.pair_views raises its
+        ValueError. The gradient and moments take the value's
         order. A pair kernel keeps its Adam moments for its pairs i <= j only:
         one flat array of c * m * w(w+1)/2 floats, offset d's (c, w-d, m)
         block after offset d-1's, in the order of layers.pair_views. Its
@@ -165,7 +166,6 @@ class Param:
         byte-identical to keeping full moments."""
         moments = value.shape
         if _is_pair_kernel(value):
-            value = np.ascontiguousarray(value)
             moments = (sum(upper.size for upper, _ in L.pair_views(value)),)
         # np.zeros maps no page before its first write, so tagging never pays
         # for these (np.zeros_like writes every page)
@@ -177,12 +177,17 @@ class Param:
 
     def parts(self):
         """The (value, grad, m, v, mirror) views that an optimizer step
-        updates, a part's step also moving its mirror: the whole tensor with
-        no mirror, or for a pair kernel one part per offset d in
-        layers.pair_views' order, its pairs (i, i + d) with their moment
-        block and, for d > 0, the mirrored pairs (i + d, i)."""
+        updates, a part's step also moving its mirror, each with its axes in
+        memory order, slowest first: the whole tensor with no mirror, an
+        F-ordered one (each A, _held) as its C-ordered transpose, or for a
+        pair kernel one part per offset d in layers.pair_views' order, its
+        pairs (i, i + d) with their moment block and, for d > 0, the mirrored
+        pairs (i + d, i)."""
         if not _is_pair_kernel(self.value):
-            yield self.value, self.grad, self.adam_m, self.adam_v, None
+            arrays = self.value, self.grad, self.adam_m, self.adam_v
+            if self.value.flags.f_contiguous and not self.value.flags.c_contiguous:
+                arrays = tuple(a.T for a in arrays)
+            yield *arrays, None
             return
         lo = 0
         for d, ((upper, lower), (grad, _)) in enumerate(zip(L.pair_views(self.value),
@@ -395,7 +400,7 @@ class Model:
                     out, cache = L.conv1d_forward(x, group.spec, A, b, lengths)
                 cols.append(out)
                 caches.append(cache)
-            x = L.relu(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1))
+            x = L.relu(np.concatenate(cols, axis=1))
             activations.append(x)
             group_caches.append(caches)
         scores = L.width1_forward(x, self.params["output.W"].value,
@@ -419,7 +424,6 @@ class Model:
         self.params["output.b"].grad[...] = db
         for groups, activation, caches in zip(self._groups[::-1], cache.activations[::-1],
                                               cache.group_caches[::-1]):
-            # relu(y) > 0 exactly where y > 0, NaN included
             dy = L.relu_backward(activation, dx)
             dx = 0.0  # the layer's input gradient, summed over its groups
             for group, gcache in zip(groups, caches):
@@ -536,16 +540,16 @@ class Checkpoint:
     def build_model(self) -> Model:
         """A model for tagging over this checkpoint's tensors. It takes over
         the arrays without drawing or copying (each A in the order _held
-        gives it, as in a built model), marks each B read-only and
-        folds it once, here, for the model's life (Model.with_kept_folds). A
-        write into a B (an Adam step, load_values) then raises instead of
-        leaving a stale fold. Every other array stays writable, so a model
-        loaded from a cnn checkpoint can still be trained."""
-        params = ParamStore(self.tensors)
-        for _, p in params.items():
-            if _is_pair_kernel(p.value):
-                p.value.flags.writeable = False
-        return Model(self.config, params).with_kept_folds()
+        gives it, as in a built model), folds each B once, here, for the
+        model's life (Model.with_kept_folds), and marks read-only exactly the
+        B's whose folds it keeps. A write into one (an Adam step, load_values)
+        then raises instead of leaving a stale fold. Every other array stays
+        writable, so a model loaded from a cnn checkpoint can still be
+        trained."""
+        model = Model(self.config, ParamStore(self.tensors)).with_kept_folds()
+        for name in model._kept_folds:
+            model.params[name].value.flags.writeable = False
+        return model
 
 
 def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:

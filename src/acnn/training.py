@@ -1,7 +1,8 @@
 """The training step and loop: cross-entropy with its gradient w.r.t. the
 scores, L2 on the width-1 layer with its gradient, in-place Adam over what
-each parameter's Param.parts yields (nothing here knows a pair kernel's
-layout), and the minibatch loop with dev-F early stopping."""
+each parameter's Param.parts yields (nothing here knows a tensor's memory
+order or a pair kernel's layout), and the minibatch loop with dev-F early
+stopping."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import evaluate
 from .data import DISFLUENT, CorpusFormatError, TokenSequence, Vocabulary
-from .model import CLASS_DISFLUENT, Model, ModelConfig, ParamStore
+from .model import CLASS_DISFLUENT, NUM_CLASSES, Model, ModelConfig, ParamStore
 from .tensor import NumericError, Rng
 
 
@@ -51,11 +52,11 @@ def softmax_xent_backward(probs: np.ndarray, label_ids: np.ndarray) -> np.ndarra
 def cross_entropy(probs: np.ndarray, label_ids):
     """Mean negative log-likelihood over tokens, with its gradient w.r.t.
     pre-softmax scores (softmax_xent_backward). `label_ids` are integer class
-    ids, 0 (fluent) or 1 (disfluent)."""
+    ids below model.NUM_CLASSES: 0 (fluent) or 1 (disfluent)."""
     ids = np.asarray(label_ids)
-    if ids.dtype.kind not in "iu" or ((ids < 0) | (ids > 1)).any():
-        raise ValueError("labels must be integer class ids 0 or 1")
-    if probs.shape != (len(ids), 2):
+    if ids.dtype.kind not in "iu" or ((ids < 0) | (ids >= NUM_CLASSES)).any():
+        raise ValueError(f"labels must be integer class ids in [0, {NUM_CLASSES})")
+    if probs.shape != (len(ids), NUM_CLASSES):
         raise ValueError(f"probs shape {probs.shape} vs {len(ids)} labels")
     n = len(ids)
     picked = np.maximum(probs[np.arange(n), ids], 1e-300)
@@ -85,15 +86,12 @@ ADAM_BLOCK = 1 << 15
 
 
 def _adam_blocks(p):
-    """Each of p.parts() cut in its memory order into blocks of whole
-    channels, at most ADAM_BLOCK elements, or one channel where one channel
-    is larger; views all, as (value, grad, m, v, mirror). A part is cut along
-    its slowest axis in memory: the leading one, or the last one of an
-    F-ordered part (an A, model._held, whose gradient and moments are in its
-    order, Param.of), so that a contiguous part's blocks are contiguous."""
+    """Each of p.parts() cut along its leading axis, which Param.parts makes
+    its slowest in memory, into blocks of whole channels, at most ADAM_BLOCK
+    elements, or one channel where one channel is larger; views all, as
+    (value, grad, m, v, mirror). So a contiguous part's blocks are
+    contiguous."""
     for value, grad, m, v, mirror in p.parts():
-        if value.flags.f_contiguous and not value.flags.c_contiguous:
-            value, grad, m, v = value.T, grad.T, m.T, v.T  # no mirror: a pair part is neither
         channels = max(1, ADAM_BLOCK // value[0].size)
         for u in range(0, len(value), channels):
             s = slice(u, u + channels)

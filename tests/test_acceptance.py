@@ -148,7 +148,8 @@ def test_criterion_05_per_kind_ordering(ab_result):
 
 
 def test_criterion_06_generator_statistics():
-    swb = data.generate_corpus(data.GENERATOR_PRESETS["switchboard-like"])
+    swb = data.generate_corpus(replace(data.GENERATOR_PRESETS["switchboard-like"],
+                                       sentence_count=4000))
     copy = exact_copy_rate(swb)
     rate = disfluent_token_rate(swb)
     # enough sentences of the correction-heavy preset for >= 10,000 spans

@@ -13,7 +13,7 @@ import pytest
 from acnn import bench, cli, data, evaluate
 from acnn import layers as L
 from acnn.model import load_checkpoint, save_checkpoint
-from acnn.tensor import NumericError
+from acnn.tensor import NumericError, Rng
 
 from gradcheck_table import gradcheck_table
 
@@ -69,7 +69,12 @@ class TestSynth:
         assert (a / "train.bt").read_bytes() != (c / "train.bt").read_bytes()
         manifest = json.loads((a / "corpus.manifest.json").read_text())
         assert manifest["seed"] == 41
-        assert manifest["config"]["generator"]["seed"] == 41
+        # each split as it was drawn: its seed spawned from --seed, its count
+        splits = manifest["config"]["splits"]
+        assert sorted(splits) == ["dev", "test", "train"]
+        for i, (split, count) in enumerate(zip(("train", "dev", "test"), (20, 5, 5))):
+            assert splits[split]["seed"] == Rng(41).spawn(i).seed, split
+            assert splits[split]["sentence_count"] == count, split
 
     def test_unknown_preset_is_usage_error(self, tmp_path):
         assert run("synth", "--preset", "nope",

@@ -321,6 +321,32 @@ class TestCorpusFiles:
         with pytest.raises(ValueError):
             D.read_corpus(tmp_path / "x", "csv")
 
+    @pytest.mark.parametrize("fmt, text, bad", [
+        ("bracket-text", "[ i + i ] want a flight\nto boston\n", "fine line\na [ broken\n"),
+        ("tabular", "i\tE\ni\t_\nwant\t_\n\nto\t_\n", "ok\t_\nnot a pair\n"),
+    ], ids=["bracket-text", "tabular"])
+    def test_byte_order_mark_is_a_signature(self, tmp_path, fmt, text, bad):
+        """A file that starts with a UTF-8 byte-order mark reads exactly as
+        the same file without one, and its errors name the same lines."""
+        def read(body):
+            path = tmp_path / "c"
+            path.write_text(body, encoding="utf-8")
+            return [(s.tokens, s.labels, s.spans) for s in D.read_corpus(path, fmt)]
+
+        def error(body):
+            with pytest.raises(D.CorpusFormatError) as exc:
+                read(body)
+            return str(exc.value)
+
+        assert read("\ufeff" + text) == read(text)
+        assert error("\ufeff" + bad) == error(bad)
+        assert error(bad).startswith(f"{tmp_path / 'c'}:2: ")
+
+    def test_byte_order_mark_after_the_start_is_a_character(self, tmp_path):
+        path = tmp_path / "c.tab"
+        path.write_text("\ufeffi\t_\n\ufeffi\tE\n", encoding="utf-8")
+        assert [s.tokens for s in D.read_corpus(path, "tabular")] == [["i", "\ufeffi"]]
+
 
 class TestGeneratorConfig:
     def test_validation(self):
@@ -338,14 +364,14 @@ class TestGeneratorConfig:
 
 class TestGenerator:
     def test_deterministic(self):
-        cfg = replace(D.GENERATOR_PRESETS["toy"], seed=42)
+        cfg = replace(D.GENERATOR_PRESETS["toy"], sentence_count=300, seed=42)
         a = D.generate_corpus(cfg)
         b = D.generate_corpus(cfg)
         assert [s.tokens for s in a] == [s.tokens for s in b]
         assert [s.labels for s in a] == [s.labels for s in b]
 
     def test_seed_changes_output(self):
-        cfg = D.GENERATOR_PRESETS["toy"]
+        cfg = replace(D.GENERATOR_PRESETS["toy"], sentence_count=300)
         a = D.generate_corpus(replace(cfg, seed=1))
         b = D.generate_corpus(replace(cfg, seed=2))
         assert [s.tokens for s in a] != [s.tokens for s in b]
@@ -380,12 +406,14 @@ class TestGenerator:
         assert got and 0 not in got
 
     def test_disfluent_token_rate_switchboard_like(self):
-        seqs = D.generate_corpus(D.GENERATOR_PRESETS["switchboard-like"])
+        seqs = D.generate_corpus(replace(D.GENERATOR_PRESETS["switchboard-like"],
+                                         sentence_count=4000))
         rate = disfluent_token_rate(seqs)
         assert 0.05 <= rate <= 0.08
 
     def test_exact_copy_rate_near_target(self):
-        seqs = D.generate_corpus(D.GENERATOR_PRESETS["switchboard-like"])
+        seqs = D.generate_corpus(replace(D.GENERATOR_PRESETS["switchboard-like"],
+                                         sentence_count=4000))
         assert abs(exact_copy_rate(seqs) - 0.60) <= 0.05
 
 

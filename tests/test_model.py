@@ -305,6 +305,31 @@ class TestParamStore:
         assert {k: p.value.tobytes() for k, p in model.params.items()} == \
             {k: v.tobytes() for k, v in before.items()}
 
+    def test_values_are_taken_as_they_are(self):
+        """Param.of copies no value: each of a store's values is the array it
+        was given, and a pair kernel that is not C-contiguous is
+        layers.pair_views' ValueError, not a copy detached from the caller's
+        array."""
+        values = M.Model.build(toy_config()).params.values_copy()
+        store = M.ParamStore(values)
+        assert all(p.value is values[name] for name, p in store.items())
+        with pytest.raises(ValueError):
+            M.Param.of(np.asfortranarray(values["layer1.group0.B"]))
+
+    @pytest.mark.parametrize("arch", ["acnn", "cnn"])
+    def test_parts_run_in_memory_order(self, arch):
+        """Param.parts yields every tensor but a B whole, as C-contiguous
+        views of its value, gradient and moments: an A, held (m, w, c)-major,
+        as their transposes."""
+        for name, p in M.Model.build(toy_config(arch)).params.items():
+            if p.value.ndim == 4:
+                continue
+            (*arrays, mirror), = p.parts()
+            assert mirror is None, name
+            for part, whole in zip(arrays, (p.value, p.grad, p.adam_m, p.adam_v)):
+                assert part.flags.c_contiguous, name
+                assert part is whole or part.base is whole, name
+
 
 class TestCheckpoint:
     def make(self, tmp_path, seed=0):
